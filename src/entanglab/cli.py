@@ -152,10 +152,10 @@ def _cmd_gauge(args) -> int:
     elif args.body == "ppt0":
         value, width, evals = gauge_ppt(A, dims), 0.0, 0
     elif args.body == "s0":
-        res = gauge_separable(A, dims, tol=args.tol)
+        res = gauge_separable(A, dims)
         value, width, evals = res.value, res.bracket_width, res.membership_evals
     else:  # ssym
-        res = gauge_separable_sym(A, dims, tol=args.tol)
+        res = gauge_separable_sym(A, dims)
         value, width, evals = res.value, res.bracket_width, res.membership_evals
     _emit(
         {
@@ -339,7 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--body", required=True, choices=["s0", "ssym", "d0", "ppt0"])
     p.add_argument("--dims", type=_parse_dims, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="accepted and ignored: every gauge here is exact")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_gauge)
 

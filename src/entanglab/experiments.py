@@ -93,7 +93,7 @@ def split_stream(stream, parts: int) -> list:
     return [stream.substream(i) for i in range(parts)]
 
 
-def _body_gauge(body: str, dims: ProductDims, gauge_tol: float = 1e-8):
+def _body_gauge(body: str, dims: ProductDims):
     if body == "d0":
         return gauge_states
     if body == "hs":
@@ -101,7 +101,7 @@ def _body_gauge(body: str, dims: ProductDims, gauge_tol: float = 1e-8):
     if body == "ppt0":
         return lambda A: gauge_ppt(A, dims)
     if body == "s0":
-        return lambda A: gauge_separable(A, dims, tol=gauge_tol).value
+        return lambda A: gauge_separable(A, dims).value
     raise ValueError(f"unknown body {body!r}")
 
 
@@ -252,11 +252,14 @@ def _gauge_samples(d: int, s: int, trials: int, stream, gauge) -> np.ndarray:
 def concentration_experiment(
     d: int, s: int, trials: int, stream, body: str = "s0", gauge_tol: float = 1e-8
 ) -> ConcentrationSummary:
-    """Location and spread of ||rho - Id/n||_K at environment sizes s and 4s."""
+    """Location and spread of ||rho - Id/n||_K at environment sizes s and 4s.
+
+    `gauge_tol` is unused: every body's gauge, s0 included, is exact.
+    """
     dims = ProductDims((d, d))
     if body == "s0" and dims.factors != (2, 2):
         raise ValueError("body 's0' needs the exact gauge, available only at d = 2")
-    gauge = _body_gauge(body, dims, gauge_tol)
+    gauge = _body_gauge(body, dims)
     subs = split_stream(stream, 2)
     pts = []
     for sub, s_val in zip(subs, (s, 4 * s)):
@@ -294,6 +297,7 @@ def gue_approx_experiment(n: int, s: int, body: str, trials: int, stream,
     """R(n, s) = n sqrt(s) E||rho - Id/n||_K / E||G||_K for the chosen body.
 
     Approaches 1 when both n and s/n are large; how fast depends on the body.
+    `gauge_tol` is unused: every body's gauge, s0 included, is exact.
     """
     if body == "s0" and n != 4:
         raise ValueError("body 's0' requires n = 4")
@@ -306,7 +310,7 @@ def gue_approx_experiment(n: int, s: int, body: str, trials: int, stream,
         dims = ProductDims((2, 2))
     else:
         dims = ProductDims((n,))
-    gauge = _body_gauge(body, dims, gauge_tol)
+    gauge = _body_gauge(body, dims)
 
     sub_state, sub_gue = split_stream(stream, 2)
 
@@ -534,9 +538,7 @@ def _execute(config: ExperimentConfig, seed: int, rows_acc: list):
         rows_acc.extend(spectral_experiment(cfg))
         return SPECTRAL_HEADER, {"ensemble": cfg.ensemble, "n": cfg.n, "s": cfg.s}
     if cfg.experiment == "concentration":
-        summary = concentration_experiment(
-            cfg.d, cfg.s, cfg.trials, stream, body=cfg.body, gauge_tol=cfg.gauge_tol
-        )
+        summary = concentration_experiment(cfg.d, cfg.s, cfg.trials, stream, body=cfg.body)
         header = ["s", "trials", "mean", "median", "std", "stderr"]
         rows_acc.extend(
             (p.s, p.trials, p.mean, p.median, p.std, p.stderr)
@@ -544,7 +546,7 @@ def _execute(config: ExperimentConfig, seed: int, rows_acc: list):
         )
         return header, {"body": summary.body, "std_ratio": summary.std_ratio}
     if cfg.experiment == "gue-approx":
-        r = gue_approx_experiment(cfg.n, cfg.s, cfg.body, cfg.trials, stream, cfg.gauge_tol)
+        r = gue_approx_experiment(cfg.n, cfg.s, cfg.body, cfg.trials, stream)
         header = [
             "n", "s", "body", "trials", "ratio", "ratio_stderr",
             "state_mean", "state_stderr", "gue_mean", "gue_stderr",

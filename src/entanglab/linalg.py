@@ -59,11 +59,14 @@ class ProductDims:
         return cls(tuple(factors))
 
 
-def _check_square(A: np.ndarray) -> np.ndarray:
+def _check_square(A: np.ndarray, batched: bool = False) -> np.ndarray:
+    """A as an array, checked square and finite; `batched` also admits a
+    stack of square matrices with leading batch axes (..., n, n)."""
     A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    ndim_ok = A.ndim >= 2 if batched else A.ndim == 2
+    if not ndim_ok or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A
 
@@ -110,8 +113,8 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _validate_dims(H: np.ndarray, dims: ProductDims) -> None:
-    if H.shape[0] != dims.n:
-        raise ValueError(f"matrix size {H.shape[0]} does not match dims {dims.factors}")
+    if H.shape[-1] != dims.n:
+        raise ValueError(f"matrix size {H.shape[-1]} does not match dims {dims.factors}")
 
 
 def partial_trace(H: np.ndarray, dims: ProductDims, keep) -> np.ndarray:
@@ -130,17 +133,10 @@ def partial_trace(H: np.ndarray, dims: ProductDims, keep) -> np.ndarray:
     if len(keep) == k:
         return H.copy()
 
-    T = H.reshape(ds + ds)
-    # einsum: row index letters 0..k-1, column letters k..2k-1; traced factors
-    # share a letter between row and column side.
-    letters = "abcdefghijklmnopqrstuvwx"
-    row = list(letters[:k])
-    col = list(letters[k : 2 * k])
-    for i in range(k):
-        if i not in keep:
-            col[i] = row[i]
-    out = "".join(row[i] for i in keep) + "".join(letters[k + i] for i in keep)
-    res = np.einsum("".join(row) + "".join(col) + "->" + out, T)
+    # einsum labels: row index of factor i is i, column index is k + i; a
+    # traced factor shares its row label between row and column side.
+    col = [i if i not in keep else k + i for i in range(k)]
+    res = np.einsum(H.reshape(ds + ds), list(range(k)) + col, keep + [k + i for i in keep])
     nk = int(np.prod([ds[i] for i in keep]))
     return res.reshape(nk, nk)
 
@@ -148,10 +144,12 @@ def partial_trace(H: np.ndarray, dims: ProductDims, keep) -> np.ndarray:
 def partial_transpose(H: np.ndarray, dims: ProductDims, transposed) -> np.ndarray:
     """Transpose the given tensor factor(s); an involution.
 
-    For a bipartite product this sends A (x) B to A (x) B^T when the second
-    factor is transposed.
+    H is one matrix or a stack of them with leading batch axes (..., n, n);
+    each matrix of the stack is transposed on the same factors. For a
+    bipartite product this sends A (x) B to A (x) B^T when the second factor
+    is transposed.
     """
-    H = _check_square(H)
+    H = _check_square(H, batched=True)
     _validate_dims(H, dims)
     ds = dims.factors
     k = dims.k
@@ -159,8 +157,9 @@ def partial_transpose(H: np.ndarray, dims: ProductDims, transposed) -> np.ndarra
     if any(i < 0 or i >= k for i in tset):
         raise ValueError(f"transposed factor indices {tset} out of range for {k} factors")
 
-    T = H.reshape(ds + ds)
-    perm = list(range(2 * k))
+    batch = H.shape[:-2]
+    b = len(batch)
+    perm = list(range(b + 2 * k))
     for i in tset:
-        perm[i], perm[k + i] = perm[k + i], perm[i]
-    return T.transpose(perm).reshape(dims.n, dims.n)
+        perm[b + i], perm[b + k + i] = perm[b + k + i], perm[b + i]
+    return H.reshape(batch + ds + ds).transpose(perm).reshape(batch + (dims.n, dims.n))

@@ -7,9 +7,9 @@ each as a Minkowski gauge ||A||_K = inf {t >= 0 : Id/n + A/t in K}:
                            positive-semidefinite cone is self-dual;
   * PPT states          -- the intersection with the partially transposed
                            body, so the max of the two one-sided gauges;
-  * separable states    -- bisection on t against an exact membership test,
-                           available only for qubit-qubit and qubit-qutrit
-                           systems where PPT is equivalent to separability.
+  * separable states    -- available only for qubit-qubit and qubit-qutrit
+                           systems, where PPT is equivalent to separability,
+                           so the gauge is exactly the PPT closed form.
 
 Deciding separability is NP-hard in general, so for any other dimensions the
 exact routines raise instead of silently substituting PPT; callers choose the
@@ -18,7 +18,6 @@ PPT body explicitly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +109,29 @@ def is_separable_exact(rho) -> bool:
     return min_pt_eigenvalue(rho) >= PPT_EIGENVALUE_TOL
 
 
+def _pt_spectra(A: np.ndarray, dims: ProductDims) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of A and of its partial transpose A^Gamma (second
+    factor transposed), over any leading batch axes: one pair of eigensolves."""
+    return np.linalg.eigvalsh(A), np.linalg.eigvalsh(partial_transpose(A, dims, 1))
+
+
+def _ppt_gauge(A: np.ndarray, dims: ProductDims) -> np.ndarray:
+    """Batched gauge of the centered PPT body, an intersection of the state
+    body with its partial transpose: n * max(0, -lambda_min(A), -lambda_min(A^Gamma))."""
+    lam, lam_pt = _pt_spectra(A, dims)
+    return dims.n * np.maximum(0.0, -np.minimum(lam[..., 0], lam_pt[..., 0]))
+
+
+def _ppt_gauge_sym(A: np.ndarray, dims: ProductDims) -> np.ndarray:
+    """Batched gauge of the symmetrized PPT body PPT0 intersect -PPT0: the max
+    of the one-sided gauges of A and -A, n * max(-lambda_min, lambda_max) over
+    A and A^Gamma (traceless A has lambda_max >= 0)."""
+    lam, lam_pt = _pt_spectra(A, dims)
+    low = np.minimum(lam[..., 0], lam_pt[..., 0])
+    high = np.maximum(lam[..., -1], lam_pt[..., -1])
+    return dims.n * np.maximum(-low, high)
+
+
 def gauge_states(A: np.ndarray) -> float:
     """Gauge of the centered set of all states: n * max(0, -lambda_min(A))."""
     A = _require_traceless(A)
@@ -121,24 +143,10 @@ def gauge_states(A: np.ndarray) -> float:
 def gauge_ppt(A: np.ndarray, dims: ProductDims) -> float:
     """Gauge of the centered PPT body: an intersection, so a max of gauges."""
     _require_bipartite(dims)
-    A = _require_traceless(A)
-    return max(gauge_states(A), gauge_states(partial_transpose(A, dims, 1)))
+    return float(_ppt_gauge(_require_traceless(A), dims))
 
 
-def _state_membership(A: np.ndarray, dims: ProductDims, t: float) -> bool:
-    """Is Id/n + A/t an exactly-separable state? (2x2 / 2x3 only)."""
-    n = dims.n
-    sigma = np.eye(n) / n + A / t
-    if float(np.linalg.eigvalsh(sigma)[0]) < PPT_EIGENVALUE_TOL:
-        return False
-    pt = partial_transpose(sigma, dims, transposed=1)
-    return float(np.linalg.eigvalsh(pt)[0]) >= PPT_EIGENVALUE_TOL
-
-
-def gauge_separable(A: np.ndarray, dims: ProductDims, tol: float = 1e-8) -> GaugeResult:
-    """Gauge of the centered separable body, by bisection on the membership
-    test. Bracket: the all-states gauge from below (separable states are
-    states), the shared inradius 1/sqrt(n(n-1)) from above."""
+def _exact_gauge(A: np.ndarray, dims: ProductDims, kernel) -> GaugeResult:
     if dims.factors not in EXACT_DIMS:
         raise UnsupportedDimensionError(
             f"separable gauge needs an exact membership test, unavailable for "
@@ -147,51 +155,39 @@ def gauge_separable(A: np.ndarray, dims: ProductDims, tol: float = 1e-8) -> Gaug
     A = _require_traceless(A)
     if A.shape[0] != dims.n:
         raise ValueError("matrix size does not match dims")
-    norm = hs_norm(A)
-    if norm == 0.0:
+    if hs_norm(A) == 0.0:
         return GaugeResult(0.0, 0.0, 0)
+    # one eigensolve of A and one of A^Gamma
+    return GaugeResult(float(kernel(A, dims)), 0.0, 2)
 
-    n = dims.n
-    lo = gauge_states(A)
-    hi = math.sqrt(n * (n - 1)) * norm
-    evals = 1
-    if _state_membership(A, dims, lo):
-        return GaugeResult(lo, 0.0, evals)
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        evals += 1
-        if _state_membership(A, dims, mid):
-            hi = mid
-        else:
-            lo = mid
-    return GaugeResult(hi, hi - lo, evals)
+
+def gauge_separable(A: np.ndarray, dims: ProductDims, tol: float = 1e-8) -> GaugeResult:
+    """Gauge of the centered separable body at 2x2 and 2x3, where separable
+    means PPT, so the gauge is exactly the PPT closed form
+    n * max(0, -lambda_min(A), -lambda_min(A^Gamma)).
+
+    The result is exact: `bracket_width` is 0 and `membership_evals` counts
+    the eigensolves made. `tol` is accepted for compatibility and unused.
+    """
+    return _exact_gauge(A, dims, _ppt_gauge)
 
 
 def gauge_separable_sym(A: np.ndarray, dims: ProductDims, tol: float = 1e-8) -> GaugeResult:
-    """Gauge of the symmetrized separable body S0 intersect -S0."""
-    plus = gauge_separable(A, dims, tol)
-    minus = gauge_separable(-np.asarray(A), dims, tol)
-    best = plus if plus.value >= minus.value else minus
-    return GaugeResult(best.value, best.bracket_width, plus.membership_evals + minus.membership_evals)
+    """Gauge of the symmetrized separable body S0 intersect -S0, exact like
+    `gauge_separable`: n * max(-lambda_min, lambda_max) over A and A^Gamma.
+    `tol` is accepted for compatibility and unused."""
+    return _exact_gauge(A, dims, _ppt_gauge_sym)
 
 
 def _contracted_factor(T: np.ndarray, psis: list[np.ndarray], j: int) -> np.ndarray:
     """d_j x d_j matrix M with <a|M|b> = <..psi,a,psi..|A|..psi,b,psi..>."""
+    # einsum labels: row index of factor i is i, column index is k + i.
     k = len(psis)
-    letters = "abcdefghijkl"
-    row = [letters[i] for i in range(k)]
-    col = [letters[k + i] for i in range(k)]
-    operands = [T]
-    script = "".join(row) + "".join(col)
+    operands = [T, list(range(2 * k))]
     for i in range(k):
-        if i == j:
-            continue
-        script += "," + row[i]
-        operands.append(psis[i].conj())
-        script += "," + col[i]
-        operands.append(psis[i])
-    script += "->" + row[j] + col[j]
-    return np.einsum(script, *operands)
+        if i != j:
+            operands += [psis[i].conj(), [i], psis[i], [k + i]]
+    return np.einsum(*operands, [j, k + j])
 
 
 def support_separable(
@@ -251,7 +247,7 @@ def support_separable(
 
 def mean_gauge_gue(d: int, trials: int, stream, tol: float = 1e-8) -> Estimate:
     """Monte-Carlo mean of the separable gauge of trace-zero GUE draws on
-    C^d x C^d. Only d = 2 has an exact separable gauge."""
+    C^d x C^d. Only d = 2 has an exact separable gauge; `tol` is unused."""
     if d != 2:
         raise UnsupportedDimensionError(
             "the separable gauge is exact only at d = 2; use the PPT gauge for d >= 3"
@@ -265,5 +261,5 @@ def mean_gauge_gue(d: int, trials: int, stream, tol: float = 1e-8) -> Estimate:
     gauges = np.empty(trials)
     for t, rng in enumerate(trial_generators(stream, trials)):
         G = sample_gue0(4, rng)
-        gauges[t] = gauge_separable(G, dims, tol).value
+        gauges[t] = gauge_separable(G, dims).value
     return from_samples(gauges, seed=str(stream))

@@ -15,18 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .ensembles import sample_gue0
 from .geometry import gamma_m
-from .linalg import ProductDims
+from .linalg import ProductDims, partial_transpose
 from .rng import trial_generators
 from .separability import (
     UnsupportedDimensionError,
+    _ppt_gauge,
+    _ppt_gauge_sym,
     gauge_ppt,
-    mean_gauge_gue,
     support_separable,
 )
 from .stats import Estimate, from_samples
@@ -130,29 +132,8 @@ def separable_width(
 # rescaling candidates onto its boundary with the exact gauge.
 # ---------------------------------------------------------------------------
 
-
-def _pt_second_qubit(batch: np.ndarray) -> np.ndarray:
-    """Batched partial transpose of the second factor on C^2 x C^2."""
-    t = batch.shape[0]
-    return batch.reshape(t, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(t, 4, 4)
-
-
-def _gauge_sym_qubit_pair(batch: np.ndarray) -> np.ndarray:
-    """Batched symmetrized separable gauge at (2,2): 4 max(op norms)."""
-    lam = np.linalg.eigvalsh(batch)
-    lam_pt = np.linalg.eigvalsh(_pt_second_qubit(batch))
-    op = np.maximum(np.abs(lam[:, 0]), np.abs(lam[:, -1]))
-    op_pt = np.maximum(np.abs(lam_pt[:, 0]), np.abs(lam_pt[:, -1]))
-    return 4.0 * np.maximum(op, op_pt)
-
-
-def _gauge_sep_qubit_pair(batch: np.ndarray) -> np.ndarray:
-    """Batched one-sided separable gauge at (2,2): 4 max(-lambda_min, .)."""
-    lam = np.linalg.eigvalsh(batch)
-    lam_pt = np.linalg.eigvalsh(_pt_second_qubit(batch))
-    return 4.0 * np.maximum.reduce(
-        [np.maximum(-lam[:, 0], 0.0), np.maximum(-lam_pt[:, 0], 0.0)]
-    )
+_DIMS22 = ProductDims((2, 2))
+_gauge_sym_qubit_pair = partial(_ppt_gauge_sym, dims=_DIMS22)
 
 
 def _clip_operator_norm(batch: np.ndarray, radius: float) -> np.ndarray:
@@ -180,7 +161,8 @@ def _certified_sym_support(G: np.ndarray, gauges: np.ndarray,
         tr = np.trace(x, axis1=1, axis2=2)[:, None, None] / 4.0
         x = x - tr * eye
         x = _clip_operator_norm(x, 0.25)
-        x = _pt_second_qubit(_clip_operator_norm(_pt_second_qubit(x), 0.25))
+        x = partial_transpose(x, _DIMS22, 1)
+        x = partial_transpose(_clip_operator_norm(x, 0.25), _DIMS22, 1)
         tr = np.trace(x, axis1=1, axis2=2)[:, None, None] / 4.0
         cand = x - tr * eye
         g = _gauge_sym_qubit_pair(cand)
@@ -223,7 +205,7 @@ def width_duality_check(dims: ProductDims, trials: int, stream) -> DualityCheck:
     support_vals = _certified_sym_support(G, gauges)
     gauge_est = from_samples(gauges, seed=str(stream))
     support_est = from_samples(support_vals, seed=str(stream))
-    one_sided = from_samples(_gauge_sep_qubit_pair(G), seed=str(stream))
+    one_sided = from_samples(_ppt_gauge(G, _DIMS22), seed=str(stream))
 
     product = support_est.mean * gauge_est.mean
     rel = math.hypot(
@@ -319,12 +301,16 @@ def symmetrization_volume_ratio(m: int, points: int, stream) -> SymmetrizationRe
 
 
 def separability_threshold_estimate(d: int, trials: int, stream, tol: float = 1e-8) -> Estimate:
-    """(E ||G||_S0 / d^2)^2 from the exact separable gauge; d = 2 only."""
-    base = mean_gauge_gue(d, trials, stream, tol=tol)
-    d2 = float(d * d)
-    value = (base.mean / d2) ** 2
-    stderr = 2.0 * base.mean / (d2 * d2) * base.stderr  # delta method
-    return Estimate(value, stderr, trials, seed=str(stream))
+    """(E ||G||_S0 / d^2)^2 from the exact separable gauge; d = 2 only.
+
+    At d = 2 the separable body is the PPT body, so this is the PPT
+    threshold estimate on the same draws. `tol` is unused: the gauge is exact.
+    """
+    if d != 2:
+        raise UnsupportedDimensionError(
+            "the separable gauge is exact only at d = 2; use the PPT gauge for d >= 3"
+        )
+    return ppt_threshold_estimate(2, trials, stream).threshold
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,8 @@ def test_criterion_06_induced_semicircle():
     assert elapsed < 120
     assert med <= 0.20, (
         f"median {med:.4f} > 0.20: the stated tolerance is unattainable at "
-        "(n=64, s=4096); see the decisions ledger for the support-mismatch analysis"
+        "(n=64, s=4096); see the README paragraph on criterion 6 (Install and "
+        "test) for the support-mismatch analysis"
     )
 
 

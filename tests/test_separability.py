@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -95,6 +96,43 @@ def psd_bisection_gauge_oracle(A, tol=1e-12):
     return hi
 
 
+def pt_index_permutation(H, dims):
+    """Second-factor partial transpose by relabeling entries: the entry at
+    row (i, j), column (k, l) moves to row (i, l), column (k, j)."""
+    d1, d2 = dims.factors
+    out = np.empty_like(H)
+    for i, j, k, l in itertools.product(range(d1), range(d2), range(d1), range(d2)):
+        out[i * d2 + l, k * d2 + j] = H[i * d2 + j, k * d2 + l]
+    return out
+
+
+def separable_bisection_gauge_oracle(A, dims, rel_tol=1e-12):
+    """Independent oracle at 2x2 / 2x3, where separable means PPT: bisect on
+    the smallest t with Id/n + A/t PSD and PPT. Bracket: the all-states
+    gauge from below, the inradius bound sqrt(n(n-1)) |A| from above."""
+    n = dims.n
+    if hs_norm(A) == 0:
+        return 0.0
+
+    def member(t):
+        sigma = np.eye(n) / n + A / t
+        return (
+            np.linalg.eigvalsh(sigma)[0] >= -1e-11
+            and np.linalg.eigvalsh(pt_index_permutation(sigma, dims))[0] >= -1e-11
+        )
+
+    lo, hi = gauge_states(A), math.sqrt(n * (n - 1)) * hs_norm(A)
+    if member(lo):
+        return lo
+    while hi - lo > rel_tol * hi:
+        mid = (lo + hi) / 2
+        if member(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def test_gauge_states_closed_form():
     assert gauge_states(np.zeros((3, 3))) == 0.0
     A = kron(SZ, SZ)
@@ -151,6 +189,25 @@ def test_gauge_separable_matches_ppt_closed_form():
             assert res.value == pytest.approx(gauge_ppt(A, pd), rel=1e-8)
     with pytest.raises(UnsupportedDimensionError):
         gauge_separable(random_traceless(rng, 9), ProductDims((3, 3)))
+
+
+def test_closed_form_gauges_match_bisection_oracle():
+    from entanglab.separability import _ppt_gauge, _ppt_gauge_sym
+    from entanglab.widths import _gauge_sym_qubit_pair
+
+    rng = np.random.default_rng(33)
+    for dims in ((2, 2), (2, 3)):
+        pd = ProductDims(dims)
+        stack = np.stack([random_traceless(rng, pd.n) for _ in range(15)])
+        one_sided = _ppt_gauge(stack, pd)
+        sym = _gauge_sym_qubit_pair(stack) if dims == (2, 2) else _ppt_gauge_sym(stack, pd)
+        for A, g_batch, s_batch in zip(stack, one_sided, sym):
+            plus = separable_bisection_gauge_oracle(A, pd)
+            both = max(plus, separable_bisection_gauge_oracle(-A, pd))
+            assert gauge_separable(A, pd).value == pytest.approx(plus, rel=1e-8)
+            assert g_batch == pytest.approx(plus, rel=1e-8)
+            assert gauge_separable_sym(A, pd).value == pytest.approx(both, rel=1e-8)
+            assert s_batch == pytest.approx(both, rel=1e-8)
 
 
 def test_gauge_chain_and_scaling():
@@ -264,6 +321,16 @@ def test_support_matches_bloch_grid():
         assert alt >= grid - 1e-3
         worst_gap = max(worst_gap, grid - alt)
     assert worst_gap <= 1e-3
+
+
+def test_support_seven_factors():
+    # |0...0><0...0| - Id/128: the product state |0...0> attains 1 - 1/128
+    dims = ProductDims((2,) * 7)
+    A = -np.eye(dims.n, dtype=complex) / dims.n
+    A[0, 0] += 1.0
+    res = support_separable(A, dims, restarts=1, stream=SeededStream(34))
+    assert res.value == pytest.approx(1 - 1 / 128, abs=1e-12)
+    assert len(res.maximizer) == 7
 
 
 def test_support_three_factors_smoke():

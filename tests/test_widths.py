@@ -7,7 +7,7 @@ from entanglab.ensembles import sample_gue0
 from entanglab.geometry import gamma_m, vrad_states
 from entanglab.linalg import ProductDims
 from entanglab.rng import SeededStream, trial_generators
-from entanglab.separability import gauge_separable_sym, gauge_states
+from entanglab.separability import gauge_separable_sym, gauge_states, mean_gauge_gue
 from entanglab.stats import from_samples
 from entanglab.widths import (
     SupportOracle,
@@ -194,6 +194,15 @@ def test_ppt_threshold_matches_separable_at_d2():
     sep = separability_threshold_estimate(2, 1200, SeededStream(26))
     ppt = ppt_threshold_estimate(2, 1200, SeededStream(27))
     assert abs(sep.mean - ppt.threshold.mean) <= 3 * math.hypot(sep.stderr, ppt.threshold.stderr)
+
+
+def test_separability_threshold_is_ppt_threshold_at_d2():
+    # same draws, same closed-form gauge: the two estimates are the same numbers
+    sep = separability_threshold_estimate(2, 500, SeededStream(7))
+    ppt = ppt_threshold_estimate(2, 500, SeededStream(7))
+    assert (sep.mean, sep.stderr) == (ppt.threshold.mean, ppt.threshold.stderr)
+    gauge = mean_gauge_gue(2, 500, SeededStream(7))
+    assert (gauge.mean, gauge.stderr) == (ppt.mean_gauge.mean, ppt.mean_gauge.stderr)
 
 
 def test_ppt_threshold_orders():
