@@ -4,8 +4,7 @@ Experiment subcommands (scan-threshold, spectral, concentration, gue-approx,
 monotonicity, run) write an RFC-4180 CSV plus a JSON metadata sidecar that
 records the seed, config digest and versions needed to reproduce the file.
 Query subcommands (sample, gauge, geometry, estimate-s0) print JSON unless
-directed to a file. ENTANGLAB_SEED overrides configured seeds and
-ENTANGLAB_THREADS caps worker threads.
+directed to a file. ENTANGLAB_SEED overrides configured seeds.
 """
 
 from __future__ import annotations

@@ -3,40 +3,42 @@ ratio, coupled monotonicity comparisons, spectral statistics, and the config
 runner behind the CLI.
 
 Every experiment draws each trial from its own derived random stream, so
-results are independent of execution order and can be parallelized by
-setting ENTANGLAB_THREADS. Scan output rows are sorted by the scan variable
-before writing.
+results are independent of execution order. Trials are drawn one at a time
+and evaluated in chunks: a chunk's matrices are stacked, and normalization,
+partial transposes, eigensolves and gauges run once over the stack. Scan
+output rows are sorted by the scan variable before writing.
 """
 
 from __future__ import annotations
 
+import importlib.metadata
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .ensembles import (
-    DensityMatrix,
+    _trace_normalized,
+    _wishart,
     coupled_local_projection,
     coupled_partial_trace,
     sample_gue0,
-    sample_induced_state,
 )
 from .io import write_csv, write_sidecar
-from .linalg import ProductDims, hs_norm
+from .linalg import ProductDims, hermitize, hs_norm, traceless_part
 from .rng import SeededStream, trial_generators
 from .separability import (
+    EXACT_DIMS,
     PPT_EIGENVALUE_TOL,
-    gauge_ppt,
-    gauge_separable,
-    gauge_states,
-    is_separable_exact,
-    min_pt_eigenvalue,
+    _min_pt,
+    _ppt_gauge,
+    _require_exact_dims,
+    _state_gauge,
 )
 from .spectral import alpha_beta, dinf_semicircle
 from .stats import from_samples, wilson_interval
@@ -57,29 +59,31 @@ __all__ = [
     "spectral_rows",
     "spectral_experiment",
     "run_config",
-    "worker_count",
 ]
 
 SPECTRAL_HEADER = ["trial", "n", "s", "ensemble", "dinf", "alpha", "beta", "lambda_max", "lambda_min"]
 
 
-def worker_count() -> int:
-    """Worker cap from ENTANGLAB_THREADS; defaults to sequential."""
-    raw = os.environ.get("ENTANGLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# Byte budget of one chunk's stack of n x n complex matrices (about 200 trials
+# at n = 9, 4 at n = 64). It bounds a chunk's memory at any trial count; at
+# 256 KiB the stack's temporaries stay within the peak of one large draw.
+_CHUNK_BYTES = 1 << 18
 
 
-def map_trials(fn, stream, trials: int) -> list:
-    """Apply fn to one generator per trial, optionally on a thread pool."""
-    gens = list(trial_generators(stream, trials))
-    workers = worker_count()
-    if workers <= 1 or isinstance(stream, np.random.Generator):
-        return [fn(g) for g in gens]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, gens))
+def _chunks(stream, trials: int, n: int):
+    """The trials' generators, one per trial, in chunks of as many trials as
+    fit n x n complex matrices into _CHUNK_BYTES (at least one)."""
+    size = max(1, _CHUNK_BYTES // (16 * n * n))
+    gens = trial_generators(stream, trials)
+    while chunk := list(islice(gens, size)):
+        yield chunk
+
+
+def _induced_states(n: int, s: int, gens) -> np.ndarray:
+    """Stack of induced states, one per generator, bit-identical to
+    `sample_induced_state`: each trial draws and forms its own Gram product;
+    normalization and hermitization run once over the stack."""
+    return hermitize(_trace_normalized(np.stack([_wishart(n, s, g) for g in gens])))
 
 
 def split_stream(stream, parts: int) -> list:
@@ -94,21 +98,23 @@ def split_stream(stream, parts: int) -> list:
 
 
 def _body_gauge(body: str, dims: ProductDims):
+    """Gauge ||A||_K of each traceless direction in a stack. At 2x2 the
+    separable body s0 is the PPT body, so both read the PPT closed form."""
     if body == "d0":
-        return gauge_states
+        return lambda A: _state_gauge(hermitize(A))
     if body == "hs":
-        return hs_norm
-    if body == "ppt0":
-        return lambda A: gauge_ppt(A, dims)
-    if body == "s0":
-        return lambda A: gauge_separable(A, dims).value
+        return lambda A: np.array([hs_norm(a) for a in A])
+    if body in ("ppt0", "s0"):
+        return lambda A: _ppt_gauge(hermitize(A), dims)
     raise ValueError(f"unknown body {body!r}")
 
 
-def _meets_criterion(criterion: str, rho: DensityMatrix) -> bool:
+def _count_meeting(criterion: str, dims: ProductDims, states: np.ndarray) -> int:
+    """How many states of a stack are PPT, or separable for criterion
+    "exact", which PPT decides only at 2x2 and 2x3."""
     if criterion == "exact":
-        return is_separable_exact(rho)
-    return min_pt_eigenvalue(rho) >= PPT_EIGENVALUE_TOL
+        _require_exact_dims(dims)
+    return int(np.count_nonzero(_min_pt(states, dims) >= PPT_EIGENVALUE_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +153,12 @@ class ScanResult:
 
 
 def _scan_point(dims: ProductDims, s: int, trials: int, criterion: str, stream) -> ScanPoint:
-    n = dims.n
-
-    def one(rng) -> bool:
-        rho = sample_induced_state(n, s, rng, dims=dims)
-        return _meets_criterion(criterion, rho)
-
-    successes = int(sum(map_trials(one, stream, trials)))
+    """Successes among `trials` induced states on `dims`, with their Wilson
+    interval."""
+    successes = sum(
+        _count_meeting(criterion, dims, _induced_states(dims.n, s, gens))
+        for gens in _chunks(stream, trials, dims.n)
+    )
     lo, hi = wilson_interval(successes, trials)
     return ScanPoint(s, trials, successes, successes / trials, lo, hi)
 
@@ -187,13 +192,18 @@ def threshold_scan(config: ExperimentConfig) -> ScanResult:
         _scan_point(dims, s, config.trials, config.criterion, base.substream(i))
         for i, s in enumerate(sorted(config.s_values))
     ]
-    crossing = crossing_estimate(points)
+    meta = _scan_metadata(config, points)
+    return ScanResult(config.dims, config.criterion, points, meta.get("crossing_s"), meta)
+
+
+def _scan_metadata(config: ExperimentConfig, points: list[ScanPoint]) -> dict:
     meta = {"dims": list(config.dims), "criterion": config.criterion}
+    crossing = crossing_estimate(points)
     if crossing is not None:
         meta["crossing_s"] = crossing
     if config.criterion == "ppt" and min(config.dims) >= 3:
         meta["bound_entanglement_note"] = _bound_entanglement_note(config.dims, points)
-    return ScanResult(config.dims, config.criterion, points, crossing, meta)
+    return meta
 
 
 def _bound_entanglement_note(dims: tuple[int, int], points: list[ScanPoint]) -> str:
@@ -239,14 +249,12 @@ class ConcentrationSummary:
         return self.at_s.std / self.at_4s.std
 
 
-def _gauge_samples(d: int, s: int, trials: int, stream, gauge) -> np.ndarray:
-    dims = ProductDims((d, d))
-
-    def one(rng) -> float:
-        rho = sample_induced_state(dims.n, s, rng, dims=dims)
-        return gauge(rho.centered())
-
-    return np.asarray(map_trials(one, stream, trials))
+def _gauge_samples(n: int, s: int, trials: int, stream, gauge) -> np.ndarray:
+    """Batched gauge of rho - Id/n for `trials` induced states on C^n."""
+    return np.concatenate([
+        gauge(traceless_part(_induced_states(n, s, gens)))
+        for gens in _chunks(stream, trials, n)
+    ])
 
 
 def concentration_experiment(
@@ -263,7 +271,7 @@ def concentration_experiment(
     subs = split_stream(stream, 2)
     pts = []
     for sub, s_val in zip(subs, (s, 4 * s)):
-        vals = _gauge_samples(d, s_val, trials, sub, gauge)
+        vals = _gauge_samples(dims.n, s_val, trials, sub, gauge)
         est = from_samples(vals)
         pts.append(
             ConcentrationPoint(
@@ -313,16 +321,11 @@ def gue_approx_experiment(n: int, s: int, body: str, trials: int, stream,
     gauge = _body_gauge(body, dims)
 
     sub_state, sub_gue = split_stream(stream, 2)
-
-    def state_trial(rng) -> float:
-        rho = sample_induced_state(n, s, rng, dims=dims if body in ("ppt0", "s0") else None)
-        return gauge(rho.centered())
-
-    def gue_trial(rng) -> float:
-        return gauge(sample_gue0(n, rng))
-
-    num = from_samples(map_trials(state_trial, sub_state, trials))
-    den = from_samples(map_trials(gue_trial, sub_gue, trials))
+    num = from_samples(_gauge_samples(n, s, trials, sub_state, gauge))
+    den = from_samples(np.concatenate([
+        gauge(np.stack([sample_gue0(n, g) for g in gens]))
+        for gens in _chunks(sub_gue, trials, n)
+    ]))
     ratio = n * math.sqrt(s) * num.mean / den.mean
     rel = math.hypot(num.stderr / num.mean, den.stderr / den.mean)
     return RatioResult(
@@ -370,7 +373,21 @@ class MonotonicityResult:
 
 
 def _exactish_criterion(dims: tuple[int, int]) -> str:
-    return "exact" if dims in ((2, 2), (2, 3), (3, 2)) else "ppt"
+    return "exact" if dims in EXACT_DIMS else "ppt"
+
+
+def _coupled_successes(couple, n: int, crit_small: str, crit_large: str,
+                       trials: int, stream) -> tuple[int, int]:
+    """Successes of the small and of the large states of `trials` coupled
+    pairs couple(rng), whose large states act on C^n."""
+    small = large = 0
+    for gens in _chunks(stream, trials, n):
+        pairs = [couple(g) for g in gens]
+        smalls = np.stack([p.small.matrix for p in pairs])
+        larges = np.stack([p.large.matrix for p in pairs])
+        small += _count_meeting(crit_small, pairs[0].small.dims, smalls)
+        large += _count_meeting(crit_large, pairs[0].large.dims, larges)
+    return small, large
 
 
 def projection_monotonicity(d1: int, d2: int, s: int, trials: int, stream) -> MonotonicityResult:
@@ -380,29 +397,12 @@ def projection_monotonicity(d1: int, d2: int, s: int, trials: int, stream) -> Mo
     crit_small = _exactish_criterion((d1, d1))
     crit_large = _exactish_criterion((d2, d2))
     sub_coupled, sub_ds, sub_dl = split_stream(stream, 3)
-
-    def coupled_trial(rng) -> tuple[bool, bool]:
-        pair = coupled_local_projection(d1, d2, s, rng)
-        return (
-            _meets_criterion(crit_small, pair.small),
-            _meets_criterion(crit_large, pair.large),
-        )
-
-    both = map_trials(coupled_trial, sub_coupled, trials)
-    cs = sum(1 for a, _ in both if a)
-    cl = sum(1 for _, b in both if b)
-
-    def direct(dims_pair, s_val, crit, sub) -> int:
-        dims = ProductDims(dims_pair)
-
-        def one(rng) -> bool:
-            rho = sample_induced_state(dims.n, s_val, rng, dims=dims)
-            return _meets_criterion(crit, rho)
-
-        return int(sum(map_trials(one, sub, trials)))
-
-    ds_cnt = direct((d1, d1), s, crit_small, sub_ds)
-    dl_cnt = direct((d2, d2), s, crit_large, sub_dl)
+    cs, cl = _coupled_successes(
+        lambda rng: coupled_local_projection(d1, d2, s, rng), d2 * d2,
+        crit_small, crit_large, trials, sub_coupled,
+    )
+    ds_cnt = _scan_point(ProductDims((d1, d1)), s, trials, crit_small, sub_ds).successes
+    dl_cnt = _scan_point(ProductDims((d2, d2)), s, trials, crit_large, sub_dl).successes
     return MonotonicityResult(
         "projection",
         MonoSide("coupled-small", (d1, d1), s, crit_small, trials, cs),
@@ -416,33 +416,17 @@ def partial_trace_monotonicity(d: int, s: int, trials: int, stream) -> Monotonic
     """Qubit-pair partial-trace coupling: PPT probability at (2d, s) is
     dominated by the one at (d, 4s)."""
     sub_coupled, sub_ds, sub_dl = split_stream(stream, 3)
-
-    def coupled_trial(rng) -> tuple[bool, bool]:
-        pair = coupled_partial_trace(d, s, rng)
-        return (
-            _meets_criterion("ppt", pair.small),
-            _meets_criterion("ppt", pair.large),
-        )
-
-    both = map_trials(coupled_trial, sub_coupled, trials)
-    cs = sum(1 for a, _ in both if a)
-    cl = sum(1 for _, b in both if b)
-
-    def direct(dd: int, s_val: int, sub) -> int:
-        dims = ProductDims((dd, dd))
-
-        def one(rng) -> bool:
-            rho = sample_induced_state(dims.n, s_val, rng, dims=dims)
-            return _meets_criterion("ppt", rho)
-
-        return int(sum(map_trials(one, sub, trials)))
-
+    cs, cl = _coupled_successes(
+        lambda rng: coupled_partial_trace(d, s, rng), 4 * d * d, "ppt", "ppt", trials, sub_coupled
+    )
+    ds_cnt = _scan_point(ProductDims((d, d)), 4 * s, trials, "ppt", sub_ds).successes
+    dl_cnt = _scan_point(ProductDims((2 * d, 2 * d)), s, trials, "ppt", sub_dl).successes
     return MonotonicityResult(
         "partial-trace",
         MonoSide("coupled-small", (d, d), 4 * s, "ppt", trials, cs),
         MonoSide("coupled-large", (2 * d, 2 * d), s, "ppt", trials, cl),
-        MonoSide("direct-small", (d, d), 4 * s, "ppt", trials, direct(d, 4 * s, sub_ds)),
-        MonoSide("direct-large", (2 * d, 2 * d), s, "ppt", trials, direct(2 * d, s, sub_dl)),
+        MonoSide("direct-small", (d, d), 4 * s, "ppt", trials, ds_cnt),
+        MonoSide("direct-large", (2 * d, 2 * d), s, "ppt", trials, dl_cnt),
     )
 
 
@@ -459,20 +443,17 @@ def spectral_rows(ensemble: str, n: int, s: int | None, trials: int, stream) -> 
     if ensemble == "induced" and (s is None or s < 1):
         raise ValueError("induced ensemble requires s >= 1")
 
-    def one(rng):
+    def spectra(gens) -> np.ndarray:
         if ensemble == "gue0":
-            lam = np.linalg.eigvalsh(sample_gue0(n, rng)) / math.sqrt(n)
-        else:
-            rho = sample_induced_state(n, s, rng)
-            lam = np.linalg.eigvalsh(rho.centered()) * math.sqrt(n * s)
-        a, b = alpha_beta(lam)
-        return (dinf_semicircle(lam), a, b, float(lam[-1]), float(lam[0]))
+            return np.linalg.eigvalsh(np.stack([sample_gue0(n, g) for g in gens])) / math.sqrt(n)
+        return np.linalg.eigvalsh(traceless_part(_induced_states(n, s, gens))) * math.sqrt(n * s)
 
-    stats = map_trials(one, stream, trials)
     s_col = s if ensemble == "induced" else ""
+    lams = np.concatenate([spectra(gens) for gens in _chunks(stream, trials, n)])
     return [
-        (t, n, s_col, ensemble, d, a, b, mx, mn)
-        for t, (d, a, b, mx, mn) in enumerate(stats)
+        (t, n, s_col, ensemble, dinf_semicircle(lam), *alpha_beta(lam),
+         float(lam[-1]), float(lam[0]))
+        for t, lam in enumerate(lams)
     ]
 
 
@@ -518,28 +499,21 @@ def _execute(config: ExperimentConfig, seed: int, rows_acc: list):
     Returns (header, extra_meta)."""
     cfg = ExperimentConfig.from_dict({**config.raw, "master_seed": seed})
     stream = SeededStream(seed)
+    header = _header_for(cfg)
     if cfg.experiment == "threshold-scan":
         dims = ProductDims(cfg.dims)
         base = SeededStream(cfg.master_seed)
         points = []
-        header = _header_for(cfg)
         for i, s in enumerate(sorted(cfg.s_values)):
             p = _scan_point(dims, s, cfg.trials, cfg.criterion, base.substream(i))
             points.append(p)
             rows_acc.append((p.s, p.trials, p.successes, p.p_hat, p.ci_low, p.ci_high))
-        meta = {"dims": list(cfg.dims), "criterion": cfg.criterion}
-        crossing = crossing_estimate(points)
-        if crossing is not None:
-            meta["crossing_s"] = crossing
-        if cfg.criterion == "ppt" and min(cfg.dims) >= 3:
-            meta["bound_entanglement_note"] = _bound_entanglement_note(cfg.dims, points)
-        return header, meta
+        return header, _scan_metadata(cfg, points)
     if cfg.experiment == "spectral":
         rows_acc.extend(spectral_experiment(cfg))
-        return SPECTRAL_HEADER, {"ensemble": cfg.ensemble, "n": cfg.n, "s": cfg.s}
+        return header, {"ensemble": cfg.ensemble, "n": cfg.n, "s": cfg.s}
     if cfg.experiment == "concentration":
         summary = concentration_experiment(cfg.d, cfg.s, cfg.trials, stream, body=cfg.body)
-        header = ["s", "trials", "mean", "median", "std", "stderr"]
         rows_acc.extend(
             (p.s, p.trials, p.mean, p.median, p.std, p.stderr)
             for p in (summary.at_s, summary.at_4s)
@@ -547,10 +521,6 @@ def _execute(config: ExperimentConfig, seed: int, rows_acc: list):
         return header, {"body": summary.body, "std_ratio": summary.std_ratio}
     if cfg.experiment == "gue-approx":
         r = gue_approx_experiment(cfg.n, cfg.s, cfg.body, cfg.trials, stream)
-        header = [
-            "n", "s", "body", "trials", "ratio", "ratio_stderr",
-            "state_mean", "state_stderr", "gue_mean", "gue_stderr",
-        ]
         rows_acc.append(
             (r.n, r.s, r.body, r.trials, r.ratio, r.stderr,
              r.state_mean, r.state_stderr, r.gue_mean, r.gue_stderr)
@@ -561,7 +531,6 @@ def _execute(config: ExperimentConfig, seed: int, rows_acc: list):
         res = projection_monotonicity(cfg.d1, cfg.d2, cfg.s, cfg.trials, stream)
     else:
         res = partial_trace_monotonicity(cfg.d, cfg.s, cfg.trials, stream)
-    header = ["side", "dims", "s", "criterion", "trials", "successes", "p_hat", "ci_low", "ci_high"]
     for side in (res.coupled_small, res.coupled_large, res.direct_small, res.direct_large):
         lo, hi = side.interval()
         rows_acc.append(
@@ -614,8 +583,6 @@ def execute_config(config: ExperimentConfig, output_override: str | None = None)
         return 1
 
     write_csv(csv_path, header, rows)
-    import scipy
-
     from . import __version__
 
     payload = {
@@ -629,7 +596,7 @@ def execute_config(config: ExperimentConfig, output_override: str | None = None)
         "versions": {
             "entanglab": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": importlib.metadata.version("scipy"),
         },
         "extra": extra,
     }

@@ -72,16 +72,18 @@ def _check_square(A: np.ndarray, batched: bool = False) -> np.ndarray:
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:
-    """Return the self-adjoint part (A + A^dagger) / 2."""
-    A = _check_square(A)
-    return (A + A.conj().T) / 2
+    """Return the self-adjoint part (A + A^dagger) / 2 of a matrix or of each
+    matrix in a stack (..., n, n)."""
+    A = _check_square(A, batched=True)
+    return (A + np.swapaxes(A.conj(), -1, -2)) / 2
 
 
 def traceless_part(A: np.ndarray) -> np.ndarray:
-    """Project A onto the trace-zero hyperplane: A - (tr A / n) Id."""
-    A = _check_square(A)
-    n = A.shape[0]
-    return A - (np.trace(A) / n) * np.eye(n, dtype=A.dtype)
+    """Project A onto the trace-zero hyperplane, A - (tr A / n) Id; a stack
+    (..., n, n) is projected matrix by matrix."""
+    A = _check_square(A, batched=True)
+    n = A.shape[-1]
+    return A - (np.trace(A, axis1=-2, axis2=-1) / n)[..., None, None] * np.eye(n, dtype=A.dtype)
 
 
 def hs_inner(A: np.ndarray, B: np.ndarray) -> float:

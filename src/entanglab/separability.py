@@ -76,6 +76,14 @@ def _require_traceless(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _require_exact_dims(dims: ProductDims) -> None:
+    if dims.factors not in EXACT_DIMS:
+        raise UnsupportedDimensionError(
+            f"exact separability is only decidable for 2x2 and 2x3 systems, "
+            f"got {dims.factors}; use the PPT criterion explicitly"
+        )
+
+
 def _require_bipartite(dims: ProductDims) -> None:
     if dims.k != 2:
         raise ValueError(
@@ -91,8 +99,12 @@ def min_pt_eigenvalue(rho) -> float:
     if not isinstance(rho, DensityMatrix) or rho.dims is None:
         raise ValueError("need a DensityMatrix with bipartite dims")
     _require_bipartite(rho.dims)
-    pt = partial_transpose(rho.matrix, rho.dims, transposed=1)
-    return float(np.linalg.eigvalsh(pt)[0])
+    return float(_min_pt(rho.matrix, rho.dims))
+
+
+def _min_pt(H: np.ndarray, dims: ProductDims) -> np.ndarray:
+    """Smallest eigenvalue of the second-factor partial transpose, over batch axes."""
+    return np.linalg.eigvalsh(partial_transpose(H, dims, 1))[..., 0]
 
 
 def is_separable_exact(rho) -> bool:
@@ -101,11 +113,7 @@ def is_separable_exact(rho) -> bool:
 
     if not isinstance(rho, DensityMatrix) or rho.dims is None:
         raise ValueError("need a DensityMatrix with bipartite dims")
-    if rho.dims.factors not in EXACT_DIMS:
-        raise UnsupportedDimensionError(
-            f"exact separability is only decidable for 2x2 and 2x3 systems, "
-            f"got {rho.dims.factors}; use the PPT criterion explicitly"
-        )
+    _require_exact_dims(rho.dims)
     return min_pt_eigenvalue(rho) >= PPT_EIGENVALUE_TOL
 
 
@@ -132,12 +140,14 @@ def _ppt_gauge_sym(A: np.ndarray, dims: ProductDims) -> np.ndarray:
     return dims.n * np.maximum(-low, high)
 
 
+def _state_gauge(A: np.ndarray) -> np.ndarray:
+    """Batched gauge of the centered set of all states: n * max(0, -lambda_min(A))."""
+    return A.shape[-1] * np.maximum(0.0, -np.linalg.eigvalsh(A)[..., 0])
+
+
 def gauge_states(A: np.ndarray) -> float:
     """Gauge of the centered set of all states: n * max(0, -lambda_min(A))."""
-    A = _require_traceless(A)
-    n = A.shape[0]
-    lam_min = float(np.linalg.eigvalsh(A)[0])
-    return n * max(0.0, -lam_min)
+    return float(_state_gauge(_require_traceless(A)))
 
 
 def gauge_ppt(A: np.ndarray, dims: ProductDims) -> float:
@@ -147,11 +157,7 @@ def gauge_ppt(A: np.ndarray, dims: ProductDims) -> float:
 
 
 def _exact_gauge(A: np.ndarray, dims: ProductDims, kernel) -> GaugeResult:
-    if dims.factors not in EXACT_DIMS:
-        raise UnsupportedDimensionError(
-            f"separable gauge needs an exact membership test, unavailable for "
-            f"{dims.factors}"
-        )
+    _require_exact_dims(dims)
     A = _require_traceless(A)
     if A.shape[0] != dims.n:
         raise ValueError("matrix size does not match dims")

@@ -18,6 +18,8 @@ largest partial-sum ratio.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.optimize import brentq
 
@@ -56,18 +58,22 @@ def semicircle_quantile(p: float) -> float:
     return float(brentq(lambda t: semicircle_cdf(t) - p, -2.0, 0.0, xtol=1e-13))
 
 
+@lru_cache(maxsize=64)
 def semicircle_quantile_vector(n: int) -> np.ndarray:
     """Midpoint-quantile discretization of the semicircle law.
 
     Entry k (1-based) is the quantile at (2k-1)/(2n); the vector is
-    antisymmetric, hence sums to zero exactly.
+    antisymmetric, hence sums to zero exactly. Memoized per n, so the
+    returned array is read-only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     half = [semicircle_quantile((2 * k - 1) / (2 * n)) for k in range(1, n // 2 + 1)]
     mid = [0.0] if n % 2 else []
     vec = np.array(half + mid + [-q for q in reversed(half)])
-    return vec - vec.sum() / n
+    vec = vec - vec.sum() / n
+    vec.flags.writeable = False
+    return vec
 
 
 def dinf_empirical_empirical(x: np.ndarray, y: np.ndarray) -> float:

@@ -311,6 +311,24 @@ def test_uniform_state_is_induced_at_s_equals_n():
     assert np.array_equal(a.matrix, b.matrix)
 
 
+def test_sampled_states_pass_full_validation():
+    # the samplers skip validation; each state must be the one the validating
+    # constructor builds from the same draw, and must pass its checks
+    for t, rng in enumerate(trial_generators(SeededStream(32), 20)):
+        n, s = (4, 9) if t % 2 else (6, 2)
+        A = sample_ginibre(n, s, SeededStream(32).substream(t))
+        W = A @ A.conj().T
+        checked = DensityMatrix(None, W / float(np.trace(W).real))
+        rho = sample_induced_state(n, s, rng)
+        assert rho.matrix.tobytes() == checked.matrix.tobytes()
+    for rng in trial_generators(SeededStream(33), 20):
+        for pair in (coupled_local_projection(2, 3, 5, rng), coupled_partial_trace(2, 3, rng)):
+            for rho in (pair.small, pair.large):
+                assert DensityMatrix(rho.dims, rho.matrix).matrix.tobytes() == rho.matrix.tobytes()
+    with pytest.raises(ValueError):
+        sample_induced_state(5, 3, SeededStream(34), dims=ProductDims((2, 2)))
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(None, np.diag([0.7, 0.7]))  # trace 1.4

@@ -4,10 +4,21 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 
+import entanglab.experiments as exps
 from entanglab.config import ConfigError, ExperimentConfig
-from entanglab.ensembles import sample_induced_state
+from entanglab.ensembles import (
+    coupled_local_projection,
+    coupled_partial_trace,
+    sample_gue0,
+    sample_induced_state,
+)
 from entanglab.experiments import (
+    ConcentrationPoint,
+    ConcentrationSummary,
+    RatioResult,
+    ScanPoint,
     concentration_experiment,
     crossing_estimate,
     gue_approx_experiment,
@@ -15,11 +26,21 @@ from entanglab.experiments import (
     projection_monotonicity,
     run_config,
     spectral_rows,
+    split_stream,
     threshold_scan,
-    worker_count,
 )
+from entanglab.linalg import ProductDims, hs_norm
 from entanglab.rng import SeededStream, trial_generators
-from entanglab.stats import wilson_interval
+from entanglab.separability import (
+    PPT_EIGENVALUE_TOL,
+    gauge_ppt,
+    gauge_separable,
+    gauge_states,
+    is_separable_exact,
+    min_pt_eigenvalue,
+)
+from entanglab.spectral import alpha_beta, dinf_semicircle
+from entanglab.stats import from_samples, wilson_interval
 
 
 def make_config(**overrides):
@@ -135,13 +156,18 @@ def test_crossing_interpolation():
     assert crossing_estimate(pts[:1]) is None
 
 
-def test_scan_deterministic_across_worker_counts(monkeypatch):
+def chunk_trials(monkeypatch, n, trials):
+    """Make the engine evaluate `trials` n x n matrices per chunk."""
+    monkeypatch.setattr(exps, "_CHUNK_BYTES", trials * 16 * n * n)
+
+
+def test_scan_same_successes_at_any_chunk_size(monkeypatch):
     cfg = make_config(trials=60)
     res1 = threshold_scan(cfg)
-    monkeypatch.setenv("ENTANGLAB_THREADS", "4")
-    assert worker_count() == 4
-    res2 = threshold_scan(cfg)
-    assert [p.successes for p in res1.points] == [p.successes for p in res2.points]
+    for chunk in (1, 2, 7, 59, 60, 61):
+        chunk_trials(monkeypatch, 4, chunk)
+        res2 = threshold_scan(cfg)
+        assert [p.successes for p in res1.points] == [p.successes for p in res2.points]
 
 
 # -- concentration ------------------------------------------------------------------
@@ -251,6 +277,160 @@ def test_spectral_rows_schema_and_invariants():
         spectral_rows("induced", 16, None, 5, SeededStream(21))
 
 
+# -- batched engine against a per-trial reference -------------------------------------
+#
+# The reference draws and evaluates one trial at a time through the public
+# sampler and gauges; the engine must reproduce it bit for bit at trial
+# counts around the chunk size, for seeded streams (one substream per trial)
+# and raw generators (sequential draws).
+
+ENGINE_CASES = {  # dims -> (s, scan criterion, gue-approx body)
+    (2, 2): (4, "exact", "s0"),
+    (2, 3): (6, "exact", "d0"),
+    (3, 3): (30, "ppt", "ppt0"),
+}
+CHUNK = 3
+TRIAL_COUNTS = [1, CHUNK - 1, CHUNK, CHUNK + 1]
+STREAMS = {
+    "seeded": lambda: SeededStream(41),
+    "generator": lambda: np.random.default_rng(41),
+}
+
+
+def public_gauges(dims):
+    gauges = {"d0": gauge_states, "hs": hs_norm, "ppt0": lambda A: gauge_ppt(A, dims)}
+    if dims.factors == (2, 2):
+        gauges["s0"] = lambda A: gauge_separable(A, dims).value
+    return gauges
+
+
+def reference_gauges(n, s, trials, stream, gauge):
+    return np.array([
+        gauge(sample_induced_state(n, s, rng).centered())
+        for rng in trial_generators(stream, trials)
+    ])
+
+
+def reference_successes(dims, s, trials, criterion, stream):
+    meets = is_separable_exact if criterion == "exact" else (
+        lambda rho: min_pt_eigenvalue(rho) >= PPT_EIGENVALUE_TOL
+    )
+    return sum(
+        meets(sample_induced_state(dims.n, s, rng, dims=dims))
+        for rng in trial_generators(stream, trials)
+    )
+
+
+def reference_concentration(d, s, trials, stream, body):
+    gauge = public_gauges(ProductDims((d, d)))[body]
+    pts = []
+    for sub, s_val in zip(split_stream(stream, 2), (s, 4 * s)):
+        vals = reference_gauges(d * d, s_val, trials, sub, gauge)
+        est = from_samples(vals)
+        pts.append(ConcentrationPoint(
+            s_val, trials, est.mean, float(np.median(vals)), float(vals.std(ddof=1)), est.stderr
+        ))
+    return ConcentrationSummary(d, body, *pts)
+
+
+def reference_ratio(n, s, body, trials, stream, dims):
+    gauge = public_gauges(dims)[body]
+    sub_state, sub_gue = split_stream(stream, 2)
+    num = from_samples(reference_gauges(n, s, trials, sub_state, gauge))
+    den = from_samples([gauge(sample_gue0(n, rng)) for rng in trial_generators(sub_gue, trials)])
+    ratio = n * math.sqrt(s) * num.mean / den.mean
+    rel = math.hypot(num.stderr / num.mean, den.stderr / den.mean)
+    return RatioResult(n, s, body, trials, ratio, ratio * rel,
+                       num.mean, num.stderr, den.mean, den.stderr)
+
+
+def reference_spectral_rows(ensemble, n, s, trials, stream):
+    rows = []
+    for t, rng in enumerate(trial_generators(stream, trials)):
+        if ensemble == "gue0":
+            lam = np.linalg.eigvalsh(sample_gue0(n, rng)) / math.sqrt(n)
+        else:
+            lam = np.linalg.eigvalsh(sample_induced_state(n, s, rng).centered()) * math.sqrt(n * s)
+        a, b = alpha_beta(lam)
+        rows.append((t, n, s if ensemble == "induced" else "", ensemble,
+                     dinf_semicircle(lam), a, b, float(lam[-1]), float(lam[0])))
+    return rows
+
+
+@pytest.mark.parametrize("stream_kind", sorted(STREAMS))
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+@pytest.mark.parametrize("dims", sorted(ENGINE_CASES))
+def test_engine_scan_and_gauges_match_per_trial_reference(monkeypatch, dims, trials, stream_kind):
+    new = STREAMS[stream_kind]
+    pd = ProductDims(dims)
+    s, criterion, _ = ENGINE_CASES[dims]
+    chunk_trials(monkeypatch, pd.n, CHUNK)
+
+    k = reference_successes(pd, s, trials, criterion, new())
+    expected = ScanPoint(s, trials, k, k / trials, *wilson_interval(k, trials))
+    assert exps._scan_point(pd, s, trials, criterion, new()) == expected
+
+    states = exps._induced_states(pd.n, s, list(trial_generators(new(), trials)))
+    ref = [min_pt_eigenvalue(sample_induced_state(pd.n, s, g, dims=pd))
+           for g in trial_generators(new(), trials)]
+    assert exps._min_pt(states, pd).tolist() == ref
+
+    for body, gauge in public_gauges(pd).items():
+        got = exps._gauge_samples(pd.n, s, trials, new(), exps._body_gauge(body, pd))
+        assert got.tobytes() == reference_gauges(pd.n, s, trials, new(), gauge).tobytes(), body
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # std of a single trial
+@pytest.mark.parametrize("stream_kind", sorted(STREAMS))
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+@pytest.mark.parametrize("dims", sorted(ENGINE_CASES))
+def test_engine_experiments_match_per_trial_reference(monkeypatch, dims, trials, stream_kind):
+    # repr compares floats exactly and treats NaN as equal to itself
+    new = STREAMS[stream_kind]
+    pd = ProductDims(dims)
+    n = pd.n
+    s, _, body = ENGINE_CASES[dims]
+    chunk_trials(monkeypatch, n, CHUNK)
+
+    if dims[0] == dims[1]:
+        d, conc_body = dims[0], ("s0" if dims == (2, 2) else "ppt0")
+        got = concentration_experiment(d, s, trials, new(), body=conc_body)
+        assert repr(got) == repr(reference_concentration(d, s, trials, new(), conc_body))
+
+    gauge_dims = pd if body in ("ppt0", "s0") else ProductDims((n,))
+    for b in (body, "hs"):
+        got = gue_approx_experiment(n, s, b, trials, new())
+        assert repr(got) == repr(reference_ratio(n, s, b, trials, new(), gauge_dims))
+
+    for ensemble, s_val in (("induced", s), ("gue0", None)):
+        got = spectral_rows(ensemble, n, s_val, trials, new())
+        assert repr(got) == repr(reference_spectral_rows(ensemble, n, s_val, trials, new()))
+
+
+@pytest.mark.parametrize("stream_kind", sorted(STREAMS))
+def test_engine_monotonicity_matches_per_trial_reference(monkeypatch, stream_kind):
+    new = STREAMS[stream_kind]
+    trials = CHUNK + 1
+    chunk_trials(monkeypatch, 9, CHUNK)
+    for res, couple in (
+        (projection_monotonicity(2, 3, 12, trials, new()),
+         lambda rng: coupled_local_projection(2, 3, 12, rng)),
+        (partial_trace_monotonicity(2, 5, trials, new()),
+         lambda rng: coupled_partial_trace(2, 5, rng)),
+    ):
+        sub_coupled, sub_ds, sub_dl = split_stream(new(), 3)
+        pairs = [couple(rng) for rng in trial_generators(sub_coupled, trials)]
+        for side, rhos in ((res.coupled_small, [p.small for p in pairs]),
+                           (res.coupled_large, [p.large for p in pairs])):
+            meets = is_separable_exact if side.criterion == "exact" else (
+                lambda rho: min_pt_eigenvalue(rho) >= PPT_EIGENVALUE_TOL
+            )
+            assert side.successes == sum(meets(rho) for rho in rhos)
+        for side, sub in ((res.direct_small, sub_ds), (res.direct_large, sub_dl)):
+            expected = reference_successes(ProductDims(side.dims), side.s, trials, side.criterion, sub)
+            assert side.successes == expected
+
+
 # -- run_config ---------------------------------------------------------------------------
 
 
@@ -277,6 +457,7 @@ def test_run_config_roundtrip_and_determinism(tmp_path):
     meta = json.loads((tmp_path / "scan.meta.json").read_text())
     assert meta["master_seed"] == 9
     assert meta["versions"]["entanglab"]
+    assert meta["versions"]["scipy"] == scipy.__version__
     assert run_config(path) == 0
     assert (tmp_path / "scan.csv").read_bytes() == first
 

@@ -1,8 +1,8 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
+from conftest import separable_bisection_gauge_oracle
 
 from entanglab.ensembles import DensityMatrix, sample_gue0
 from entanglab.linalg import ProductDims, hermitize, hs_norm, kron, partial_transpose, traceless_part
@@ -96,43 +96,6 @@ def psd_bisection_gauge_oracle(A, tol=1e-12):
     return hi
 
 
-def pt_index_permutation(H, dims):
-    """Second-factor partial transpose by relabeling entries: the entry at
-    row (i, j), column (k, l) moves to row (i, l), column (k, j)."""
-    d1, d2 = dims.factors
-    out = np.empty_like(H)
-    for i, j, k, l in itertools.product(range(d1), range(d2), range(d1), range(d2)):
-        out[i * d2 + l, k * d2 + j] = H[i * d2 + j, k * d2 + l]
-    return out
-
-
-def separable_bisection_gauge_oracle(A, dims, rel_tol=1e-12):
-    """Independent oracle at 2x2 / 2x3, where separable means PPT: bisect on
-    the smallest t with Id/n + A/t PSD and PPT. Bracket: the all-states
-    gauge from below, the inradius bound sqrt(n(n-1)) |A| from above."""
-    n = dims.n
-    if hs_norm(A) == 0:
-        return 0.0
-
-    def member(t):
-        sigma = np.eye(n) / n + A / t
-        return (
-            np.linalg.eigvalsh(sigma)[0] >= -1e-11
-            and np.linalg.eigvalsh(pt_index_permutation(sigma, dims))[0] >= -1e-11
-        )
-
-    lo, hi = gauge_states(A), math.sqrt(n * (n - 1)) * hs_norm(A)
-    if member(lo):
-        return lo
-    while hi - lo > rel_tol * hi:
-        mid = (lo + hi) / 2
-        if member(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def test_gauge_states_closed_form():
     assert gauge_states(np.zeros((3, 3))) == 0.0
     A = kron(SZ, SZ)
@@ -179,14 +142,15 @@ def test_gauge_separable_werner():
 
 
 def test_gauge_separable_matches_ppt_closed_form():
-    # at 2x2 and 2x3 the membership bisection must land on the PPT gauge
+    # at 2x2 and 2x3 the gauge must land where the independent membership
+    # bisection does
     rng = np.random.default_rng(3)
     for dims in ((2, 2), (2, 3)):
         pd = ProductDims(dims)
         for _ in range(25):
             A = random_traceless(rng, pd.n)
             res = gauge_separable(A, pd, tol=1e-10)
-            assert res.value == pytest.approx(gauge_ppt(A, pd), rel=1e-8)
+            assert res.value == pytest.approx(separable_bisection_gauge_oracle(A, pd), rel=1e-8)
     with pytest.raises(UnsupportedDimensionError):
         gauge_separable(random_traceless(rng, 9), ProductDims((3, 3)))
 

@@ -69,6 +69,14 @@ def test_quantile_against_independent_oracle():
     assert semicircle_quantile(0.75) == pytest.approx(0.8079455065990344, abs=1e-9)
 
 
+def test_quantile_vector_is_memoized_and_read_only():
+    v = semicircle_quantile_vector(32)
+    assert semicircle_quantile_vector(32) is v
+    with pytest.raises(ValueError):
+        v[0] = 1.0
+    assert v.tobytes() == semicircle_quantile_vector.__wrapped__(32).tobytes()
+
+
 def test_quantile_vector():
     assert np.array_equal(semicircle_quantile_vector(1), [0.0])
     v2 = semicircle_quantile_vector(2)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import separable_bisection_gauge_oracle
 
 from entanglab.ensembles import sample_gue0
 from entanglab.geometry import gamma_m, vrad_states
@@ -97,8 +98,10 @@ def test_gauge_sym_batch_matches_bisection():
     G = np.stack([sample_gue0(4, r) for r in trial_generators(SeededStream(9), 25)])
     batch = _gauge_sym_qubit_pair(G)
     for i in range(G.shape[0]):
-        slow = gauge_separable_sym(G[i], dims, tol=1e-10).value
+        slow = max(separable_bisection_gauge_oracle(G[i], dims),
+                   separable_bisection_gauge_oracle(-G[i], dims))
         assert batch[i] == pytest.approx(slow, rel=1e-8)
+        assert gauge_separable_sym(G[i], dims, tol=1e-10).value == pytest.approx(slow, rel=1e-8)
 
 
 def test_width_duality_check():
