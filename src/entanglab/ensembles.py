@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import log_znorm
-from .linalg import ProductDims, _check_square, hermitize, partial_trace, traceless_part
+from .linalg import ProductDims, hermitize, partial_trace, traceless_part
 from .rng import SeededStream, as_generator
 
 __all__ = [
@@ -54,7 +54,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        M = hermitize(_check_square(self.matrix))
+        M = hermitize(self.matrix)
         n = M.shape[0]
         if self.dims is not None and self.dims.n != n:
             raise ValueError(
@@ -67,16 +67,6 @@ class DensityMatrix:
         if lam_min < -PSD_TOL * n:
             raise ValueError(f"not positive semidefinite: lambda_min = {lam_min}")
         object.__setattr__(self, "matrix", M)
-
-    @classmethod
-    def _trusted(cls, dims: ProductDims | None, matrix: np.ndarray) -> "DensityMatrix":
-        """Sampler path: hermitize only. The samplers' states are Gram
-        products A A^dagger, positive by construction, normalized by their
-        trace, so the trace check and the PSD eigensolve are skipped."""
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "dims", dims)
-        object.__setattr__(rho, "matrix", hermitize(matrix))
-        return rho
 
     @property
     def n(self) -> int:
@@ -138,11 +128,10 @@ def sample_induced_state(
     n: int, s: int, stream, dims: ProductDims | None = None
 ) -> DensityMatrix:
     """Random state on C^n induced by an s-dimensional environment."""
+    rho = _trace_normalized(_wishart(n, s, stream))
     if dims is None and n >= 2:
         dims = ProductDims((n,))
-    elif dims is not None and dims.n != n:
-        raise ValueError(f"n = {n} does not match dims {dims.factors}")
-    return DensityMatrix._trusted(dims, _trace_normalized(_wishart(n, s, stream)))
+    return DensityMatrix(dims, rho)
 
 
 def _wishart(n: int, s: int, stream) -> np.ndarray:
@@ -218,8 +207,8 @@ def coupled_local_projection(d1: int, d2: int, s: int, stream) -> CoupledPair:
         if seeded is not None:
             rng = seeded.substream(attempt).generator()
 
-    large = DensityMatrix._trusted(ProductDims((d2, d2)), _trace_normalized(A @ A.conj().T))
-    small = DensityMatrix._trusted(ProductDims((d1, d1)), wB / trB)
+    large = DensityMatrix(ProductDims((d2, d2)), _trace_normalized(A @ A.conj().T))
+    small = DensityMatrix(ProductDims((d1, d1)), wB / trB)
     return CoupledPair(large, small, resamples=attempt)
 
 
@@ -237,7 +226,7 @@ def coupled_partial_trace(d: int, s: int, stream) -> CoupledPair:
     large = sample_induced_state(4 * d * d, s, stream, dims=ProductDims((2 * d, 2 * d)))
     fine = ProductDims((2, d, 2, d))
     reduced = partial_trace(large.matrix, fine, keep=(1, 3))
-    small = DensityMatrix._trusted(ProductDims((d, d)), reduced)
+    small = DensityMatrix(ProductDims((d, d)), reduced)
     return CoupledPair(large, small)
 
 

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -30,7 +31,7 @@ from .ensembles import (
     sample_gue0,
 )
 from .io import write_csv, write_sidecar
-from .linalg import ProductDims, hermitize, hs_norm, traceless_part
+from .linalg import ProductDims, _hermitize_stack, hs_norm, traceless_part
 from .rng import SeededStream, trial_generators
 from .separability import (
     EXACT_DIMS,
@@ -83,7 +84,17 @@ def _induced_states(n: int, s: int, gens) -> np.ndarray:
     """Stack of induced states, one per generator, bit-identical to
     `sample_induced_state`: each trial draws and forms its own Gram product;
     normalization and hermitization run once over the stack."""
-    return hermitize(_trace_normalized(np.stack([_wishart(n, s, g) for g in gens])))
+    return _hermitize_stack(_trace_normalized(np.stack([_wishart(n, s, g) for g in gens])))
+
+
+def _centered_induced_states(n: int, s: int, gens) -> np.ndarray:
+    """Stack of rho - Id/n for the induced states of `_induced_states`."""
+    return traceless_part(_induced_states(n, s, gens))
+
+
+def _gue0_states(n: int, gens) -> np.ndarray:
+    """Stack of trace-zero GUE matrices, one `sample_gue0` draw per generator."""
+    return np.stack([sample_gue0(n, g) for g in gens])
 
 
 def split_stream(stream, parts: int) -> list:
@@ -101,11 +112,11 @@ def _body_gauge(body: str, dims: ProductDims):
     """Gauge ||A||_K of each traceless direction in a stack. At 2x2 the
     separable body s0 is the PPT body, so both read the PPT closed form."""
     if body == "d0":
-        return lambda A: _state_gauge(hermitize(A))
+        return lambda A: _state_gauge(_hermitize_stack(A))
     if body == "hs":
         return lambda A: np.array([hs_norm(a) for a in A])
     if body in ("ppt0", "s0"):
-        return lambda A: _ppt_gauge(hermitize(A), dims)
+        return lambda A: _ppt_gauge(_hermitize_stack(A), dims)
     raise ValueError(f"unknown body {body!r}")
 
 
@@ -249,12 +260,10 @@ class ConcentrationSummary:
         return self.at_s.std / self.at_4s.std
 
 
-def _gauge_samples(n: int, s: int, trials: int, stream, gauge) -> np.ndarray:
-    """Batched gauge of rho - Id/n for `trials` induced states on C^n."""
-    return np.concatenate([
-        gauge(traceless_part(_induced_states(n, s, gens)))
-        for gens in _chunks(stream, trials, n)
-    ])
+def _gauge_samples(states, n: int, trials: int, stream, gauge) -> np.ndarray:
+    """Batched gauge of `trials` matrices on C^n, stacked chunk by chunk by
+    states(gens)."""
+    return np.concatenate([gauge(states(gens)) for gens in _chunks(stream, trials, n)])
 
 
 def concentration_experiment(
@@ -271,7 +280,8 @@ def concentration_experiment(
     subs = split_stream(stream, 2)
     pts = []
     for sub, s_val in zip(subs, (s, 4 * s)):
-        vals = _gauge_samples(dims.n, s_val, trials, sub, gauge)
+        vals = _gauge_samples(partial(_centered_induced_states, dims.n, s_val),
+                              dims.n, trials, sub, gauge)
         est = from_samples(vals)
         pts.append(
             ConcentrationPoint(
@@ -321,11 +331,9 @@ def gue_approx_experiment(n: int, s: int, body: str, trials: int, stream,
     gauge = _body_gauge(body, dims)
 
     sub_state, sub_gue = split_stream(stream, 2)
-    num = from_samples(_gauge_samples(n, s, trials, sub_state, gauge))
-    den = from_samples(np.concatenate([
-        gauge(np.stack([sample_gue0(n, g) for g in gens]))
-        for gens in _chunks(sub_gue, trials, n)
-    ]))
+    num = from_samples(_gauge_samples(partial(_centered_induced_states, n, s),
+                                      n, trials, sub_state, gauge))
+    den = from_samples(_gauge_samples(partial(_gue0_states, n), n, trials, sub_gue, gauge))
     ratio = n * math.sqrt(s) * num.mean / den.mean
     rel = math.hypot(num.stderr / num.mean, den.stderr / den.mean)
     return RatioResult(
@@ -443,13 +451,11 @@ def spectral_rows(ensemble: str, n: int, s: int | None, trials: int, stream) -> 
     if ensemble == "induced" and (s is None or s < 1):
         raise ValueError("induced ensemble requires s >= 1")
 
-    def spectra(gens) -> np.ndarray:
-        if ensemble == "gue0":
-            return np.linalg.eigvalsh(np.stack([sample_gue0(n, g) for g in gens])) / math.sqrt(n)
-        return np.linalg.eigvalsh(traceless_part(_induced_states(n, s, gens))) * math.sqrt(n * s)
-
-    s_col = s if ensemble == "induced" else ""
-    lams = np.concatenate([spectra(gens) for gens in _chunks(stream, trials, n)])
+    gue0 = ensemble == "gue0"
+    draw = partial(_gue0_states, n) if gue0 else partial(_centered_induced_states, n, s)
+    lams = np.concatenate([np.linalg.eigvalsh(draw(gens)) for gens in _chunks(stream, trials, n)])
+    lams = lams / math.sqrt(n) if gue0 else lams * math.sqrt(n * s)
+    s_col = "" if gue0 else s
     return [
         (t, n, s_col, ensemble, dinf_semicircle(lam), *alpha_beta(lam),
          float(lam[-1]), float(lam[0]))

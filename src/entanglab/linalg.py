@@ -72,8 +72,13 @@ def _check_square(A: np.ndarray, batched: bool = False) -> np.ndarray:
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:
-    """Return the self-adjoint part (A + A^dagger) / 2 of a matrix or of each
-    matrix in a stack (..., n, n)."""
+    """Return the self-adjoint part (A + A^dagger) / 2."""
+    A = _check_square(A)
+    return (A + A.conj().T) / 2
+
+
+def _hermitize_stack(A: np.ndarray) -> np.ndarray:
+    """`hermitize` of each matrix in a stack (..., n, n)."""
     A = _check_square(A, batched=True)
     return (A + np.swapaxes(A.conj(), -1, -2)) / 2
 

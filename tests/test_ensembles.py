@@ -312,8 +312,9 @@ def test_uniform_state_is_induced_at_s_equals_n():
 
 
 def test_sampled_states_pass_full_validation():
-    # the samplers skip validation; each state must be the one the validating
-    # constructor builds from the same draw, and must pass its checks
+    # the batched engine draws states through the samplers' own Gram product
+    # and normalization; each sampled state must be the one the validating
+    # constructor builds from the same draw, bit for bit
     for t, rng in enumerate(trial_generators(SeededStream(32), 20)):
         n, s = (4, 9) if t % 2 else (6, 2)
         A = sample_ginibre(n, s, SeededStream(32).substream(t))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -376,7 +377,8 @@ def test_engine_scan_and_gauges_match_per_trial_reference(monkeypatch, dims, tri
     assert exps._min_pt(states, pd).tolist() == ref
 
     for body, gauge in public_gauges(pd).items():
-        got = exps._gauge_samples(pd.n, s, trials, new(), exps._body_gauge(body, pd))
+        draw = partial(exps._centered_induced_states, pd.n, s)
+        got = exps._gauge_samples(draw, pd.n, trials, new(), exps._body_gauge(body, pd))
         assert got.tobytes() == reference_gauges(pd.n, s, trials, new(), gauge).tobytes(), body
 
 

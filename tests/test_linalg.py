@@ -174,3 +174,17 @@ def test_traceless_part():
     assert abs(np.trace(T)) < 1e-12
     with pytest.raises(ValueError):
         hermitize(np.full((2, 2), np.nan))
+
+
+def test_single_matrix_functions_reject_stacks():
+    # the batched engine hermitizes stacks through a private helper; the
+    # public single-matrix functions keep rejecting (k, n, n) input
+    from entanglab.separability import gauge_ppt, gauge_states
+
+    rng = np.random.default_rng(9)
+    stack = np.stack([traceless_part(random_hermitian(rng, 4)) for _ in range(3)])
+    for f in (hermitize, hermitian_eigenvalues, top_eigenpair, gauge_states):
+        with pytest.raises(ValueError):
+            f(stack)
+    with pytest.raises(ValueError):
+        gauge_ppt(stack, ProductDims((2, 2)))
