@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .ensembles import EnsembleSpec, draw_ensemble, sample_gue0
-from .experiments import execute_config, run_config
+from .experiments import EXPERIMENTS, execute_config, run_config
 from .geometry import (
     density_comparison_ratio,
     gamma_m,
@@ -68,9 +68,16 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _parse_dims(text: str) -> list[int]:
     try:
-        dims = tuple(int(p) for p in text.split(","))
+        dims = [int(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad dims {text!r}; expected e.g. 2,2")
     if len(dims) < 2:
@@ -89,19 +96,21 @@ def _parse_s_values(text: str):
     return [int(p) for p in text.split(",")]
 
 
-def _run_experiment_dict(raw: dict, out: str) -> int:
-    try:
-        config = ExperimentConfig.from_dict(raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    return execute_config(config, output_override=out)
-
-
 # -- subcommand handlers ------------------------------------------------------
 
 
+def _cmd_experiment(args) -> int:
+    """Run the experiment whose config keys are the flags given."""
+    keys = EXPERIMENTS[args.experiment].keys
+    raw = {"experiment": args.experiment, "trials": args.trials, "master_seed": args.seed}
+    raw.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    return execute_config(ExperimentConfig.from_dict(raw), output_override=args.out)
+
+
 def _cmd_sample(args) -> int:
+    if not args.out:
+        print("sample requires --out", file=sys.stderr)
+        return 2
     spec = EnsembleSpec(args.ensemble, args.n, args.s)
     stream = SeededStream(args.seed)
     draws = [draw_ensemble(spec, rng) for rng in trial_generators(stream, args.trials)]
@@ -119,19 +128,6 @@ def _cmd_sample(args) -> int:
             rows.append((t, i, lam))
     write_csv(args.out, ["trial", "index", "value"], rows)
     return 0
-
-
-def _cmd_spectral(args) -> int:
-    raw = {
-        "experiment": "spectral",
-        "ensemble": args.ensemble,
-        "n": args.n,
-        "trials": args.trials,
-        "master_seed": args.seed,
-    }
-    if args.ensemble == "induced":
-        raw["s"] = args.s
-    return _run_experiment_dict(raw, args.out)
 
 
 def _cmd_gauge(args) -> int:
@@ -229,18 +225,6 @@ def _cmd_geometry(args) -> int:
     return 0
 
 
-def _cmd_scan_threshold(args) -> int:
-    raw = {
-        "experiment": "threshold-scan",
-        "dims": list(args.dims),
-        "s_values": _parse_s_values(args.s_values),
-        "criterion": args.criterion,
-        "trials": args.trials,
-        "master_seed": args.seed,
-    }
-    return _run_experiment_dict(raw, args.out)
-
-
 def _cmd_estimate_s0(args) -> int:
     if args.ppt:
         res = ppt_threshold_estimate(args.d, args.trials, SeededStream(args.seed))
@@ -260,45 +244,6 @@ def _cmd_estimate_s0(args) -> int:
     return 0
 
 
-def _cmd_gue_approx(args) -> int:
-    raw = {
-        "experiment": "gue-approx",
-        "n": args.n,
-        "s": args.s,
-        "body": args.body,
-        "trials": args.trials,
-        "master_seed": args.seed,
-    }
-    return _run_experiment_dict(raw, args.out)
-
-
-def _cmd_concentration(args) -> int:
-    raw = {
-        "experiment": "concentration",
-        "d": args.d,
-        "s": args.s,
-        "body": args.body,
-        "trials": args.trials,
-        "master_seed": args.seed,
-    }
-    return _run_experiment_dict(raw, args.out)
-
-
-def _cmd_monotonicity(args) -> int:
-    raw = {
-        "experiment": "monotonicity",
-        "mode": args.mode,
-        "s": args.s,
-        "trials": args.trials,
-        "master_seed": args.seed,
-    }
-    if args.mode == "projection":
-        raw["d1"], raw["d2"] = args.d1, args.d2
-    else:
-        raw["d"] = args.d
-    return _run_experiment_dict(raw, args.out)
-
-
 def _cmd_run(args) -> int:
     return run_config(args.config, output_override=args.out)
 
@@ -314,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, trials_default=1000):
-        p.add_argument("--trials", type=int, default=trials_default)
+        p.add_argument("--trials", type=_positive_int, default=trials_default)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
 
@@ -332,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
     add_common(p, trials_default=20)
-    p.set_defaults(fn=_cmd_spectral)
+    p.set_defaults(fn=_cmd_experiment, experiment="spectral")
 
     p = sub.add_parser("gauge", help="gauge of a direction read from a matrix dump")
     p.add_argument("--input", required=True)
@@ -352,17 +297,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--points", type=int, default=20000)
+    p.add_argument("--points", type=_positive_int, default=20000)
     add_common(p)
     p.set_defaults(fn=_cmd_geometry)
 
     p = sub.add_parser("scan-threshold", help="criterion probability over s values")
     p.add_argument("--dims", type=_parse_dims, required=True)
     p.add_argument("--criterion", required=True, choices=["exact", "ppt"])
-    p.add_argument("--s-values", required=True,
+    p.add_argument("--s-values", type=_parse_s_values, required=True,
                    help="comma list (2,4,8) or range start:stop[:step]")
     add_common(p)
-    p.set_defaults(fn=_cmd_scan_threshold)
+    p.set_defaults(fn=_cmd_experiment, experiment="threshold-scan")
 
     p = sub.add_parser("estimate-s0", help="threshold estimate from the Gaussian mean gauge")
     p.add_argument("--d", type=int, default=2)
@@ -375,23 +320,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--body", required=True, choices=["d0", "ppt0", "hs", "s0"])
     add_common(p, trials_default=200)
-    p.set_defaults(fn=_cmd_gue_approx)
+    p.set_defaults(fn=_cmd_experiment, experiment="gue-approx")
 
     p = sub.add_parser("concentration", help="gauge spread at s versus 4s")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--body", default="s0", choices=["s0", "d0", "ppt0"])
+    p.add_argument("--body", choices=["s0", "d0", "ppt0"])
     add_common(p)
-    p.set_defaults(fn=_cmd_concentration)
+    p.set_defaults(fn=_cmd_experiment, experiment="concentration")
 
     p = sub.add_parser("monotonicity", help="coupled monotonicity comparison")
     p.add_argument("--mode", required=True, choices=["projection", "partial-trace"])
-    p.add_argument("--d1", type=int, default=2)
-    p.add_argument("--d2", type=int, default=3)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d1", type=int)
+    p.add_argument("--d2", type=int)
+    p.add_argument("--d", type=int)
     p.add_argument("--s", type=int, required=True)
     add_common(p)
-    p.set_defaults(fn=_cmd_monotonicity)
+    p.set_defaults(fn=_cmd_experiment, experiment="monotonicity")
 
     p = sub.add_parser("run", help="execute a JSON experiment config")
     p.add_argument("config")
@@ -403,18 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    needs_out = args.command in (
-        "sample", "spectral", "scan-threshold", "gue-approx", "concentration", "monotonicity"
-    )
-    if needs_out and not args.out:
-        print(f"{args.command} requires --out", file=sys.stderr)
-        return 2
-    if args.command == "sample" and args.ensemble in ("ginibre", "induced") and args.s is None:
-        print(f"ensemble {args.ensemble} requires --s", file=sys.stderr)
-        return 2
-    if args.command == "spectral" and args.ensemble == "induced" and args.s is None:
-        print("induced ensemble requires --s", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -6,29 +6,20 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS"]
-
-EXPERIMENTS = ("threshold-scan", "spectral", "concentration", "gue-approx", "monotonicity")
+__all__ = ["ConfigError", "ExperimentConfig"]
 
 _COMMON_KEYS = {"experiment", "trials", "master_seed", "output", "tolerances"}
-_KEYS_BY_EXPERIMENT = {
-    "threshold-scan": {"dims", "s_values", "criterion"},
-    "spectral": {"ensemble", "n", "s"},
-    "concentration": {"d", "s", "body"},
-    "gue-approx": {"n", "s", "body"},
-    "monotonicity": {"mode", "d", "d1", "d2", "s"},
-}
 _TOLERANCE_KEYS = {"gauge_tol"}
-
-EXACT_SCAN_DIMS = {(2, 2), (2, 3), (3, 2)}
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the offending key."""
 
 
-def _require_int(raw: dict, key: str, minimum: int) -> int:
+def _require_int(raw: dict, key: str, minimum: int, default: int | None = None) -> int:
     if key not in raw:
+        if default is not None:
+            return default
         raise ConfigError(f"missing required key '{key}'")
     v = raw[key]
     if not isinstance(v, int) or isinstance(v, bool):
@@ -62,12 +53,14 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        from .experiments import EXPERIMENTS
+
         experiment = raw.get("experiment")
-        if experiment not in EXPERIMENTS:
+        if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"'experiment' must be one of {sorted(EXPERIMENTS)}, got {experiment!r}"
             )
-        allowed = _COMMON_KEYS | _KEYS_BY_EXPERIMENT[experiment]
+        allowed = _COMMON_KEYS | EXPERIMENTS[experiment].keys
         unknown = set(raw) - allowed
         if unknown:
             raise ConfigError(
@@ -98,106 +91,8 @@ class ExperimentConfig:
             gauge_tol=gauge_tol,
             raw=dict(raw),
         )
-        getattr(cls, "_check_" + experiment.replace("-", "_"))(raw, kwargs)
+        EXPERIMENTS[experiment].check(raw, kwargs)
         return cls(**kwargs)
-
-    # -- per-experiment validation ------------------------------------------
-
-    @staticmethod
-    def _check_threshold_scan(raw: dict, kw: dict) -> None:
-        dims = raw.get("dims")
-        if (
-            not isinstance(dims, list)
-            or len(dims) != 2
-            or not all(isinstance(d, int) and d >= 2 for d in dims)
-        ):
-            raise ConfigError("'dims' must be a list of two integers >= 2")
-        kw["dims"] = (dims[0], dims[1])
-
-        sv = raw.get("s_values")
-        if isinstance(sv, dict):
-            bad = set(sv) - {"start", "stop", "step"}
-            if bad:
-                raise ConfigError(f"unknown s_values key(s) {sorted(bad)}")
-            start = sv.get("start")
-            stop = sv.get("stop")
-            step = sv.get("step", 1)
-            if not all(isinstance(v, int) for v in (start, stop, step)) or step < 1:
-                raise ConfigError("'s_values' range needs integer start/stop and step >= 1")
-            values = tuple(range(start, stop + 1, step))
-        elif isinstance(sv, list) and sv and all(isinstance(v, int) for v in sv):
-            values = tuple(sv)
-        else:
-            raise ConfigError("'s_values' must be a non-empty integer list or a start/stop/step object")
-        if any(v < 1 for v in values):
-            raise ConfigError("'s_values' must be positive")
-        kw["s_values"] = values
-
-        criterion = raw.get("criterion")
-        if criterion not in ("exact", "ppt"):
-            raise ConfigError("'criterion' must be 'exact' or 'ppt'")
-        if criterion == "exact" and kw["dims"] not in EXACT_SCAN_DIMS:
-            raise ConfigError(
-                f"criterion 'exact' requires dims in {sorted(EXACT_SCAN_DIMS)}, got {kw['dims']}"
-            )
-        kw["criterion"] = criterion
-
-    @staticmethod
-    def _check_spectral(raw: dict, kw: dict) -> None:
-        ensemble = raw.get("ensemble")
-        if ensemble not in ("gue0", "induced"):
-            raise ConfigError("'ensemble' must be 'gue0' or 'induced'")
-        kw["ensemble"] = ensemble
-        kw["n"] = _require_int(raw, "n", 2)
-        if ensemble == "induced":
-            kw["s"] = _require_int(raw, "s", 1)
-        elif "s" in raw:
-            raise ConfigError("'s' applies only to the induced ensemble")
-
-    @staticmethod
-    def _check_concentration(raw: dict, kw: dict) -> None:
-        kw["d"] = _require_int(raw, "d", 2)
-        kw["s"] = _require_int(raw, "s", 1)
-        body = raw.get("body", "s0" if kw["d"] == 2 else "ppt0")
-        if body not in ("s0", "d0", "ppt0"):
-            raise ConfigError("'body' must be one of s0, d0, ppt0")
-        if body == "s0" and kw["d"] != 2:
-            raise ConfigError("body 's0' needs the exact gauge, available only at d = 2")
-        kw["body"] = body
-
-    @staticmethod
-    def _check_gue_approx(raw: dict, kw: dict) -> None:
-        kw["n"] = _require_int(raw, "n", 2)
-        kw["s"] = _require_int(raw, "s", 1)
-        body = raw.get("body")
-        if body not in ("d0", "ppt0", "hs", "s0"):
-            raise ConfigError("'body' must be one of d0, ppt0, hs, s0")
-        if body == "s0" and kw["n"] != 4:
-            raise ConfigError("body 's0' requires n = 4")
-        if body == "ppt0":
-            root = round(kw["n"] ** 0.5)
-            if root * root != kw["n"]:
-                raise ConfigError("body 'ppt0' requires n to be a perfect square")
-        kw["body"] = body
-
-    @staticmethod
-    def _check_monotonicity(raw: dict, kw: dict) -> None:
-        mode = raw.get("mode")
-        if mode not in ("projection", "partial-trace"):
-            raise ConfigError("'mode' must be 'projection' or 'partial-trace'")
-        kw["mode"] = mode
-        kw["s"] = _require_int(raw, "s", 1)
-        if mode == "projection":
-            kw["d1"] = _require_int(raw, "d1", 2)
-            kw["d2"] = _require_int(raw, "d2", 2)
-            if kw["d1"] > kw["d2"]:
-                raise ConfigError("'d1' must be <= 'd2'")
-            if "d" in raw:
-                raise ConfigError("'d' applies only to partial-trace mode")
-        else:
-            kw["d"] = _require_int(raw, "d", 2)
-            if "d1" in raw or "d2" in raw:
-                raise ConfigError("'d1'/'d2' apply only to projection mode")
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":

@@ -1,6 +1,6 @@
 """Batch experiments: threshold scans, concentration, the GUE approximation
-ratio, coupled monotonicity comparisons, spectral statistics, and the config
-runner behind the CLI.
+ratio, coupled monotonicity comparisons, spectral statistics, and the
+registry (EXPERIMENTS) that the config, the config runner and the CLI read.
 
 Every experiment draws each trial from its own derived random stream, so
 results are independent of execution order. Trials are drawn one at a time
@@ -16,13 +16,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import astuple, dataclass, field, replace
 from functools import partial
 from itertools import islice
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, _require_int
 from .ensembles import (
     _trace_normalized,
     _wishart,
@@ -60,6 +61,7 @@ __all__ = [
     "spectral_rows",
     "spectral_experiment",
     "run_config",
+    "EXPERIMENTS",
 ]
 
 SPECTRAL_HEADER = ["trial", "n", "s", "ensemble", "dinf", "alpha", "beta", "lambda_max", "lambda_min"]
@@ -157,10 +159,7 @@ class ScanResult:
         return ["s", "trials", "successes", p_col, "ci_low", "ci_high"]
 
     def rows(self) -> list[tuple]:
-        return [
-            (p.s, p.trials, p.successes, p.p_hat, p.ci_low, p.ci_high)
-            for p in self.points
-        ]
+        return [astuple(p) for p in self.points]
 
 
 def _scan_point(dims: ProductDims, s: int, trials: int, criterion: str, stream) -> ScanPoint:
@@ -197,14 +196,64 @@ def threshold_scan(config: ExperimentConfig) -> ScanResult:
     """
     if config.experiment != "threshold-scan":
         raise ConfigError(f"expected a threshold-scan config, got {config.experiment!r}")
-    dims = ProductDims(config.dims)
-    base = SeededStream(config.master_seed)
-    points = [
-        _scan_point(dims, s, config.trials, config.criterion, base.substream(i))
-        for i, s in enumerate(sorted(config.s_values))
-    ]
+    points = list(_scan_points(config))
     meta = _scan_metadata(config, points)
     return ScanResult(config.dims, config.criterion, points, meta.get("crossing_s"), meta)
+
+
+def _scan_points(config: ExperimentConfig):
+    """The scan's points in increasing s, each yielded as soon as it is done."""
+    dims = ProductDims(config.dims)
+    base = SeededStream(config.master_seed)
+    for i, s in enumerate(sorted(config.s_values)):
+        yield _scan_point(dims, s, config.trials, config.criterion, base.substream(i))
+
+
+def _run_scan(config: ExperimentConfig, rows: list) -> dict:
+    points = []
+    for p in _scan_points(config):
+        points.append(p)
+        rows.append(astuple(p))
+    return _scan_metadata(config, points)
+
+
+def _check_scan(raw: dict, kw: dict) -> None:
+    dims = raw.get("dims")
+    if (
+        not isinstance(dims, list)
+        or len(dims) != 2
+        or not all(isinstance(d, int) and d >= 2 for d in dims)
+    ):
+        raise ConfigError("'dims' must be a list of two integers >= 2")
+    kw["dims"] = (dims[0], dims[1])
+
+    sv = raw.get("s_values")
+    if isinstance(sv, dict):
+        bad = set(sv) - {"start", "stop", "step"}
+        if bad:
+            raise ConfigError(f"unknown s_values key(s) {sorted(bad)}")
+        start = sv.get("start")
+        stop = sv.get("stop")
+        step = sv.get("step", 1)
+        if not all(isinstance(v, int) for v in (start, stop, step)) or step < 1:
+            raise ConfigError("'s_values' range needs integer start/stop and step >= 1")
+        values = tuple(range(start, stop + 1, step))
+    elif isinstance(sv, list) and sv and all(isinstance(v, int) for v in sv):
+        values = tuple(sv)
+    else:
+        raise ConfigError("'s_values' must be a non-empty integer list or a start/stop/step object")
+    if any(v < 1 for v in values):
+        raise ConfigError("'s_values' must be positive")
+    kw["s_values"] = values
+
+    criterion = raw.get("criterion")
+    if criterion not in ("exact", "ppt"):
+        raise ConfigError("'criterion' must be 'exact' or 'ppt'")
+    if criterion == "exact" and kw["dims"] not in EXACT_DIMS:
+        raise ConfigError(
+            f"criterion 'exact' requires dims in {sorted(EXACT_DIMS)}, got {kw['dims']}"
+        )
+    kw["criterion"] = criterion
 
 
 def _scan_metadata(config: ExperimentConfig, points: list[ScanPoint]) -> dict:
@@ -291,6 +340,24 @@ def concentration_experiment(
     return ConcentrationSummary(d, body, pts[0], pts[1])
 
 
+def _run_concentration(config: ExperimentConfig, rows: list) -> dict:
+    summary = concentration_experiment(config.d, config.s, config.trials,
+                                       SeededStream(config.master_seed), body=config.body)
+    rows.extend(map(astuple, (summary.at_s, summary.at_4s)))
+    return {"body": summary.body, "std_ratio": summary.std_ratio}
+
+
+def _check_concentration(raw: dict, kw: dict) -> None:
+    kw["d"] = _require_int(raw, "d", 2)
+    kw["s"] = _require_int(raw, "s", 1)
+    body = raw.get("body", "s0" if kw["d"] == 2 else "ppt0")
+    if body not in ("s0", "d0", "ppt0"):
+        raise ConfigError("'body' must be one of s0, d0, ppt0")
+    if body == "s0" and kw["d"] != 2:
+        raise ConfigError("body 's0' needs the exact gauge, available only at d = 2")
+    kw["body"] = body
+
+
 # ---------------------------------------------------------------------------
 # GUE approximation ratio.
 # ---------------------------------------------------------------------------
@@ -340,6 +407,27 @@ def gue_approx_experiment(n: int, s: int, body: str, trials: int, stream,
         n, s, body, trials, ratio, ratio * rel,
         num.mean, num.stderr, den.mean, den.stderr,
     )
+
+
+def _run_gue_approx(config: ExperimentConfig, rows: list) -> dict:
+    rows.append(astuple(gue_approx_experiment(config.n, config.s, config.body, config.trials,
+                                              SeededStream(config.master_seed))))
+    return {}
+
+
+def _check_gue_approx(raw: dict, kw: dict) -> None:
+    kw["n"] = _require_int(raw, "n", 2)
+    kw["s"] = _require_int(raw, "s", 1)
+    body = raw.get("body")
+    if body not in ("d0", "ppt0", "hs", "s0"):
+        raise ConfigError("'body' must be one of d0, ppt0, hs, s0")
+    if body == "s0" and kw["n"] != 4:
+        raise ConfigError("body 's0' requires n = 4")
+    if body == "ppt0":
+        root = round(kw["n"] ** 0.5)
+        if root * root != kw["n"]:
+            raise ConfigError("body 'ppt0' requires n to be a perfect square")
+    kw["body"] = body
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +526,40 @@ def partial_trace_monotonicity(d: int, s: int, trials: int, stream) -> Monotonic
     )
 
 
+def _run_monotonicity(config: ExperimentConfig, rows: list) -> dict:
+    stream = SeededStream(config.master_seed)
+    if config.mode == "projection":
+        res = projection_monotonicity(config.d1, config.d2, config.s, config.trials, stream)
+    else:
+        res = partial_trace_monotonicity(config.d, config.s, config.trials, stream)
+    for side in (res.coupled_small, res.coupled_large, res.direct_small, res.direct_large):
+        lo, hi = side.interval()
+        rows.append(
+            (side.label, "%dx%d" % side.dims, side.s, side.criterion,
+             side.trials, side.successes, side.p_hat, lo, hi)
+        )
+    return {"mode": res.mode, "ordering_holds_2sigma": res.ordering_holds()}
+
+
+def _check_monotonicity(raw: dict, kw: dict) -> None:
+    mode = raw.get("mode")
+    if mode not in ("projection", "partial-trace"):
+        raise ConfigError("'mode' must be 'projection' or 'partial-trace'")
+    kw["mode"] = mode
+    kw["s"] = _require_int(raw, "s", 1)
+    if mode == "projection":
+        kw["d1"] = _require_int(raw, "d1", 2, default=2)
+        kw["d2"] = _require_int(raw, "d2", 2, default=3)
+        if kw["d1"] > kw["d2"]:
+            raise ConfigError("'d1' must be <= 'd2'")
+        if "d" in raw:
+            raise ConfigError("'d' applies only to partial-trace mode")
+    else:
+        kw["d"] = _require_int(raw, "d", 2, default=2)
+        if "d1" in raw or "d2" in raw:
+            raise ConfigError("'d1'/'d2' apply only to projection mode")
+
+
 # ---------------------------------------------------------------------------
 # Spectral statistics.
 # ---------------------------------------------------------------------------
@@ -471,6 +593,69 @@ def spectral_experiment(config: ExperimentConfig) -> list[tuple]:
     )
 
 
+def _run_spectral(config: ExperimentConfig, rows: list) -> dict:
+    rows.extend(spectral_experiment(config))
+    return {"ensemble": config.ensemble, "n": config.n, "s": config.s}
+
+
+def _check_spectral(raw: dict, kw: dict) -> None:
+    ensemble = raw.get("ensemble")
+    if ensemble not in ("gue0", "induced"):
+        raise ConfigError("'ensemble' must be 'gue0' or 'induced'")
+    kw["ensemble"] = ensemble
+    kw["n"] = _require_int(raw, "n", 2)
+    if ensemble == "induced":
+        kw["s"] = _require_int(raw, "s", 1)
+    elif "s" in raw:
+        raise ConfigError("'s' applies only to the induced ensemble")
+
+
+# ---------------------------------------------------------------------------
+# Experiment registry.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment as the config, the runner and the CLI see it: its
+    config keys beyond the common ones, `check(raw, kwargs)`, which validates
+    a raw config and fills the `ExperimentConfig` fields, `header(config)`,
+    the CSV header, and `run(config, rows)`, which appends CSV rows as they
+    finish and returns the sidecar's `extra`."""
+
+    keys: frozenset[str]
+    check: Callable[[dict, dict], None]
+    header: Callable[[ExperimentConfig], list[str]]
+    run: Callable[[ExperimentConfig, list], dict]
+
+
+EXPERIMENTS = {
+    "threshold-scan": Experiment(
+        frozenset({"dims", "s_values", "criterion"}), _check_scan,
+        lambda c: ScanResult(c.dims, c.criterion, [], None).header, _run_scan,
+    ),
+    "spectral": Experiment(
+        frozenset({"ensemble", "n", "s"}), _check_spectral, lambda c: SPECTRAL_HEADER, _run_spectral
+    ),
+    "concentration": Experiment(
+        frozenset({"d", "s", "body"}), _check_concentration,
+        lambda c: ["s", "trials", "mean", "median", "std", "stderr"], _run_concentration,
+    ),
+    "gue-approx": Experiment(
+        frozenset({"n", "s", "body"}), _check_gue_approx,
+        lambda c: ["n", "s", "body", "trials", "ratio", "ratio_stderr",
+                   "state_mean", "state_stderr", "gue_mean", "gue_stderr"],
+        _run_gue_approx,
+    ),
+    "monotonicity": Experiment(
+        frozenset({"mode", "d", "d1", "d2", "s"}), _check_monotonicity,
+        lambda c: ["side", "dims", "s", "criterion", "trials", "successes",
+                   "p_hat", "ci_low", "ci_high"],
+        _run_monotonicity,
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # Config runner.
 # ---------------------------------------------------------------------------
@@ -484,66 +669,6 @@ def _effective_seed(config: ExperimentConfig) -> tuple[int, bool]:
         except ValueError as exc:
             raise ConfigError(f"ENTANGLAB_SEED must be an integer, got {env!r}") from exc
     return config.master_seed, False
-
-
-def _header_for(config: ExperimentConfig) -> list[str]:
-    if config.experiment == "threshold-scan":
-        return ScanResult(config.dims, config.criterion, [], None).header
-    if config.experiment == "spectral":
-        return SPECTRAL_HEADER
-    if config.experiment == "concentration":
-        return ["s", "trials", "mean", "median", "std", "stderr"]
-    if config.experiment == "gue-approx":
-        return ["n", "s", "body", "trials", "ratio", "ratio_stderr",
-                "state_mean", "state_stderr", "gue_mean", "gue_stderr"]
-    return ["side", "dims", "s", "criterion", "trials", "successes", "p_hat", "ci_low", "ci_high"]
-
-
-def _execute(config: ExperimentConfig, seed: int, rows_acc: list):
-    """Run the configured experiment, appending CSV rows to rows_acc as they
-    become available (so an interrupted run can flush partial results).
-    Returns (header, extra_meta)."""
-    cfg = ExperimentConfig.from_dict({**config.raw, "master_seed": seed})
-    stream = SeededStream(seed)
-    header = _header_for(cfg)
-    if cfg.experiment == "threshold-scan":
-        dims = ProductDims(cfg.dims)
-        base = SeededStream(cfg.master_seed)
-        points = []
-        for i, s in enumerate(sorted(cfg.s_values)):
-            p = _scan_point(dims, s, cfg.trials, cfg.criterion, base.substream(i))
-            points.append(p)
-            rows_acc.append((p.s, p.trials, p.successes, p.p_hat, p.ci_low, p.ci_high))
-        return header, _scan_metadata(cfg, points)
-    if cfg.experiment == "spectral":
-        rows_acc.extend(spectral_experiment(cfg))
-        return header, {"ensemble": cfg.ensemble, "n": cfg.n, "s": cfg.s}
-    if cfg.experiment == "concentration":
-        summary = concentration_experiment(cfg.d, cfg.s, cfg.trials, stream, body=cfg.body)
-        rows_acc.extend(
-            (p.s, p.trials, p.mean, p.median, p.std, p.stderr)
-            for p in (summary.at_s, summary.at_4s)
-        )
-        return header, {"body": summary.body, "std_ratio": summary.std_ratio}
-    if cfg.experiment == "gue-approx":
-        r = gue_approx_experiment(cfg.n, cfg.s, cfg.body, cfg.trials, stream)
-        rows_acc.append(
-            (r.n, r.s, r.body, r.trials, r.ratio, r.stderr,
-             r.state_mean, r.state_stderr, r.gue_mean, r.gue_stderr)
-        )
-        return header, {}
-    # monotonicity
-    if cfg.mode == "projection":
-        res = projection_monotonicity(cfg.d1, cfg.d2, cfg.s, cfg.trials, stream)
-    else:
-        res = partial_trace_monotonicity(cfg.d, cfg.s, cfg.trials, stream)
-    for side in (res.coupled_small, res.coupled_large, res.direct_small, res.direct_large):
-        lo, hi = side.interval()
-        rows_acc.append(
-            (side.label, "%dx%d" % side.dims, side.s, side.criterion,
-             side.trials, side.successes, side.p_hat, lo, hi)
-        )
-    return header, {"mode": res.mode, "ordering_holds_2sigma": res.ordering_holds()}
 
 
 def run_config(path: str, output_override: str | None = None) -> int:
@@ -577,9 +702,10 @@ def execute_config(config: ExperimentConfig, output_override: str | None = None)
 
     started = time.time()
     rows: list[tuple] = []
-    header = _header_for(config)
+    experiment = EXPERIMENTS[config.experiment]
+    header = experiment.header(config)
     try:
-        header, extra = _execute(config, seed, rows)
+        extra = experiment.run(replace(config, master_seed=seed), rows)
     except BaseException as exc:  # flush whatever completed, then report
         if rows:
             write_csv(str(csv_path) + ".partial", header, rows)

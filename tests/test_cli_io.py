@@ -187,3 +187,88 @@ def test_cli_error_handling(tmp_path, capsys):
     assert main(["gauge", "--input", str(tmp_path / "nope.bin"), "--body", "d0",
                  "--dims", "2,2"]) == 2  # missing input file
     assert "error" in capsys.readouterr().err
+
+
+# -- experiment subcommands are the configs whose keys are their flags ----------------
+
+from entanglab.config import ConfigError, ExperimentConfig
+from entanglab.experiments import EXPERIMENTS
+
+# (subcommand flags, the equivalent config without trials, master_seed and output)
+CLI_CONFIG_CASES = {
+    "threshold-scan": (
+        ["scan-threshold", "--dims", "2,3", "--criterion", "exact", "--s-values", "2:8:3"],
+        {"dims": [2, 3], "criterion": "exact", "s_values": {"start": 2, "stop": 8, "step": 3}},
+    ),
+    "spectral": (
+        ["spectral", "--ensemble", "induced", "--n", "6", "--s", "12"],
+        {"ensemble": "induced", "n": 6, "s": 12},
+    ),
+    # no --body: the default at d = 3 is ppt0, for the flags as for the file
+    "concentration": (
+        ["concentration", "--d", "3", "--s", "20"],
+        {"d": 3, "s": 20},
+    ),
+    "gue-approx": (
+        ["gue-approx", "--n", "4", "--s", "16", "--body", "s0"],
+        {"n": 4, "s": 16, "body": "s0"},
+    ),
+    # no --d1/--d2: the defaults 2 and 3 hold for the flags and for the file
+    "monotonicity": (
+        ["monotonicity", "--mode", "projection", "--s", "6"],
+        {"mode": "projection", "s": 6},
+    ),
+}
+
+
+def test_cli_config_cases_cover_every_experiment():
+    assert set(CLI_CONFIG_CASES) == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("experiment", sorted(CLI_CONFIG_CASES))
+def test_cli_subcommand_equals_config_file(tmp_path, experiment):
+    flags, keys = CLI_CONFIG_CASES[experiment]
+    assert main([*flags, "--trials", "12", "--seed", "5", "--out", str(tmp_path / "cli")]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "trials": 12, "master_seed": 5, **keys}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "file")]) == 0
+
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+    cli_meta = json.loads((tmp_path / "cli.meta.json").read_text())
+    file_meta = json.loads((tmp_path / "file.meta.json").read_text())
+    assert cli_meta["config_digest"] == file_meta["config_digest"]
+    assert cli_meta["extra"] == file_meta["extra"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geometry", "--check", "urysohn", "--n", "3", "--trials", "0"],
+        ["geometry", "--check", "rogers-shephard", "--m", "2", "--points", "0"],
+        ["scan-threshold", "--dims", "2,2", "--criterion", "exact", "--s-values", "1:2:3:4"],
+        ["scan-threshold", "--dims", "2,2", "--criterion", "exact", "--s-values", "2,x"],
+    ],
+)
+def test_cli_rejects_bad_counts_and_s_values_at_parse(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_experiment_flags_follow_config_rules(tmp_path, capsys):
+    # 's' applies only to the induced ensemble, as in a config file
+    assert main(["spectral", "--ensemble", "gue0", "--n", "4", "--s", "5",
+                 "--out", str(tmp_path / "sp")]) == 2
+    assert "induced" in capsys.readouterr().err
+    assert main(["monotonicity", "--mode", "projection", "--d", "3", "--s", "4",
+                 "--out", str(tmp_path / "mono")]) == 2
+    assert "partial-trace" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_rejects_unhashable_experiment():
+    with pytest.raises(ConfigError, match="'experiment' must be one of"):
+        ExperimentConfig.from_dict({"experiment": ["spectral"], "trials": 1, "master_seed": 0})
