@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from entanglab.cli import main
+from entanglab.config import ConfigError, ExperimentConfig
+from entanglab.experiments import EXPERIMENTS
 from entanglab.io import (
     format_value,
     read_matrix_records,
@@ -190,9 +192,6 @@ def test_cli_error_handling(tmp_path, capsys):
 
 
 # -- experiment subcommands are the configs whose keys are their flags ----------------
-
-from entanglab.config import ConfigError, ExperimentConfig
-from entanglab.experiments import EXPERIMENTS
 
 # (subcommand flags, the equivalent config without trials, master_seed and output)
 CLI_CONFIG_CASES = {
