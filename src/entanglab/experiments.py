@@ -19,7 +19,6 @@ import time
 from collections.abc import Callable
 from dataclasses import astuple, dataclass, field, replace
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .ensembles import (
 )
 from .io import write_csv, write_sidecar
 from .linalg import ProductDims, _hermitize_stack, hs_norm, traceless_part
-from .rng import SeededStream, trial_generators
+from .rng import SeededStream, trial_chunks
 from .separability import (
     EXACT_DIMS,
     PPT_EIGENVALUE_TOL,
@@ -65,21 +64,6 @@ __all__ = [
 ]
 
 SPECTRAL_HEADER = ["trial", "n", "s", "ensemble", "dinf", "alpha", "beta", "lambda_max", "lambda_min"]
-
-
-# Byte budget of one chunk's stack of n x n complex matrices (about 200 trials
-# at n = 9, 4 at n = 64). It bounds a chunk's memory at any trial count; at
-# 256 KiB the stack's temporaries stay within the peak of one large draw.
-_CHUNK_BYTES = 1 << 18
-
-
-def _chunks(stream, trials: int, n: int):
-    """The trials' generators, one per trial, in chunks of as many trials as
-    fit n x n complex matrices into _CHUNK_BYTES (at least one)."""
-    size = max(1, _CHUNK_BYTES // (16 * n * n))
-    gens = trial_generators(stream, trials)
-    while chunk := list(islice(gens, size)):
-        yield chunk
 
 
 def _induced_states(n: int, s: int, gens) -> np.ndarray:
@@ -167,7 +151,7 @@ def _scan_point(dims: ProductDims, s: int, trials: int, criterion: str, stream) 
     interval."""
     successes = sum(
         _count_meeting(criterion, dims, _induced_states(dims.n, s, gens))
-        for gens in _chunks(stream, trials, dims.n)
+        for gens in trial_chunks(stream, trials, dims.n)
     )
     lo, hi = wilson_interval(successes, trials)
     return ScanPoint(s, trials, successes, successes / trials, lo, hi)
@@ -312,7 +296,7 @@ class ConcentrationSummary:
 def _gauge_samples(states, n: int, trials: int, stream, gauge) -> np.ndarray:
     """Batched gauge of `trials` matrices on C^n, stacked chunk by chunk by
     states(gens)."""
-    return np.concatenate([gauge(states(gens)) for gens in _chunks(stream, trials, n)])
+    return np.concatenate([gauge(states(gens)) for gens in trial_chunks(stream, trials, n)])
 
 
 def concentration_experiment(
@@ -477,7 +461,7 @@ def _coupled_successes(couple, n: int, crit_small: str, crit_large: str,
     """Successes of the small and of the large states of `trials` coupled
     pairs couple(rng), whose large states act on C^n."""
     small = large = 0
-    for gens in _chunks(stream, trials, n):
+    for gens in trial_chunks(stream, trials, n):
         pairs = [couple(g) for g in gens]
         smalls = np.stack([p.small.matrix for p in pairs])
         larges = np.stack([p.large.matrix for p in pairs])
@@ -575,7 +559,9 @@ def spectral_rows(ensemble: str, n: int, s: int | None, trials: int, stream) -> 
 
     gue0 = ensemble == "gue0"
     draw = partial(_gue0_states, n) if gue0 else partial(_centered_induced_states, n, s)
-    lams = np.concatenate([np.linalg.eigvalsh(draw(gens)) for gens in _chunks(stream, trials, n)])
+    lams = np.concatenate(
+        [np.linalg.eigvalsh(draw(gens)) for gens in trial_chunks(stream, trials, n)]
+    )
     lams = lams / math.sqrt(n) if gue0 else lams * math.sqrt(n * s)
     s_col = "" if gue0 else s
     return [
@@ -686,6 +672,15 @@ def run_config(path: str, output_override: str | None = None) -> int:
     return execute_config(config, output_override)
 
 
+def _installed_version(package: str) -> str | None:
+    """Version of an installed distribution, None if it is not installed;
+    read from its metadata, so the package itself is not imported."""
+    try:
+        return importlib.metadata.version(package)
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def execute_config(config: ExperimentConfig, output_override: str | None = None) -> int:
     """Execute an already-validated config; see run_config."""
     try:
@@ -728,7 +723,7 @@ def execute_config(config: ExperimentConfig, output_override: str | None = None)
         "versions": {
             "entanglab": __version__,
             "numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"),
+            "scipy": _installed_version("scipy"),
         },
         "extra": extra,
     }

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-from scipy.special import gammaln
-
 __all__ = [
     "log_gamma_m",
     "gamma_m",
@@ -30,7 +27,7 @@ def log_gamma_m(m: int) -> float:
     """log of E|G| for a standard Gaussian in R^m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return 0.5 * math.log(2.0) + gammaln((m + 1) / 2.0) - gammaln(m / 2.0)
+    return 0.5 * math.log(2.0) + math.lgamma((m + 1) / 2.0) - math.lgamma(m / 2.0)
 
 
 def gamma_m(m: int) -> float:
@@ -51,12 +48,11 @@ def log_znorm(n: int, s: float) -> float:
         raise ValueError("n must be >= 1")
     if s < n:
         raise ValueError(f"normalization requires s >= n, got s={s}, n={n}")
-    ks = s - np.arange(n, dtype=float)  # s, s-1, ..., s-n+1
-    return float(
+    return (
         0.5 * math.log(n)
         + (n * (n - 1) / 2.0) * math.log(2.0 * math.pi)
-        - gammaln(s * n)
-        + np.sum(gammaln(ks))
+        - math.lgamma(s * n)
+        + math.fsum(math.lgamma(s - k) for k in range(n))  # Gamma(s), ..., Gamma(s-n+1)
     )
 
 
@@ -64,7 +60,7 @@ def log_ball_volume(m: int) -> float:
     """log volume of the unit Euclidean ball in R^m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return (m / 2.0) * math.log(math.pi) - gammaln(m / 2.0 + 1.0)
+    return (m / 2.0) * math.log(math.pi) - math.lgamma(m / 2.0 + 1.0)
 
 
 def vrad_states(n: int) -> float:
@@ -123,8 +119,9 @@ def log_flag_manifold_factor(n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    js = np.arange(1, n + 1, dtype=float)
-    return float((n * (n - 1) / 2.0) * math.log(2.0 * math.pi) - np.sum(gammaln(js)))
+    return (n * (n - 1) / 2.0) * math.log(2.0 * math.pi) - math.fsum(
+        math.lgamma(j) for j in range(1, n + 1)
+    )
 
 
 def log_weyl_chamber_znorm(n: int, s: float) -> float:

@@ -86,12 +86,12 @@ def read_matrix_records(path) -> list[np.ndarray]:
             raise ValueError("truncated matrix record header")
         rows, cols = struct.unpack_from("<QQ", blob, pos)
         pos += 16
-        count = rows * cols * 2
-        end = pos + count * 8
+        count = rows * cols
+        end = pos + count * 16
         if end > len(blob):
             raise ValueError("truncated matrix record payload")
-        flat = np.frombuffer(blob, dtype="<f8", count=count, offset=pos)
+        # read the (real, imaginary) pairs as complex entries, bit for bit
+        flat = np.frombuffer(blob, dtype="<c16", count=count, offset=pos)
         pos = end
-        inter = flat.reshape(rows, cols, 2)
-        out.append((inter[..., 0] + 1j * inter[..., 1]).astype(complex))
+        out.append(flat.reshape(rows, cols).astype(complex))
     return out

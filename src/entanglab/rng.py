@@ -10,10 +10,17 @@ entanglab installation, not across library versions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
+import numpy.random  # numpy 2 imports it lazily, which would charge the first draw
 
 __all__ = ["SeededStream", "as_generator"]
+
+# Byte budget of one chunk's stack of n x n complex matrices (about 200 trials
+# at n = 9, 4 at n = 64). It bounds a chunk's memory at any trial count; at
+# 256 KiB the stack's temporaries stay within the peak of one large draw.
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -74,3 +81,13 @@ def trial_generators(stream, trials: int):
         raise TypeError(f"cannot interpret {type(stream).__name__} as a random stream")
     for t in range(trials):
         yield stream.substream(t).generator()
+
+
+def trial_chunks(stream, trials: int, n: int):
+    """The trials' generators, one per trial as from `trial_generators`, in
+    chunks of as many trials as fit n x n complex matrices into _CHUNK_BYTES
+    (at least one)."""
+    size = max(1, _CHUNK_BYTES // (16 * n * n))
+    gens = trial_generators(stream, trials)
+    while chunk := list(islice(gens, size)):
+        yield chunk

@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import ProductDims, hermitize, hs_norm, partial_transpose, top_eigenpair
 from .rng import as_generator
-from .stats import Estimate, from_samples
+from .stats import Estimate
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -253,19 +253,13 @@ def support_separable(
 
 def mean_gauge_gue(d: int, trials: int, stream, tol: float = 1e-8) -> Estimate:
     """Monte-Carlo mean of the separable gauge of trace-zero GUE draws on
-    C^d x C^d. Only d = 2 has an exact separable gauge; `tol` is unused."""
+    C^d x C^d. Only d = 2 has an exact separable gauge, the PPT gauge, so
+    this is the mean gauge of `ppt_threshold_estimate(2, ...)`, on the same
+    draws. `tol` is unused."""
     if d != 2:
         raise UnsupportedDimensionError(
             "the separable gauge is exact only at d = 2; use the PPT gauge for d >= 3"
         )
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    from .ensembles import sample_gue0
-    from .rng import trial_generators
+    from .widths import ppt_threshold_estimate
 
-    dims = ProductDims((2, 2))
-    gauges = np.empty(trials)
-    for t, rng in enumerate(trial_generators(stream, trials)):
-        G = sample_gue0(4, rng)
-        gauges[t] = gauge_separable(G, dims).value
-    return from_samples(gauges, seed=str(stream))
+    return ppt_threshold_estimate(2, trials, stream).mean_gauge

@@ -2,12 +2,20 @@
 majorization order with its gauge.
 
 The distance d_inf between laws is the minimal essential-supremum transport
-cost. For two n-atom empirical measures the optimal coupling pairs order
-statistics. Against a continuous law it is characterized by the two-sided
-CDF bracketing
+cost. In one dimension the monotone (quantile) coupling is optimal: two
+n-atom empirical measures pair their order statistics, and against a
+continuous law with quantile function Q the k-th smallest of n atoms is sent
+onto Q(((k-1)/n, k/n)), so
+    d_inf = max_k max(x_(k) - Q((k-1)/n), Q(k/n) - x_(k)).
+For the semicircle law this is evaluated in closed form from the n + 1 edge
+quantiles. For any other continuous law, `dinf_empirical_continuous` bisects
+on eps with the two-sided CDF bracketing
     F_x(t - eps) <= F(t) <= F_x(t + eps)  for all t,
-which only needs to be verified where the empirical CDF jumps; we bisect on
-eps with that finite test.
+which only needs to be verified where the empirical CDF jumps.
+
+Semicircle quantiles come from the substitution x = 2 sin(phi/2), which turns
+the CDF into F = 1/2 + (phi + sin phi) / (2 pi): every quantile is one root
+of phi + sin phi = 2 pi (p - 1/2) on (-pi, pi), solved for all p at once.
 
 Majorization x < y compares partial sums of non-increasing rearrangements;
 delta(x, y) is the smallest c with x < c y, i.e. the gauge of the convex
@@ -21,7 +29,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "semicircle_cdf",
@@ -47,15 +54,40 @@ def semicircle_cdf(x):
     return val if val.ndim else float(val)
 
 
+def _quantiles(p: np.ndarray) -> np.ndarray:
+    """Semicircle quantiles of an array of p in (0, 1).
+
+    Solves phi + sin phi = c, c = 2 pi (p - 1/2), for all entries at once by
+    Newton's method safeguarded with bisection on the bracket [-pi, pi]: a
+    Newton step that leaves the current bracket, or has no slope (at
+    phi = +-pi), is replaced by the bracket's midpoint. The left side is
+    increasing with slope 1 + cos phi, so the bracket always holds the
+    root, for p on either side of 1/2. The start c/2 is the root at p = 1/2,
+    and every step is odd in c, so opposite c give opposite quantiles.
+    """
+    c = 2.0 * np.pi * (np.asarray(p, dtype=float) - 0.5)
+    lo = np.full_like(c, -np.pi)
+    hi = np.full_like(c, np.pi)
+    phi = c / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            g = phi + np.sin(phi) - c
+            lo = np.where(g < 0.0, phi, lo)
+            hi = np.where(g > 0.0, phi, hi)
+            step = phi - g / (1.0 + np.cos(phi))
+            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            done = np.all(np.abs(step - phi) <= 1e-15)
+            phi = step
+            if done:
+                break
+    return 2.0 * np.sin(phi / 2.0)
+
+
 def semicircle_quantile(p: float) -> float:
-    """Inverse semicircle CDF on (0, 1), by safeguarded root-finding."""
+    """Inverse semicircle CDF on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile needs 0 < p < 1, got {p}")
-    if p == 0.5:
-        return 0.0
-    if p > 0.5:
-        return -semicircle_quantile(1.0 - p)
-    return float(brentq(lambda t: semicircle_cdf(t) - p, -2.0, 0.0, xtol=1e-13))
+    return float(_quantiles(p))
 
 
 @lru_cache(maxsize=64)
@@ -68,12 +100,22 @@ def semicircle_quantile_vector(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    half = [semicircle_quantile((2 * k - 1) / (2 * n)) for k in range(1, n // 2 + 1)]
+    half = _quantiles((2.0 * np.arange(1, n // 2 + 1) - 1.0) / (2 * n))
     mid = [0.0] if n % 2 else []
-    vec = np.array(half + mid + [-q for q in reversed(half)])
+    vec = np.concatenate([half, mid, -half[::-1]])
     vec = vec - vec.sum() / n
     vec.flags.writeable = False
     return vec
+
+
+@lru_cache(maxsize=64)
+def _edge_quantiles(n: int) -> np.ndarray:
+    """Q(k/n) for k = 0, ..., n, with Q(0) = -2 and Q(1) = 2: the ends of
+    the quantile intervals the monotone coupling assigns to n atoms.
+    Memoized per n, so the returned array is read-only."""
+    edges = np.concatenate([[-2.0], _quantiles(np.arange(1, n) / n), [2.0]])
+    edges.flags.writeable = False
+    return edges
 
 
 def dinf_empirical_empirical(x: np.ndarray, y: np.ndarray) -> float:
@@ -85,14 +127,21 @@ def dinf_empirical_empirical(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(x - y)))
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
 def dinf_empirical_continuous(atoms, cdf, support, tol: float = 1e-8) -> float:
     """d_inf between an empirical measure and a continuous law.
 
     `cdf` must be vectorized, continuous and strictly increasing on the
     interval `support`. Bisects on eps, checking the CDF bracketing at the
     atom locations shifted by +-eps (the only places the empirical CDF
-    jumps; support endpoints are covered by the extreme atoms).
+    jumps; support endpoints are covered by the extreme atoms), and returns
+    the upper end of a bracket of width at most `tol`.
     """
+    _check_tol(tol)
     lo_sup, hi_sup = float(support[0]), float(support[1])
     atoms = np.sort(np.asarray(atoms, dtype=float))
     n = atoms.size
@@ -119,8 +168,18 @@ def dinf_empirical_continuous(atoms, cdf, support, tol: float = 1e-8) -> float:
 
 
 def dinf_semicircle(atoms, tol: float = 1e-8) -> float:
-    """d_inf between an empirical spectrum and the semicircle law."""
-    return dinf_empirical_continuous(atoms, semicircle_cdf, SEMICIRCLE_SUPPORT, tol=tol)
+    """d_inf between an empirical spectrum and the semicircle law.
+
+    Exact: the monotone-coupling value
+    max_k max(x_(k) - Q((k-1)/n), Q(k/n) - x_(k)) over the sorted atoms.
+    `tol` is accepted for compatibility, validated and unused.
+    """
+    _check_tol(tol)
+    x = np.sort(np.asarray(atoms, dtype=float).ravel())
+    if x.size == 0:
+        raise ValueError("need at least one atom")
+    edges = _edge_quantiles(x.size)
+    return float(max(np.max(x - edges[:-1]), np.max(edges[1:] - x)))
 
 
 def _checked_trace_zero(v: np.ndarray, name: str) -> np.ndarray:

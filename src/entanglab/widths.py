@@ -23,12 +23,11 @@ import numpy as np
 from .ensembles import sample_gue0
 from .geometry import gamma_m
 from .linalg import ProductDims, partial_transpose
-from .rng import trial_generators
+from .rng import trial_chunks, trial_generators
 from .separability import (
     UnsupportedDimensionError,
     _ppt_gauge,
     _ppt_gauge_sym,
-    gauge_ppt,
     support_separable,
 )
 from .stats import Estimate, from_samples
@@ -332,9 +331,10 @@ def ppt_threshold_estimate(d: int, trials: int, stream) -> PPTThresholdResult:
         raise ValueError("trials must be >= 1")
     dims = ProductDims((d, d))
     n = dims.n
-    vals = np.empty(trials)
-    for i, rng in enumerate(trial_generators(stream, trials)):
-        vals[i] = gauge_ppt(sample_gue0(n, rng), dims)
+    vals = np.concatenate([
+        _ppt_gauge(np.stack([sample_gue0(n, rng) for rng in gens]), dims)
+        for gens in trial_chunks(stream, trials, n)
+    ])
     mean_est = from_samples(vals, seed=str(stream))
     d2 = float(d * d)
     thr = Estimate(

@@ -1,10 +1,16 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entanglab.cli import main
+import entanglab
+from entanglab.cli import _build_parser, main
 from entanglab.config import ConfigError, ExperimentConfig
 from entanglab.experiments import EXPERIMENTS
 from entanglab.io import (
@@ -271,3 +277,70 @@ def test_cli_experiment_flags_follow_config_rules(tmp_path, capsys):
 def test_config_rejects_unhashable_experiment():
     with pytest.raises(ConfigError, match="'experiment' must be one of"):
         ExperimentConfig.from_dict({"experiment": ["spectral"], "trials": 1, "master_seed": 0})
+
+
+# -- SciPy is a test-only dependency ------------------------------------------------
+
+# One tiny invocation of every subcommand (every geometry check too), run in
+# a child process in which `import scipy` raises ImportError.
+NO_SCIPY_RUNS = {
+    "sample": [["sample", "--ensemble", "induced", "--n", "4", "--s", "6", "--trials", "2",
+                "--format", "bin", "--out", "d.bin"]],
+    "gauge": [["gauge", "--input", "d.bin", "--body", b, "--dims", "2,2"]
+              for b in ("s0", "ssym", "d0", "ppt0")],
+    "geometry": [["geometry", "--check", c, "--trials", "20", "--points", "100"]
+                 for c in ("zvol", "vrad", "comparison", "duality", "urysohn",
+                           "rogers-shephard", "sep-bounds", "s0", "s0-ppt")],
+    "spectral": [["spectral", "--ensemble", "induced", "--n", "8", "--s", "16", "--trials", "3",
+                  "--out", "spec"]],
+    "scan-threshold": [["scan-threshold", "--dims", "2,2", "--criterion", "exact",
+                        "--s-values", "2,4", "--trials", "10", "--out", "scan"]],
+    "estimate-s0": [["estimate-s0", "--d", "2", "--trials", "20"],
+                    ["estimate-s0", "--d", "3", "--ppt", "--trials", "20"]],
+    "gue-approx": [["gue-approx", "--n", "4", "--s", "8", "--body", "s0", "--trials", "10",
+                    "--out", "ratio"]],
+    "concentration": [["concentration", "--d", "2", "--s", "4", "--trials", "10",
+                       "--out", "conc"]],
+    "monotonicity": [["monotonicity", "--mode", "partial-trace", "--s", "2", "--trials", "10",
+                      "--out", "mono"]],
+    "run": [["run", "cfg.json"]],
+}
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
+from entanglab.cli import main
+statuses = [main(argv) for argvs in json.loads(sys.argv[1]).values() for argv in argvs]
+print(json.dumps(statuses), file=sys.stderr)
+sys.exit(max(statuses))
+"""
+
+
+def _child_env() -> dict:
+    src = str(Path(entanglab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import sys, entanglab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(NO_SCIPY_RUNS) == set(subparsers.choices)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"experiment": "spectral", "ensemble": "gue0", "n": 6, "trials": 3,
+         "master_seed": 1, "output": "run"}))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(NO_SCIPY_RUNS)],
+                          cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("spec.csv", "scan.csv", "ratio.csv", "conc.csv", "mono.csv", "run.csv"):
+        assert (tmp_path / name).stat().st_size > 0

@@ -1,3 +1,4 @@
+import importlib.metadata
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import pytest
 import scipy
 
 import entanglab.experiments as exps
+import entanglab.rng
 from entanglab.config import ConfigError, ExperimentConfig
 from entanglab.ensembles import (
     coupled_local_projection,
@@ -159,7 +161,7 @@ def test_crossing_interpolation():
 
 def chunk_trials(monkeypatch, n, trials):
     """Make the engine evaluate `trials` n x n matrices per chunk."""
-    monkeypatch.setattr(exps, "_CHUNK_BYTES", trials * 16 * n * n)
+    monkeypatch.setattr(entanglab.rng, "_CHUNK_BYTES", trials * 16 * n * n)
 
 
 def test_scan_same_successes_at_any_chunk_size(monkeypatch):
@@ -462,6 +464,23 @@ def test_run_config_roundtrip_and_determinism(tmp_path):
     assert meta["versions"]["scipy"] == scipy.__version__
     assert run_config(path) == 0
     assert (tmp_path / "scan.csv").read_bytes() == first
+
+
+def test_sidecar_scipy_version_is_null_without_scipy(tmp_path, monkeypatch):
+    real_version = importlib.metadata.version
+
+    def version(package):
+        if package == "scipy":
+            raise importlib.metadata.PackageNotFoundError(package)
+        return real_version(package)
+
+    monkeypatch.setattr(importlib.metadata, "version", version)
+    raw = {"experiment": "spectral", "ensemble": "gue0", "n": 4, "trials": 2,
+           "master_seed": 1, "output": str(tmp_path / "spec")}
+    assert run_config(write_config(tmp_path, raw)) == 0
+    versions = json.loads((tmp_path / "spec.meta.json").read_text())["versions"]
+    assert versions["scipy"] is None
+    assert versions["numpy"] == np.__version__
 
 
 def test_run_config_env_seed_override(tmp_path, monkeypatch):

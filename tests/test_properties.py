@@ -1,12 +1,33 @@
 """Property tests over random inputs: the batched partial transpose and the
-closed-form gauges of the state, PPT and separable bodies."""
+closed-form gauges of the state, PPT and separable bodies, the partial trace,
+the separable support function, d_inf and the semicircle quantile, binary
+matrix records and config digests."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from entanglab.linalg import ProductDims, hermitize, partial_transpose, traceless_part
-from entanglab.separability import gauge_ppt, gauge_separable, gauge_separable_sym, gauge_states
+from entanglab.config import ExperimentConfig
+from entanglab.io import read_matrix_records, write_matrix_records
+from entanglab.linalg import (
+    ProductDims,
+    hermitize,
+    partial_trace,
+    partial_transpose,
+    traceless_part,
+)
+from entanglab.separability import (
+    gauge_ppt,
+    gauge_separable,
+    gauge_separable_sym,
+    gauge_states,
+    support_separable,
+)
+from entanglab.spectral import dinf_empirical_empirical, semicircle_quantile
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -80,3 +101,82 @@ def test_gauges_ordered(dims, seed):
     assert gauge_states(A) <= g_ppt
     assert g_ppt == gauge_separable(A, dims).value
     assert g_ppt <= gauge_separable_sym(A, dims).value
+
+
+# -- partial trace, distances, records and config digests ----------------------
+
+
+@PROPERTY_SETTINGS
+@given(dims_st, seed_st, st.data())
+def test_partial_trace_preserves_trace(dims, seed, data):
+    keep = data.draw(st.lists(st.integers(0, dims.k - 1), min_size=1, max_size=dims.k, unique=True))
+    H = complex_stack(seed, (dims.n, dims.n))
+    assert np.isclose(np.trace(partial_trace(H, dims, keep)), np.trace(H), rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(exact_dims_st, seed_st)
+def test_support_separable_below_operator_norm(dims, seed):
+    # a product unit vector is a unit vector, so <psi|A|psi> <= lambda_max(A)
+    A = traceless_direction(seed, dims.n)
+    h = support_separable(A, dims, restarts=2, stream=seed).value
+    assert h <= np.linalg.eigvalsh(A)[-1] + 1e-12
+
+
+atoms_st = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(*(st.lists(st.floats(-5, 5), min_size=n, max_size=n) for _ in range(2)))
+)
+
+
+@PROPERTY_SETTINGS
+@given(atoms_st)
+def test_dinf_empirical_empirical_symmetric(xy):
+    x, y = xy
+    assert dinf_empirical_empirical(x, y) == dinf_empirical_empirical(y, x)
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(1e-6, 1 - 1e-6))
+def test_semicircle_quantile_antisymmetric(p):
+    # 1 - p is rounded, which moves Q by at most ~1e-14 this far from the ends
+    assert abs(semicircle_quantile(1 - p) + semicircle_quantile(p)) <= 1e-12
+
+
+records_st = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape + (2,))
+    ),
+    max_size=4,
+)
+
+
+@PROPERTY_SETTINGS
+@given(records_st)
+def test_matrix_records_round_trip_bit_for_bit(pairs):
+    # every float64 value, -0.0, infinities and NaN included, comes back as written
+    mats = [np.ascontiguousarray(p).view(np.complex128)[..., 0] for p in pairs]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.bin"
+        write_matrix_records(path, mats)
+        back = read_matrix_records(path)
+    assert [m.shape for m in back] == [m.shape for m in mats]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(mats, back))
+
+
+SCAN_CONFIG = {
+    "experiment": "threshold-scan",
+    "dims": [2, 2],
+    "s_values": [2, 4],
+    "criterion": "exact",
+    "trials": 10,
+    "master_seed": 3,
+    "output": "scan",
+    "tolerances": {"gauge_tol": 1e-8},
+}
+
+
+@PROPERTY_SETTINGS
+@given(st.permutations(sorted(SCAN_CONFIG)))
+def test_config_digest_ignores_key_order(keys):
+    reordered = ExperimentConfig.from_dict({k: SCAN_CONFIG[k] for k in keys})
+    assert reordered.digest() == ExperimentConfig.from_dict(SCAN_CONFIG).digest()

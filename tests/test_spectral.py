@@ -9,7 +9,9 @@ from scipy.optimize import brentq, linprog
 from entanglab.ensembles import sample_gue0, sample_induced_state
 from entanglab.rng import SeededStream, trial_generators
 from entanglab.spectral import (
+    _quantiles,
     alpha_beta,
+    dinf_empirical_continuous,
     dinf_empirical_empirical,
     dinf_semicircle,
     majorization_gauge,
@@ -77,6 +79,23 @@ def test_quantile_vector_is_memoized_and_read_only():
     assert v.tobytes() == semicircle_quantile_vector.__wrapped__(32).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 257, 1000])
+def test_quantile_vector_matches_brentq(n):
+    p = (2 * np.arange(1, n + 1) - 1) / (2 * n)
+    ref = [brentq(lambda t, pk=pk: semicircle_cdf(t) - pk, -2.0, 2.0, xtol=1e-14) for pk in p]
+    assert np.max(np.abs(semicircle_quantile_vector(n) - ref)) <= 5e-14
+
+
+def test_quantile_solve_on_both_sides_of_one_half():
+    # one vectorized solve serves p < 1/2, p = 1/2 and p > 1/2 alike
+    p = np.array([1e-6, 0.01, 0.2, 0.4999, 0.5, 0.5001, 0.8, 0.99, 1 - 1e-6])
+    q = _quantiles(p)
+    assert np.all(np.diff(q) > 0)
+    assert np.array_equal(np.sign(q), np.sign(p - 0.5))
+    assert np.max(np.abs(semicircle_cdf(q) - p)) <= 1e-15
+    assert np.max(np.abs(q + _quantiles(1 - p))) <= 1e-13
+
+
 def test_quantile_vector():
     assert np.array_equal(semicircle_quantile_vector(1), [0.0])
     v2 = semicircle_quantile_vector(2)
@@ -139,6 +158,41 @@ def test_dinf_continuous_matches_monotone_coupling_oracle():
             a = dinf_semicircle(atoms, tol=1e-10)
             b = dinf_monotone_coupling_oracle(atoms)
             assert a == pytest.approx(b, abs=1e-8)
+
+
+# The bisection's CDF test cannot resolve an eps that places a shifted atom
+# within about 1e-10 of a support end, where F grows like t^(3/2) and is
+# evaluated to 1e-16, so the oracle may stop up to that much below the exact
+# value. The closed form may exceed it by that much and no more.
+EDGE_RESOLUTION = 2e-10
+
+
+def test_dinf_semicircle_matches_bisection_oracle():
+    rng = np.random.default_rng(12)
+    cases = [np.array([0.0]), np.array([2.5]), np.array([-3.0, 3.0]), np.zeros(5)]
+    for n in (1, 2, 3, 8, 31, 64):
+        for _ in range(8):
+            cases.append(rng.uniform(-2.6, 2.6, size=n))
+            cases.append(np.round(rng.uniform(-2.6, 2.6, size=n), 1))  # ties
+    cases += [
+        np.linalg.eigvalsh(sample_gue0(64, g)) / 8.0 for g in trial_generators(SeededStream(13), 5)
+    ]
+    for atoms in cases:
+        exact = dinf_semicircle(atoms)
+        oracle = dinf_empirical_continuous(atoms, semicircle_cdf, (-2.0, 2.0), tol=1e-12)
+        assert oracle - 1e-8 <= exact <= oracle + EDGE_RESOLUTION
+
+
+def test_dinf_tol_is_validated_and_unused():
+    atoms = [0.3, -1.1, 0.9]
+    assert dinf_semicircle(atoms, tol=1e-3) == dinf_semicircle(atoms)
+    for bad in (0.0, -1e-8, float("nan")):
+        with pytest.raises(ValueError):
+            dinf_semicircle(atoms, tol=bad)
+        with pytest.raises(ValueError):
+            dinf_empirical_continuous(atoms, semicircle_cdf, (-2.0, 2.0), tol=bad)
+    with pytest.raises(ValueError):
+        dinf_semicircle([])
 
 
 def test_dinf_ideal_vector():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from conftest import separable_bisection_gauge_oracle
 
+import entanglab.rng
 from entanglab.ensembles import sample_gue0
 from entanglab.geometry import gamma_m, vrad_states
 from entanglab.linalg import ProductDims
 from entanglab.rng import SeededStream, trial_generators
-from entanglab.separability import gauge_separable_sym, gauge_states, mean_gauge_gue
+from entanglab.separability import gauge_ppt, gauge_separable_sym, gauge_states, mean_gauge_gue
 from entanglab.stats import from_samples
 from entanglab.widths import (
     SupportOracle,
@@ -206,6 +207,20 @@ def test_separability_threshold_is_ppt_threshold_at_d2():
     assert (sep.mean, sep.stderr) == (ppt.threshold.mean, ppt.threshold.stderr)
     gauge = mean_gauge_gue(2, 500, SeededStream(7))
     assert (gauge.mean, gauge.stderr) == (ppt.mean_gauge.mean, ppt.mean_gauge.stderr)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ppt_threshold_estimate_matches_per_trial_gauges(monkeypatch, d):
+    # batched draws and gauges, in chunks of 3, against one public gauge call
+    # per trial: the same numbers, bit for bit
+    dims = ProductDims((d, d))
+    monkeypatch.setattr(entanglab.rng, "_CHUNK_BYTES", 3 * 16 * dims.n ** 2)
+    for trials in (1, 2, 3, 4, 7):
+        for new in (lambda: SeededStream(31), lambda: np.random.default_rng(31)):
+            res = ppt_threshold_estimate(d, trials, new())
+            ref = from_samples([gauge_ppt(sample_gue0(dims.n, g), dims)
+                                for g in trial_generators(new(), trials)])
+            assert (res.mean_gauge.mean, res.mean_gauge.stderr) == (ref.mean, ref.stderr)
 
 
 def test_ppt_threshold_orders():
