@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .ensembles import EnsembleSpec, draw_ensemble, sample_gue0
+from .ensembles import EnsembleSpec, _gue0_states, draw_ensemble
 from .experiments import EXPERIMENTS, execute_config, run_config
 from .geometry import (
     density_comparison_ratio,
@@ -29,7 +29,7 @@ from .geometry import (
 )
 from .io import read_matrix_records, write_csv, write_matrix_records
 from .linalg import ProductDims, hermitian_eigenvalues, hermitize, traceless_part
-from .rng import SeededStream, trial_generators
+from .rng import SeededStream, chunk_map, trial_generators
 from .separability import (
     gauge_ppt,
     gauge_separable,
@@ -195,10 +195,8 @@ def _cmd_geometry(args) -> int:
         payload["passed"] = res.passed
     elif check == "urysohn":
         n = args.n
-        vals = [
-            float(np.linalg.eigvalsh(sample_gue0(n, rng))[-1])
-            for rng in trial_generators(SeededStream(seed), args.trials)
-        ]
+        vals = chunk_map(lambda gens: np.linalg.eigvalsh(_gue0_states(n, gens))[:, -1],
+                         SeededStream(seed), args.trials, n)
         est = from_samples(vals)
         gm = gamma_m(n * n - 1)
         width = est.mean / gm

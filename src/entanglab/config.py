@@ -91,7 +91,10 @@ class ExperimentConfig:
             gauge_tol=gauge_tol,
             raw=dict(raw),
         )
-        EXPERIMENTS[experiment].check(raw, kwargs)
+        try:
+            EXPERIMENTS[experiment].check(raw, kwargs)
+        except ValueError as exc:  # also the library rules a validator reuses
+            raise ConfigError(str(exc)) from exc
         return cls(**kwargs)
 
     @classmethod

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import log_znorm
-from .linalg import ProductDims, hermitize, partial_trace, traceless_part
+from .linalg import ProductDims, _hermitize_stack, hermitize, partial_trace, traceless_part
 from .rng import SeededStream, as_generator
 
 __all__ = [
@@ -116,6 +116,11 @@ def sample_gue0(n: int, stream) -> np.ndarray:
     return traceless_part(sample_gue(n, stream))
 
 
+def _gue0_states(n: int, gens) -> np.ndarray:
+    """Stack of trace-zero GUE matrices, one `sample_gue0` draw per generator."""
+    return np.stack([sample_gue0(n, g) for g in gens])
+
+
 def sample_ginibre(n: int, s: int, stream) -> np.ndarray:
     """n x s matrix of i.i.d. N_C(0,1) entries."""
     if n < 1 or s < 1:
@@ -143,6 +148,18 @@ def _wishart(n: int, s: int, stream) -> np.ndarray:
 def _trace_normalized(W: np.ndarray) -> np.ndarray:
     """W / tr W, for one matrix or each matrix of a stack (..., n, n)."""
     return W / np.trace(W, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _induced_states(n: int, s: int, gens) -> np.ndarray:
+    """Stack of induced states, one per generator, bit-identical to
+    `sample_induced_state`: each trial draws and forms its own Gram product;
+    normalization and hermitization run once over the stack."""
+    return _hermitize_stack(_trace_normalized(np.stack([_wishart(n, s, g) for g in gens])))
+
+
+def _centered_induced_states(n: int, s: int, gens) -> np.ndarray:
+    """Stack of rho - Id/n for the induced states of `_induced_states`."""
+    return traceless_part(_induced_states(n, s, gens))
 
 
 def sample_uniform_state(n: int, stream, dims: ProductDims | None = None) -> DensityMatrix:

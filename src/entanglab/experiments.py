@@ -24,15 +24,15 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, _require_int
 from .ensembles import (
-    _trace_normalized,
-    _wishart,
+    _centered_induced_states,
+    _gue0_states,
+    _induced_states,
     coupled_local_projection,
     coupled_partial_trace,
-    sample_gue0,
 )
 from .io import write_csv, write_sidecar
-from .linalg import ProductDims, _hermitize_stack, hs_norm, traceless_part
-from .rng import SeededStream, trial_chunks
+from .linalg import ProductDims, _hermitize_stack, hs_norm
+from .rng import SeededStream, chunk_map, split_stream, trial_chunks
 from .separability import (
     EXACT_DIMS,
     PPT_EIGENVALUE_TOL,
@@ -66,37 +66,12 @@ __all__ = [
 SPECTRAL_HEADER = ["trial", "n", "s", "ensemble", "dinf", "alpha", "beta", "lambda_max", "lambda_min"]
 
 
-def _induced_states(n: int, s: int, gens) -> np.ndarray:
-    """Stack of induced states, one per generator, bit-identical to
-    `sample_induced_state`: each trial draws and forms its own Gram product;
-    normalization and hermitization run once over the stack."""
-    return _hermitize_stack(_trace_normalized(np.stack([_wishart(n, s, g) for g in gens])))
-
-
-def _centered_induced_states(n: int, s: int, gens) -> np.ndarray:
-    """Stack of rho - Id/n for the induced states of `_induced_states`."""
-    return traceless_part(_induced_states(n, s, gens))
-
-
-def _gue0_states(n: int, gens) -> np.ndarray:
-    """Stack of trace-zero GUE matrices, one `sample_gue0` draw per generator."""
-    return np.stack([sample_gue0(n, g) for g in gens])
-
-
-def split_stream(stream, parts: int) -> list:
-    """Independent sub-sources for the distinct sampling phases of one
-    experiment. (An experiment derives its per-trial streams from these,
-    never from the parent directly.)"""
-    if isinstance(stream, np.random.Generator):
-        return [stream] * parts
-    if isinstance(stream, (int, np.integer)):
-        stream = SeededStream(int(stream))
-    return [stream.substream(i) for i in range(parts)]
-
-
 def _body_gauge(body: str, dims: ProductDims):
-    """Gauge ||A||_K of each traceless direction in a stack. At 2x2 the
-    separable body s0 is the PPT body, so both read the PPT closed form."""
+    """Gauge ||A||_K of each traceless direction in a stack. At 2x2 and 2x3
+    the separable body s0 is the PPT body, so both read the PPT closed form;
+    s0 is refused on other dims."""
+    if body == "s0":
+        _require_exact_dims(dims)
     if body == "d0":
         return lambda A: _state_gauge(_hermitize_stack(A))
     if body == "hs":
@@ -222,6 +197,8 @@ def _check_scan(raw: dict, kw: dict) -> None:
         if not all(isinstance(v, int) for v in (start, stop, step)) or step < 1:
             raise ConfigError("'s_values' range needs integer start/stop and step >= 1")
         values = tuple(range(start, stop + 1, step))
+        if not values:
+            raise ConfigError(f"'s_values' range {start}:{stop}:{step} is empty")
     elif isinstance(sv, list) and sv and all(isinstance(v, int) for v in sv):
         values = tuple(sv)
     else:
@@ -293,12 +270,6 @@ class ConcentrationSummary:
         return self.at_s.std / self.at_4s.std
 
 
-def _gauge_samples(states, n: int, trials: int, stream, gauge) -> np.ndarray:
-    """Batched gauge of `trials` matrices on C^n, stacked chunk by chunk by
-    states(gens)."""
-    return np.concatenate([gauge(states(gens)) for gens in trial_chunks(stream, trials, n)])
-
-
 def concentration_experiment(
     d: int, s: int, trials: int, stream, body: str = "s0", gauge_tol: float = 1e-8
 ) -> ConcentrationSummary:
@@ -307,14 +278,12 @@ def concentration_experiment(
     `gauge_tol` is unused: every body's gauge, s0 included, is exact.
     """
     dims = ProductDims((d, d))
-    if body == "s0" and dims.factors != (2, 2):
-        raise ValueError("body 's0' needs the exact gauge, available only at d = 2")
     gauge = _body_gauge(body, dims)
     subs = split_stream(stream, 2)
     pts = []
     for sub, s_val in zip(subs, (s, 4 * s)):
-        vals = _gauge_samples(partial(_centered_induced_states, dims.n, s_val),
-                              dims.n, trials, sub, gauge)
+        vals = chunk_map(lambda gens: gauge(_centered_induced_states(dims.n, s_val, gens)),
+                         sub, trials, dims.n)
         est = from_samples(vals)
         pts.append(
             ConcentrationPoint(
@@ -337,8 +306,7 @@ def _check_concentration(raw: dict, kw: dict) -> None:
     body = raw.get("body", "s0" if kw["d"] == 2 else "ppt0")
     if body not in ("s0", "d0", "ppt0"):
         raise ConfigError("'body' must be one of s0, d0, ppt0")
-    if body == "s0" and kw["d"] != 2:
-        raise ConfigError("body 's0' needs the exact gauge, available only at d = 2")
+    _body_gauge(body, ProductDims((kw["d"], kw["d"])))
     kw["body"] = body
 
 
@@ -361,6 +329,17 @@ class RatioResult:
     gue_stderr: float
 
 
+def _gue_approx_dims(n: int, body: str) -> ProductDims:
+    """The factors of C^n that the body's gauge reads: d x d for the PPT and
+    separable bodies, which need n = d^2, and C^n itself otherwise."""
+    if body not in ("ppt0", "s0"):
+        return ProductDims((n,))
+    d = math.isqrt(n)
+    if d * d != n:
+        raise ValueError(f"body {body!r} requires n to be a perfect square")
+    return ProductDims((d, d))
+
+
 def gue_approx_experiment(n: int, s: int, body: str, trials: int, stream,
                           gauge_tol: float = 1e-8) -> RatioResult:
     """R(n, s) = n sqrt(s) E||rho - Id/n||_K / E||G||_K for the chosen body.
@@ -368,23 +347,11 @@ def gue_approx_experiment(n: int, s: int, body: str, trials: int, stream,
     Approaches 1 when both n and s/n are large; how fast depends on the body.
     `gauge_tol` is unused: every body's gauge, s0 included, is exact.
     """
-    if body == "s0" and n != 4:
-        raise ValueError("body 's0' requires n = 4")
-    if body == "ppt0":
-        d = math.isqrt(n)
-        if d * d != n:
-            raise ValueError("body 'ppt0' requires n to be a perfect square")
-        dims = ProductDims((d, d))
-    elif body == "s0":
-        dims = ProductDims((2, 2))
-    else:
-        dims = ProductDims((n,))
-    gauge = _body_gauge(body, dims)
-
+    gauge = _body_gauge(body, _gue_approx_dims(n, body))
     sub_state, sub_gue = split_stream(stream, 2)
-    num = from_samples(_gauge_samples(partial(_centered_induced_states, n, s),
-                                      n, trials, sub_state, gauge))
-    den = from_samples(_gauge_samples(partial(_gue0_states, n), n, trials, sub_gue, gauge))
+    num = from_samples(chunk_map(lambda gens: gauge(_centered_induced_states(n, s, gens)),
+                                 sub_state, trials, n))
+    den = from_samples(chunk_map(lambda gens: gauge(_gue0_states(n, gens)), sub_gue, trials, n))
     ratio = n * math.sqrt(s) * num.mean / den.mean
     rel = math.hypot(num.stderr / num.mean, den.stderr / den.mean)
     return RatioResult(
@@ -405,12 +372,7 @@ def _check_gue_approx(raw: dict, kw: dict) -> None:
     body = raw.get("body")
     if body not in ("d0", "ppt0", "hs", "s0"):
         raise ConfigError("'body' must be one of d0, ppt0, hs, s0")
-    if body == "s0" and kw["n"] != 4:
-        raise ConfigError("body 's0' requires n = 4")
-    if body == "ppt0":
-        root = round(kw["n"] ** 0.5)
-        if root * root != kw["n"]:
-            raise ConfigError("body 'ppt0' requires n to be a perfect square")
+    _body_gauge(body, _gue_approx_dims(kw["n"], body))
     kw["body"] = body
 
 
@@ -559,9 +521,7 @@ def spectral_rows(ensemble: str, n: int, s: int | None, trials: int, stream) -> 
 
     gue0 = ensemble == "gue0"
     draw = partial(_gue0_states, n) if gue0 else partial(_centered_induced_states, n, s)
-    lams = np.concatenate(
-        [np.linalg.eigvalsh(draw(gens)) for gens in trial_chunks(stream, trials, n)]
-    )
+    lams = chunk_map(lambda gens: np.linalg.eigvalsh(draw(gens)), stream, trials, n)
     lams = lams / math.sqrt(n) if gue0 else lams * math.sqrt(n * s)
     s_col = "" if gue0 else s
     return [
@@ -649,12 +609,15 @@ EXPERIMENTS = {
 
 def _effective_seed(config: ExperimentConfig) -> tuple[int, bool]:
     env = os.environ.get("ENTANGLAB_SEED")
-    if env is not None:
-        try:
-            return int(env), True
-        except ValueError as exc:
-            raise ConfigError(f"ENTANGLAB_SEED must be an integer, got {env!r}") from exc
-    return config.master_seed, False
+    if env is None:
+        return config.master_seed, False
+    try:
+        seed = int(env)
+        if seed < 0:
+            raise ValueError
+    except ValueError as exc:
+        raise ConfigError(f"ENTANGLAB_SEED must be a non-negative integer, got {env!r}") from exc
+    return seed, True
 
 
 def run_config(path: str, output_override: str | None = None) -> int:

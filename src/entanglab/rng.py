@@ -53,15 +53,20 @@ class SeededStream:
         )
 
 
+def _as_stream(stream) -> SeededStream | np.random.Generator:
+    """A SeededStream or a Generator as given; an int master seed as its
+    SeededStream."""
+    if isinstance(stream, (int, np.integer)):
+        return SeededStream(int(stream))
+    if isinstance(stream, (SeededStream, np.random.Generator)):
+        return stream
+    raise TypeError(f"cannot interpret {type(stream).__name__} as a random stream")
+
+
 def as_generator(stream) -> np.random.Generator:
     """Accept a SeededStream, a Generator, or an int master seed."""
-    if isinstance(stream, np.random.Generator):
-        return stream
-    if isinstance(stream, SeededStream):
-        return stream.generator()
-    if isinstance(stream, (int, np.integer)):
-        return SeededStream(int(stream)).generator()
-    raise TypeError(f"cannot interpret {type(stream).__name__} as a random stream")
+    stream = _as_stream(stream)
+    return stream if isinstance(stream, np.random.Generator) else stream.generator()
 
 
 def trial_generators(stream, trials: int):
@@ -71,16 +76,22 @@ def trial_generators(stream, trials: int):
     so trials can be computed in any order or concurrently. A raw Generator
     is reused sequentially.
     """
-    if isinstance(stream, np.random.Generator):
-        for _ in range(trials):
-            yield stream
-        return
-    if isinstance(stream, (int, np.integer)):
-        stream = SeededStream(int(stream))
-    if not isinstance(stream, SeededStream):
-        raise TypeError(f"cannot interpret {type(stream).__name__} as a random stream")
+    stream = _as_stream(stream)
     for t in range(trials):
-        yield stream.substream(t).generator()
+        if isinstance(stream, np.random.Generator):
+            yield stream
+        else:
+            yield stream.substream(t).generator()
+
+
+def split_stream(stream, parts: int) -> list:
+    """Independent sub-sources for the distinct sampling phases of one
+    experiment. (An experiment derives its per-trial streams from these,
+    never from the parent directly.)"""
+    stream = _as_stream(stream)
+    if isinstance(stream, np.random.Generator):
+        return [stream] * parts
+    return [stream.substream(i) for i in range(parts)]
 
 
 def trial_chunks(stream, trials: int, n: int):
@@ -91,3 +102,9 @@ def trial_chunks(stream, trials: int, n: int):
     gens = trial_generators(stream, trials)
     while chunk := list(islice(gens, size)):
         yield chunk
+
+
+def chunk_map(f, stream, trials: int, n: int) -> np.ndarray:
+    """f(gens) over the chunks of `trial_chunks`, concatenated: one value
+    per trial, evaluated once per stacked chunk."""
+    return np.concatenate([f(gens) for gens in trial_chunks(stream, trials, n)])

@@ -20,10 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import sample_gue0
+from .ensembles import _gue0_states, sample_gue0
 from .geometry import gamma_m
 from .linalg import ProductDims, partial_transpose
-from .rng import trial_chunks, trial_generators
+from .rng import SeededStream, _as_stream, chunk_map, trial_generators
 from .separability import (
     UnsupportedDimensionError,
     _ppt_gauge,
@@ -196,9 +196,7 @@ def width_duality_check(dims: ProductDims, trials: int, stream) -> DualityCheck:
         )
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    G = np.empty((trials, 4, 4), dtype=complex)
-    for i, rng in enumerate(trial_generators(stream, trials)):
-        G[i] = sample_gue0(4, rng)
+    G = _gue0_states(4, trial_generators(stream, trials))
 
     gauges = _gauge_sym_qubit_pair(G)
     support_vals = _certified_sym_support(G, gauges)
@@ -257,18 +255,11 @@ def symmetrization_volume_ratio(m: int, points: int, stream) -> SymmetrizationRe
     of mass, estimated by hit-or-miss sampling."""
     if not 2 <= m <= 4:
         raise ValueError("simplex dimension m must be in {2, 3, 4}")
-    from .rng import SeededStream, as_generator
-
-    base = stream if isinstance(stream, SeededStream) else None
-    if base is None and isinstance(stream, (int, np.integer)):
-        base = SeededStream(int(stream))
+    base = _as_stream(stream)
+    seeded = isinstance(base, SeededStream)
     resamples = 0
     while True:
-        rng = (
-            base.substream(resamples).generator()
-            if base is not None
-            else as_generator(stream)
-        )
+        rng = base.substream(resamples).generator() if seeded else base
         verts = rng.standard_normal((m + 1, m))
         verts -= verts.mean(axis=0)  # center of mass of a simplex = vertex mean
         vol = abs(np.linalg.det(verts[1:] - verts[0])) / math.factorial(m)
@@ -289,7 +280,7 @@ def symmetrization_volume_ratio(m: int, points: int, stream) -> SymmetrizationRe
         b = inv @ np.append(y, 1.0)
         return bool(np.all(b >= -1e-12))
 
-    sub = base.substream(10 ** 6) if base is not None else stream
+    sub = base.substream(10 ** 6) if seeded else base
     ratio, se = mc_intersection_ratio(sample_point, contains, points, sub)
     return SymmetrizationResult(ratio, se, 2.0 ** (-m), points, resamples, seed=str(stream))
 
@@ -331,10 +322,7 @@ def ppt_threshold_estimate(d: int, trials: int, stream) -> PPTThresholdResult:
         raise ValueError("trials must be >= 1")
     dims = ProductDims((d, d))
     n = dims.n
-    vals = np.concatenate([
-        _ppt_gauge(np.stack([sample_gue0(n, rng) for rng in gens]), dims)
-        for gens in trial_chunks(stream, trials, n)
-    ])
+    vals = chunk_map(lambda gens: _ppt_gauge(_gue0_states(n, gens), dims), stream, trials, n)
     mean_est = from_samples(vals, seed=str(stream))
     d2 = float(d * d)
     thr = Estimate(

@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 import entanglab
+import entanglab.rng
 from entanglab.cli import _build_parser, main
 from entanglab.config import ConfigError, ExperimentConfig
+from entanglab.ensembles import sample_gue0
 from entanglab.experiments import EXPERIMENTS
+from entanglab.geometry import gamma_m, vrad_states
 from entanglab.io import (
     format_value,
     read_matrix_records,
@@ -20,6 +23,8 @@ from entanglab.io import (
     write_csv,
     write_matrix_records,
 )
+from entanglab.rng import SeededStream, trial_generators
+from entanglab.stats import from_samples
 
 def test_format_value():
     assert format_value(0.5) == "0.5"
@@ -130,6 +135,38 @@ def test_cli_geometry_checks(tmp_path, capsys):
                "--points", "2000", "--seed", "2"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["ratio"] >= payload["threshold"]
+
+
+def test_cli_urysohn_matches_per_trial_reference(tmp_path, monkeypatch):
+    # batched lambda_max over chunks of any size against one eigensolve per
+    # trial: the same JSON, bit for bit
+    n, trials, seed = 3, 7, 5
+    tops = [float(np.linalg.eigvalsh(sample_gue0(n, rng))[-1])
+            for rng in trial_generators(SeededStream(seed), trials)]
+    est, gm, v = from_samples(tops), gamma_m(n * n - 1), vrad_states(n)
+    expected = {"check": "urysohn", "seed": seed, "n": n, "trials": trials, "vrad": v,
+                "width": est.mean / gm, "width_stderr": est.stderr / gm,
+                "passed": bool(v <= est.mean / gm + 3 * est.stderr / gm)}
+    out = tmp_path / "urysohn.json"
+    for chunk in (1, 2, trials - 1, trials, trials + 1):
+        monkeypatch.setattr(entanglab.rng, "_CHUNK_BYTES", chunk * 16 * n * n)
+        assert main(["geometry", "--check", "urysohn", "--n", str(n), "--trials", str(trials),
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == expected, chunk
+
+
+@pytest.mark.parametrize("raw", [
+    {"experiment": "concentration", "d": 3, "s": 4, "body": "s0"},
+    {"experiment": "gue-approx", "n": 6, "s": 4, "body": "ppt0"},
+])
+def test_run_reports_body_dims_rules_as_config_errors(tmp_path, capsys, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**raw, "trials": 3, "master_seed": 1,
+                               "output": str(tmp_path / "x")}))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_cli_scan_threshold_and_run(tmp_path):
@@ -271,6 +308,10 @@ def test_cli_experiment_flags_follow_config_rules(tmp_path, capsys):
     assert main(["monotonicity", "--mode", "projection", "--d", "3", "--s", "4",
                  "--out", str(tmp_path / "mono")]) == 2
     assert "partial-trace" in capsys.readouterr().err
+    # an empty s_values range, as in a config file
+    assert main(["scan-threshold", "--dims", "2,2", "--criterion", "ppt", "--s-values", "9:3",
+                 "--out", str(tmp_path / "scan")]) == 2
+    assert "empty" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -19,7 +19,7 @@ from entanglab.ensembles import (
 )
 from entanglab.geometry import log_znorm
 from entanglab.linalg import ProductDims, hs_norm
-from entanglab.rng import SeededStream, as_generator, trial_generators
+from entanglab.rng import SeededStream, as_generator, split_stream, trial_generators
 from entanglab.separability import is_separable_exact
 
 
@@ -48,6 +48,30 @@ def test_substreams_are_distinct():
         SeededStream(-1)
     with pytest.raises(TypeError):
         as_generator("not a stream")
+
+
+STREAM_TAKERS = {
+    "as_generator": lambda stream: [as_generator(stream)],
+    "trial_generators": lambda stream: list(trial_generators(stream, 3)),
+    "split_stream": lambda stream: split_stream(stream, 3),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(STREAM_TAKERS))
+def test_stream_coercion(taker):
+    take = STREAM_TAKERS[taker]
+
+    def draws(sources):
+        return [as_generator(src).standard_normal(3).tobytes() for src in sources]
+
+    # an int k is SeededStream(k)
+    assert draws(take(7)) == draws(take(np.int64(7))) == draws(take(SeededStream(7)))
+    # a raw Generator is shared, not copied
+    rng = np.random.default_rng(7)
+    assert all(src is rng for src in take(rng))
+    for bad in (3.5, "7"):
+        with pytest.raises(TypeError):
+            take(bad)
 
 
 def test_trial_generators_match_substreams():

@@ -2,7 +2,6 @@ import importlib.metadata
 import json
 import math
 import os
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ import entanglab.experiments as exps
 import entanglab.rng
 from entanglab.config import ConfigError, ExperimentConfig
 from entanglab.ensembles import (
+    _centered_induced_states,
+    _induced_states,
     coupled_local_projection,
     coupled_partial_trace,
     sample_gue0,
@@ -29,11 +30,10 @@ from entanglab.experiments import (
     projection_monotonicity,
     run_config,
     spectral_rows,
-    split_stream,
     threshold_scan,
 )
 from entanglab.linalg import ProductDims, hs_norm
-from entanglab.rng import SeededStream, trial_generators
+from entanglab.rng import SeededStream, chunk_map, split_stream, trial_generators
 from entanglab.separability import (
     PPT_EIGENVALUE_TOL,
     gauge_ppt,
@@ -85,6 +85,8 @@ def test_config_s_values_range_form():
         make_config(s_values=[0, 4])
     with pytest.raises(ConfigError):
         make_config(s_values={"start": 1, "stop": 4, "step": 0})
+    with pytest.raises(ConfigError, match="empty"):
+        make_config(s_values={"start": 9, "stop": 3})
 
 
 def test_config_digest_is_canonical():
@@ -373,14 +375,15 @@ def test_engine_scan_and_gauges_match_per_trial_reference(monkeypatch, dims, tri
     expected = ScanPoint(s, trials, k, k / trials, *wilson_interval(k, trials))
     assert exps._scan_point(pd, s, trials, criterion, new()) == expected
 
-    states = exps._induced_states(pd.n, s, list(trial_generators(new(), trials)))
+    states = _induced_states(pd.n, s, list(trial_generators(new(), trials)))
     ref = [min_pt_eigenvalue(sample_induced_state(pd.n, s, g, dims=pd))
            for g in trial_generators(new(), trials)]
     assert exps._min_pt(states, pd).tolist() == ref
 
     for body, gauge in public_gauges(pd).items():
-        draw = partial(exps._centered_induced_states, pd.n, s)
-        got = exps._gauge_samples(draw, pd.n, trials, new(), exps._body_gauge(body, pd))
+        gauge_of = exps._body_gauge(body, pd)
+        got = chunk_map(lambda gens: gauge_of(_centered_induced_states(pd.n, s, gens)),
+                        new(), trials, pd.n)
         assert got.tobytes() == reference_gauges(pd.n, s, trials, new(), gauge).tobytes(), body
 
 
@@ -502,6 +505,16 @@ def test_run_config_env_seed_override(tmp_path, monkeypatch):
     assert (tmp_path / "b.csv").read_bytes() != base
     meta = json.loads((tmp_path / "b.meta.json").read_text())
     assert meta["seed_overridden_by_env"] is True and meta["master_seed"] == 2
+
+
+@pytest.mark.parametrize("env", ["-3", "x"])
+def test_run_config_rejects_bad_env_seed(tmp_path, monkeypatch, capsys, env):
+    monkeypatch.setenv("ENTANGLAB_SEED", env)
+    path = write_config(tmp_path, {"experiment": "spectral", "ensemble": "gue0", "n": 4,
+                                   "trials": 2, "master_seed": 1, "output": str(tmp_path / "a")})
+    assert run_config(path) == 2
+    assert capsys.readouterr().err.startswith("config error: ENTANGLAB_SEED must be a non-negative")
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_run_config_error_paths(tmp_path, capsys):
