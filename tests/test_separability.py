@@ -141,18 +141,28 @@ def test_gauge_separable_werner():
     assert gauge_separable(np.zeros((4, 4)), DIMS22) == GaugeResult(0.0, 0.0, 0)
 
 
+def test_gauge_separable_matches_ppt_closed_form():
+    # at 2x2 and 2x3 the gauge must land where the independent membership
+    # bisection does
+    rng = np.random.default_rng(3)
+    for dims in ((2, 2), (2, 3)):
+        pd = ProductDims(dims)
+        for _ in range(25):
+            A = random_traceless(rng, pd.n)
+            res = gauge_separable(A, pd, tol=1e-10)
+            assert res.value == pytest.approx(separable_bisection_gauge_oracle(A, pd), rel=1e-8)
+    with pytest.raises(UnsupportedDimensionError):
+        gauge_separable(random_traceless(rng, 9), ProductDims((3, 3)))
+
+
 def test_closed_form_gauges_match_bisection_oracle():
-    # at 2x2 and 2x3 the closed forms must land where the independent
-    # membership bisection does, on Hermitian and on GUE-drawn directions
     from entanglab.separability import _ppt_gauge, _ppt_gauge_sym
     from entanglab.widths import _gauge_sym_qubit_pair
 
     rng = np.random.default_rng(33)
-    gue = [sample_gue0(4, r) for r in trial_generators(SeededStream(9), 25)]
     for dims in ((2, 2), (2, 3)):
         pd = ProductDims(dims)
-        directions = [random_traceless(rng, pd.n) for _ in range(15)]
-        stack = np.stack(directions + gue if dims == (2, 2) else directions)
+        stack = np.stack([random_traceless(rng, pd.n) for _ in range(15)])
         one_sided = _ppt_gauge(stack, pd)
         sym = _gauge_sym_qubit_pair(stack) if dims == (2, 2) else _ppt_gauge_sym(stack, pd)
         for A, g_batch, s_batch in zip(stack, one_sided, sym):
@@ -162,8 +172,6 @@ def test_closed_form_gauges_match_bisection_oracle():
             assert g_batch == pytest.approx(plus, rel=1e-8)
             assert gauge_separable_sym(A, pd).value == pytest.approx(both, rel=1e-8)
             assert s_batch == pytest.approx(both, rel=1e-8)
-    with pytest.raises(UnsupportedDimensionError):
-        gauge_separable(random_traceless(rng, 9), ProductDims((3, 3)))
 
 
 def test_gauge_chain_and_scaling():

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import separable_bisection_gauge_oracle
 
 import entanglab.rng
 from entanglab.ensembles import sample_gue0
 from entanglab.geometry import gamma_m, vrad_states
 from entanglab.linalg import ProductDims
 from entanglab.rng import SeededStream, trial_generators
-from entanglab.separability import gauge_ppt, gauge_states, mean_gauge_gue
+from entanglab.separability import gauge_ppt, gauge_separable_sym, gauge_states, mean_gauge_gue
 from entanglab.stats import from_samples
 from entanglab.widths import (
     SupportOracle,
@@ -19,6 +20,7 @@ from entanglab.widths import (
     separable_width,
     symmetrization_volume_ratio,
     width_duality_check,
+    _gauge_sym_qubit_pair,
 )
 
 
@@ -90,6 +92,17 @@ def test_separable_width_three_factors_smoke():
 
 
 # -- duality ------------------------------------------------------------------------
+
+
+def test_gauge_sym_batch_matches_bisection():
+    dims = ProductDims((2, 2))
+    G = np.stack([sample_gue0(4, r) for r in trial_generators(SeededStream(9), 25)])
+    batch = _gauge_sym_qubit_pair(G)
+    for i in range(G.shape[0]):
+        slow = max(separable_bisection_gauge_oracle(G[i], dims),
+                   separable_bisection_gauge_oracle(-G[i], dims))
+        assert batch[i] == pytest.approx(slow, rel=1e-8)
+        assert gauge_separable_sym(G[i], dims, tol=1e-10).value == pytest.approx(slow, rel=1e-8)
 
 
 def test_width_duality_check():
