@@ -12,6 +12,20 @@ Conventions:
     for an n x s Ginibre A, which costs O(n^2 s) instead of the O((ns)^2) of
     tracing an explicit pure state; both give the same distribution. s = n is
     the uniform (Hilbert-Schmidt) distribution on states.
+
+Draws: each trial makes only its own generator calls, and everything else
+runs in buffers of the chunk of trials it belongs to. A Ginibre draw fills
+the float view of a scratch n x s complex buffer with all 2ns normals in one
+call (real parts, then imaginary parts) and scales them into the real and
+imaginary views of the draw by the rounded reciprocal 1/sqrt(2). That product
+is what numpy computes for a complex array divided by np.sqrt(2), so the
+bytes equal those of the formula (re + 1j*im) / np.sqrt(2); dividing the
+views by sqrt(2) would round differently. The conjugate then overwrites the
+scratch buffer and the Gram product is written straight into the chunk's
+stack. A GUE chunk draws every generator's diagonal and off-diagonal normals
+into rows of one array and builds the triangle, Hermitian completion,
+diagonal and traceless projection once for the whole stack. The public
+samplers run the same kernels on a chunk of one.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ import numpy as np
 
 from .geometry import log_znorm
 from .linalg import ProductDims, _hermitize_stack, hermitize, partial_trace, traceless_part
-from .rng import SeededStream, as_generator
+from .rng import SeededStream, _as_stream, as_generator
 
 __all__ = [
     "DensityMatrix",
@@ -40,6 +54,7 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-12
+_INV_SQRT2 = 1 / np.sqrt(2)  # see the module docstring
 
 
 @dataclass(frozen=True)
@@ -100,15 +115,7 @@ def sample_gue(n: int, stream) -> np.ndarray:
     """Standard Gaussian self-adjoint n x n matrix (E ||A||_HS^2 = n^2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = as_generator(stream)
-    diag = rng.standard_normal(n)
-    off = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    A = np.zeros((n, n), dtype=complex)
-    iu = np.triu_indices(n, k=1)
-    A[iu] = off[iu]
-    A = A + A.conj().T
-    A[np.diag_indices(n)] = diag
-    return A
+    return _gue_states(n, [as_generator(stream)])[0]
 
 
 def sample_gue0(n: int, stream) -> np.ndarray:
@@ -116,45 +123,84 @@ def sample_gue0(n: int, stream) -> np.ndarray:
     return traceless_part(sample_gue(n, stream))
 
 
+def _gue_states(n: int, gens) -> np.ndarray:
+    """Stack of GUE matrices, one per generator. Each generator draws its
+    diagonal and then the real and imaginary parts of a full n x n
+    off-diagonal block, in one call into its row of the chunk; the strict
+    upper triangle, the Hermitian completion and the diagonal are then
+    assembled once for the whole stack."""
+    gens = list(gens)
+    raw = np.empty((len(gens), n + 2 * n * n))
+    for row, rng in zip(raw, gens):
+        rng.standard_normal(out=row)
+    parts = raw[:, n:].reshape(-1, 2, n, n)
+    G = np.empty((len(gens), n, n), dtype=complex)
+    np.multiply(parts[:, 0], _INV_SQRT2, out=G.real)
+    np.multiply(parts[:, 1], _INV_SQRT2, out=G.imag)
+    G[:, np.tri(n, dtype=bool)] = 0  # keep the strict upper triangle
+    G += np.swapaxes(G.conj(), -1, -2)
+    i = np.arange(n)
+    G[:, i, i] = raw[:, :n]
+    return G
+
+
 def _gue0_states(n: int, gens) -> np.ndarray:
-    """Stack of trace-zero GUE matrices, one `sample_gue0` draw per generator."""
-    return np.stack([sample_gue0(n, g) for g in gens])
+    """Stack of trace-zero GUE matrices, bit-identical to `sample_gue0` of
+    each generator."""
+    return traceless_part(_gue_states(n, gens))
+
+
+def _ginibre_into(A: np.ndarray, Ac: np.ndarray, rng: np.random.Generator) -> None:
+    """Draw one Ginibre matrix into A and its conjugate into Ac (both n x s
+    complex). The 2ns normals (real parts, then imaginary parts) land in
+    Ac's float view before it is overwritten by the conjugate."""
+    raw = Ac.view(np.float64).reshape(2, *A.shape)
+    rng.standard_normal(out=raw)
+    np.multiply(raw[0], _INV_SQRT2, out=A.real)
+    np.multiply(raw[1], _INV_SQRT2, out=A.imag)
+    np.conjugate(A, out=Ac)
 
 
 def sample_ginibre(n: int, s: int, stream) -> np.ndarray:
     """n x s matrix of i.i.d. N_C(0,1) entries."""
     if n < 1 or s < 1:
         raise ValueError("n and s must be >= 1")
-    rng = as_generator(stream)
-    return (rng.standard_normal((n, s)) + 1j * rng.standard_normal((n, s))) / np.sqrt(2)
+    A = np.empty((n, s), dtype=complex)
+    _ginibre_into(A, np.empty_like(A), as_generator(stream))
+    return A
 
 
 def sample_induced_state(
     n: int, s: int, stream, dims: ProductDims | None = None
 ) -> DensityMatrix:
     """Random state on C^n induced by an s-dimensional environment."""
-    rho = _trace_normalized(_wishart(n, s, stream))
+    if n < 1 or s < 1:
+        raise ValueError("n and s must be >= 1")
+    rho = _induced_states(n, s, [as_generator(stream)])[0]
     if dims is None and n >= 2:
         dims = ProductDims((n,))
     return DensityMatrix(dims, rho)
 
 
-def _wishart(n: int, s: int, stream) -> np.ndarray:
-    """Unnormalized induced state A A^dagger of one n x s Ginibre draw."""
-    A = sample_ginibre(n, s, stream)
-    return A @ A.conj().T
-
-
-def _trace_normalized(W: np.ndarray) -> np.ndarray:
-    """W / tr W, for one matrix or each matrix of a stack (..., n, n)."""
-    return W / np.trace(W, axis1=-2, axis2=-1).real[..., None, None]
+def _wishart_stack(n: int, s: int, gens: list) -> np.ndarray:
+    """Gram products A A^dagger, one Ginibre draw per generator. Every trial
+    draws into the same two n x s buffers and writes its product straight
+    into its slot of the stack; the buffers are freed on return."""
+    A = np.empty((n, s), dtype=complex)
+    Ac = np.empty_like(A)
+    W = np.empty((len(gens), n, n), dtype=complex)
+    for Wk, rng in zip(W, gens):
+        _ginibre_into(A, Ac, rng)
+        np.matmul(A, Ac.T, out=Wk)
+    return W
 
 
 def _induced_states(n: int, s: int, gens) -> np.ndarray:
-    """Stack of induced states, one per generator, bit-identical to
-    `sample_induced_state`: each trial draws and forms its own Gram product;
-    normalization and hermitization run once over the stack."""
-    return _hermitize_stack(_trace_normalized(np.stack([_wishart(n, s, g) for g in gens])))
+    """Stack of induced states, one per generator: normalization and
+    hermitization run once over the stack of Gram products."""
+    W = _wishart_stack(n, s, list(gens))
+    W /= np.trace(W, axis1=-2, axis2=-1).real[:, None, None]
+    return _hermitize_stack(W)
 
 
 def _centered_induced_states(n: int, s: int, gens) -> np.ndarray:
@@ -209,8 +255,8 @@ def coupled_local_projection(d1: int, d2: int, s: int, stream) -> CoupledPair:
         raise ValueError("s must be >= 1")
 
     rows = [i * d2 + j for i in range(d1) for j in range(d1)]
-    seeded = stream if isinstance(stream, SeededStream) else None
-    rng = as_generator(stream)
+    base = _as_stream(stream)
+    rng = as_generator(base)
     attempt = 0
     while True:
         A = sample_ginibre(d2 * d2, s, rng)
@@ -221,10 +267,11 @@ def coupled_local_projection(d1: int, d2: int, s: int, stream) -> CoupledPair:
             break
         # Measure-zero degenerate compression: move to a fresh substream.
         attempt += 1
-        if seeded is not None:
-            rng = seeded.substream(attempt).generator()
+        if isinstance(base, SeededStream):
+            rng = base.substream(attempt).generator()
 
-    large = DensityMatrix(ProductDims((d2, d2)), _trace_normalized(A @ A.conj().T))
+    wA = A @ A.conj().T
+    large = DensityMatrix(ProductDims((d2, d2)), wA / float(np.trace(wA).real))
     small = DensityMatrix(ProductDims((d1, d1)), wB / trB)
     return CoupledPair(large, small, resamples=attempt)
 

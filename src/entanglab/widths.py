@@ -238,13 +238,17 @@ class SymmetrizationResult:
         return self.ratio >= self.threshold * (1.0 - 3.0 * self.stderr / max(self.ratio, 1e-300))
 
 
-def mc_intersection_ratio(sample_point, contains_negated, points: int, stream) -> tuple[float, float]:
-    """Fraction of uniform points x of K with -x in K, with binomial SE."""
-    hits = 0
-    for rng in trial_generators(stream, points):
-        x = sample_point(rng)
-        if contains_negated(-x):
-            hits += 1
+def mc_intersection_ratio(sample_points, contains_negated, points: int, stream) -> tuple[float, float]:
+    """Fraction of uniform points x of K with -x in K, with binomial SE.
+
+    `sample_points(gens)` draws one point of K per generator, as the rows of
+    one array; `contains_negated(Y)` tests every row of a stack for
+    membership in K. Both run once per chunk of points.
+    """
+    # Chunks sized as for 1 x 1 matrices: 16384 points, a few hundred KiB.
+    hits = int(np.count_nonzero(
+        chunk_map(lambda gens: contains_negated(-sample_points(gens)), stream, points, 1)
+    ))
     p = hits / points
     se = math.sqrt(max(p * (1 - p), 1.0 / points) / points)
     return p, se
@@ -268,20 +272,19 @@ def symmetrization_volume_ratio(m: int, points: int, stream) -> SymmetrizationRe
             break
         resamples += 1
 
-    # barycentric membership: solve [verts^T; 1] b = [x; 1], need b >= 0
-    mat = np.vstack([verts.T, np.ones(m + 1)])
-    inv = np.linalg.inv(mat)
+    # barycentric membership: solve [verts^T; 1] b = [y; 1], need b >= 0
+    inv_t = np.linalg.inv(np.vstack([verts.T, np.ones(m + 1)])).T
+    alpha = np.ones(m + 1)
 
-    def sample_point(r):
-        w = r.dirichlet(np.ones(m + 1))
-        return w @ verts
+    def sample_points(gens):
+        return np.stack([r.dirichlet(alpha) for r in gens]) @ verts
 
-    def contains(y):
-        b = inv @ np.append(y, 1.0)
-        return bool(np.all(b >= -1e-12))
+    def contains(Y):
+        b = np.hstack([Y, np.ones((len(Y), 1))]) @ inv_t
+        return np.all(b >= -1e-12, axis=1)
 
     sub = base.substream(10 ** 6) if seeded else base
-    ratio, se = mc_intersection_ratio(sample_point, contains, points, sub)
+    ratio, se = mc_intersection_ratio(sample_points, contains, points, sub)
     return SymmetrizationResult(ratio, se, 2.0 ** (-m), points, resamples, seed=str(stream))
 
 

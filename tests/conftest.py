@@ -2,11 +2,21 @@
 
 import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import entanglab
 from entanglab.linalg import hs_norm
 from entanglab.separability import gauge_states
+
+
+def child_env() -> dict:
+    """Environment for a child Python that imports this checkout's entanglab."""
+    src = str(Path(entanglab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def pt_index_permutation(H, dims):

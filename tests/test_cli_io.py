@@ -1,13 +1,12 @@
 import argparse
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 import entanglab
 import entanglab.rng
@@ -357,16 +356,10 @@ sys.exit(max(statuses))
 """
 
 
-def _child_env() -> dict:
-    src = str(Path(entanglab.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-
-
 def test_cli_import_leaves_scipy_unloaded():
     code = ("import sys, entanglab.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
@@ -380,7 +373,7 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         {"experiment": "spectral", "ensemble": "gue0", "n": 6, "trials": 3,
          "master_seed": 1, "output": "run"}))
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(NO_SCIPY_RUNS)],
-                          cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     for name in ("spec.csv", "scan.csv", "ratio.csv", "conc.csv", "mono.csv", "run.csv"):

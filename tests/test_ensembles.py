@@ -1,12 +1,19 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from entanglab import ensembles
 from entanglab.ensembles import (
     DensityMatrix,
     EnsembleSpec,
+    _centered_induced_states,
+    _gue0_states,
+    _induced_states,
     coupled_local_projection,
     coupled_partial_trace,
     draw_ensemble,
@@ -80,6 +87,77 @@ def test_trial_generators_match_substreams():
     via_sub = [sample_gue(2, s.substream(i)) for i in range(3)]
     for a, b in zip(via_iter, via_sub):
         assert np.array_equal(a, b)
+
+
+# -- draw oracle ------------------------------------------------------------------
+# The documented draws, written out here rather than imported from the package:
+# every sampler, stacked or not, must reproduce them byte for byte.
+
+
+def _ginibre_oracle(n, s, rng):
+    re = rng.standard_normal((n, s))
+    im = rng.standard_normal((n, s))
+    return (re + 1j * im) / np.sqrt(2)
+
+
+def _gue_oracle(n, rng):
+    diag = rng.standard_normal(n)
+    off = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    A = np.zeros((n, n), dtype=complex)
+    iu = np.triu_indices(n, k=1)
+    A[iu] = off[iu]
+    A = A + A.conj().T
+    A[np.diag_indices(n)] = diag
+    return A
+
+
+def _traceless_oracle(A):
+    n = A.shape[0]
+    return A - np.trace(A) / n * np.eye(n, dtype=complex)
+
+
+def _induced_oracle(n, s, rng):
+    A = _ginibre_oracle(n, s, rng)
+    W = A @ A.conj().T
+    rho = W / np.trace(W).real
+    return (rho + rho.conj().T) / 2
+
+
+# name: (stacked sampler (n, s, gens), oracle of one trial (n, s, rng))
+STACKED_DRAWS = {
+    "induced": (_induced_states, _induced_oracle),
+    "centered_induced": (
+        _centered_induced_states, lambda n, s, rng: _traceless_oracle(_induced_oracle(n, s, rng))),
+    "gue0": (
+        lambda n, s, gens: _gue0_states(n, gens),
+        lambda n, s, rng: _traceless_oracle(_gue_oracle(n, rng))),
+}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 70)), min_size=2, max_size=2),
+       trials=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+@example(shapes=[(9, 2), (1, 70)], trials=3, seed=0)
+@example(shapes=[(2, 9), (9, 1)], trials=1, seed=1)
+def test_draws_match_documented_formulas(shapes, trials, seed):
+    # the second shape is drawn after the first, so a workspace left over
+    # from one call would show in the next
+    for k, (n, s) in enumerate(shapes):
+        sub = SeededStream(seed).substream(k)
+        for sample, oracle in (
+            (partial(sample_ginibre, n, s), partial(_ginibre_oracle, n, s)),
+            (partial(sample_gue, n), partial(_gue_oracle, n)),
+            (partial(sample_gue0, n), lambda rng: _traceless_oracle(_gue_oracle(n, rng))),
+            (lambda stream: sample_induced_state(n, s, stream).matrix, partial(_induced_oracle, n, s)),
+        ):
+            assert sample(sub).tobytes() == oracle(sub.generator()).tobytes()
+        for name, (stacked, oracle) in STACKED_DRAWS.items():
+            ref = [oracle(n, s, rng).tobytes() for rng in trial_generators(sub, trials)]
+            for size in sorted({1, 2, max(trials - 1, 1), trials + 1}):
+                gens = list(trial_generators(sub, trials))
+                got = np.concatenate([stacked(n, s, gens[i:i + size])
+                                      for i in range(0, trials, size)])
+                assert [x.tobytes() for x in got] == ref, (name, n, s, size)
 
 
 # -- GUE / Ginibre ----------------------------------------------------------------
@@ -268,6 +346,27 @@ def test_coupled_projection_traces_and_dims():
     assert abs(np.trace(pair.small.matrix) - 1) < 1e-12
     with pytest.raises(ValueError):
         coupled_local_projection(3, 2, 5, SeededStream(0))
+
+
+def test_coupled_projection_int_seed_resamples_like_its_stream(monkeypatch):
+    # a degenerate compression moves to substream(attempt) for an int seed
+    # exactly as for the SeededStream it stands for
+    real_draw = ensembles.sample_ginibre
+    degenerate = []
+
+    def draw(n, s, stream):
+        A = real_draw(n, s, stream)
+        return np.zeros_like(A) if degenerate and degenerate.pop() else A
+
+    monkeypatch.setattr(ensembles, "sample_ginibre", draw)
+    pairs = []
+    for stream in (7, SeededStream(7)):
+        degenerate.append(True)
+        pairs.append(coupled_local_projection(2, 3, 5, stream))
+    a, b = pairs
+    assert a.resamples == b.resamples == 1
+    assert a.large.matrix.tobytes() == b.large.matrix.tobytes()
+    assert a.small.matrix.tobytes() == b.small.matrix.tobytes()
 
 
 def test_coupled_projection_marginal_distribution():

@@ -123,14 +123,14 @@ def test_cross_polytope_ratio_is_one():
     # uniform sampling of the L1 ball: signed Dirichlet weights
     m = 3
 
-    def sample_point(rng):
-        w = rng.dirichlet(np.ones(m + 1))[:m]
-        return w * rng.choice([-1.0, 1.0], size=m)
+    def sample_points(gens):
+        return np.stack([rng.dirichlet(np.ones(m + 1))[:m] * rng.choice([-1.0, 1.0], size=m)
+                         for rng in gens])
 
-    def contains(y):
-        return float(np.abs(y).sum()) <= 1.0 + 1e-12
+    def contains(Y):
+        return np.abs(Y).sum(axis=1) <= 1.0 + 1e-12
 
-    ratio, _ = mc_intersection_ratio(sample_point, contains, 2000, SeededStream(12))
+    ratio, _ = mc_intersection_ratio(sample_points, contains, 2000, SeededStream(12))
     assert ratio == 1.0
 
 
@@ -161,13 +161,13 @@ def test_regular_triangle_ratio():
     mat = np.vstack([verts.T, np.ones(3)])
     inv = np.linalg.inv(mat)
 
-    def sample_point(rng):
-        return rng.dirichlet(np.ones(3)) @ verts
+    def sample_points(gens):
+        return np.stack([rng.dirichlet(np.ones(3)) for rng in gens]) @ verts
 
-    def contains(y):
-        return bool(np.all(inv @ np.append(y, 1.0) >= -1e-12))
+    def contains(Y):
+        return np.all(np.hstack([Y, np.ones((len(Y), 1))]) @ inv.T >= -1e-12, axis=1)
 
-    ratio, se = mc_intersection_ratio(sample_point, contains, 20000, SeededStream(22))
+    ratio, se = mc_intersection_ratio(sample_points, contains, 20000, SeededStream(22))
     assert abs(ratio - 2 / 3) <= 4 * se
     assert ratio >= 0.25
 
