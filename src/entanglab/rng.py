@@ -1,19 +1,29 @@
 """Deterministic random streams.
 
-A draw is addressed by (master_seed, stream_index). Stream states are derived
-through numpy's SeedSequence entropy mixing, so any trial of any sweep can be
-reproduced in isolation and trials can run concurrently without sharing
-generator state. Bit-exact reproducibility is promised for a fixed numpy/
-entanglab installation, not across library versions.
+A draw is addressed by (master_seed, stream_index). A stream's generator is
+numpy's PCG64 seeded through numpy's SeedSequence entropy mixing, so any trial
+of any sweep can be reproduced in isolation and trials can run concurrently
+without sharing generator state.
+
+Trial streams (`trial_generators`) are derived in blocks of up to _BLOCK
+trials by `_trial_seed_words`, a vectorized copy of SeedSequence's mixing:
+the words a block shares are mixed once, and only the trial index is mixed
+as an array. Each generator's state is bit-identical to that of
+`stream.substream(t).generator()`, and its `spawn` and pickling go through
+numpy's own SeedSequence. Bit-exact reproducibility is promised for a fixed
+numpy/entanglab installation, not across library versions; the property test
+comparing the two derivations fails loudly if numpy's SeedSequence changes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 import numpy.random  # numpy 2 imports it lazily, which would charge the first draw
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 __all__ = ["SeededStream", "as_generator"]
 
@@ -22,35 +32,135 @@ __all__ = ["SeededStream", "as_generator"]
 # 256 KiB the stack's temporaries stay within the peak of one large draw.
 _CHUNK_BYTES = 1 << 18
 
+# Trials whose seed words are derived at once: 128 KiB of words per block.
+_BLOCK = 4096
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size, hash and
+# mix constants, all arithmetic modulo 2**32.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
 
 @dataclass(frozen=True)
 class SeededStream:
-    """Address of one reproducible draw sequence."""
+    """Address of one reproducible draw sequence: non-negative integers."""
 
     master_seed: int
     stream_index: int = 0
     subpath: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be non-negative")
+        for name in ("master_seed", "stream_index"):
+            value = operator.index(getattr(self, name))
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative")
+            object.__setattr__(self, name, value)
+        subpath = tuple(map(operator.index, self.subpath))
+        if any(k < 0 for k in subpath):
+            raise ValueError("subpath entries must be non-negative")
+        object.__setattr__(self, "subpath", subpath)
+
+    def _seed_sequence(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence(
+            self.master_seed, spawn_key=(self.stream_index,) + self.subpath
+        )
 
     def generator(self) -> np.random.Generator:
-        key = (self.stream_index,) + tuple(self.subpath)
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=key)
-        return np.random.Generator(np.random.PCG64(seq))
+        return np.random.Generator(np.random.PCG64(self._seed_sequence()))
 
     def stream(self, index: int) -> "SeededStream":
         """Sibling stream `index` under the same master seed."""
-        return SeededStream(self.master_seed, int(index))
+        return SeededStream(self.master_seed, index)
 
     def substream(self, index: int) -> "SeededStream":
         """Child stream for nested loops (e.g. resampling inside a trial)."""
-        return SeededStream(
-            self.master_seed, self.stream_index, self.subpath + (int(index),)
-        )
+        return SeededStream(self.master_seed, self.stream_index, self.subpath + (index,))
+
+
+def _words(n: int) -> list[int]:
+    """SeedSequence's split of a non-negative int into 32-bit words, least
+    significant first."""
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash with its running constant, which starts at
+    `const` and is multiplied by `mult` on every call."""
+
+    def hash_(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hash_
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y."""
+    value = (_MIX_L * x & _M32) - _MIX_R * y & _M32
+    return value ^ value >> 16
+
+
+def _trial_seed_words(stream: SeededStream, start: int, stop: int) -> np.ndarray:
+    """PCG64 seed words of trials start..stop-1 under `stream`: row i is
+    `stream.substream(start + i)`'s SeedSequence `.generate_state(4, uint64)`.
+
+    This is SeedSequence's mix_entropy and generate_state over the entropy
+    words [master seed padded to the pool size, stream index, subpath, t]. The
+    words are Python ints except t, a uint32 array that the arithmetic
+    broadcasts over; the shared words mix in Python ints once per block."""
+    if stop > 1 << 32:
+        raise ValueError("trial indices must be < 2**32")
+    seed = _words(stream.master_seed)
+    entropy = seed + [0] * (_POOL - len(seed))
+    for k in (stream.stream_index,) + stream.subpath:
+        entropy += _words(k)
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+
+    hash_state = _hasher(_INIT_B, _MULT_B)
+    state = [hash_state(pool[i % _POOL]) for i in range(2 * _POOL)]
+    return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _TrialSeed(ISpawnableSeedSequence):
+    """Trial t's SeedSequence under `stream`, holding the words PCG64 seeds
+    from. Any other request, `spawn` included, goes to numpy's SeedSequence
+    for that address, built on first use."""
+
+    def __init__(self, words: np.ndarray, stream: SeededStream, t: int):
+        self.words, self.stream, self.t = words, stream, t
+        self._sequence = None
+
+    def _seed_sequence(self) -> np.random.SeedSequence:
+        if self._sequence is None:
+            self._sequence = self.stream.substream(self.t)._seed_sequence()
+        return self._sequence
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == len(self.words) and dtype is np.uint64:
+            return self.words
+        return self._seed_sequence().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._seed_sequence().spawn(n_children)
 
 
 def _as_stream(stream) -> SeededStream | np.random.Generator:
@@ -73,15 +183,20 @@ def trial_generators(stream, trials: int):
     """One generator per Monte-Carlo trial.
 
     SeededStream (or int seed) inputs get an independent substream per trial,
-    so trials can be computed in any order or concurrently. A raw Generator
-    is reused sequentially.
+    so trials can be computed in any order or concurrently; trial t's
+    generator equals `stream.substream(t).generator()`. A raw Generator is
+    reused sequentially.
     """
     stream = _as_stream(stream)
-    for t in range(trials):
-        if isinstance(stream, np.random.Generator):
+    if isinstance(stream, np.random.Generator):
+        for _ in range(trials):
             yield stream
-        else:
-            yield stream.substream(t).generator()
+        return
+    for start in range(0, trials, _BLOCK):
+        words = _trial_seed_words(stream, start, min(start + _BLOCK, trials))
+        words.flags.writeable = False  # rows are handed out as views
+        for t, row in enumerate(words, start):
+            yield np.random.Generator(np.random.PCG64(_TrialSeed(row, stream, t)))
 
 
 def split_stream(stream, parts: int) -> list:
@@ -107,4 +222,6 @@ def trial_chunks(stream, trials: int, n: int):
 def chunk_map(f, stream, trials: int, n: int) -> np.ndarray:
     """f(gens) over the chunks of `trial_chunks`, concatenated: one value
     per trial, evaluated once per stacked chunk."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     return np.concatenate([f(gens) for gens in trial_chunks(stream, trials, n)])

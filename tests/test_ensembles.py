@@ -26,7 +26,14 @@ from entanglab.ensembles import (
 )
 from entanglab.geometry import log_znorm
 from entanglab.linalg import ProductDims, hs_norm
-from entanglab.rng import SeededStream, as_generator, split_stream, trial_generators
+from entanglab.rng import (
+    SeededStream,
+    _trial_seed_words,
+    _TrialSeed,
+    as_generator,
+    split_stream,
+    trial_generators,
+)
 from entanglab.separability import is_separable_exact
 
 
@@ -55,6 +62,29 @@ def test_substreams_are_distinct():
         SeededStream(-1)
     with pytest.raises(TypeError):
         as_generator("not a stream")
+
+
+BAD_ADDRESSES = {
+    "negative substream": (lambda: SeededStream(3).substream(-1), ValueError),
+    "negative stream index": (lambda: SeededStream(3, -1), ValueError),
+    "negative subpath entry": (lambda: SeededStream(3, 0, (1, -2)), ValueError),
+    "float master seed": (lambda: SeededStream(3.5), TypeError),
+    "float sibling": (lambda: SeededStream(3).stream(1.0), TypeError),
+    "float subpath entry": (lambda: SeededStream(3, 0, (2.0,)), TypeError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ADDRESSES))
+def test_seeded_stream_rejects_bad_address_when_built(case):
+    build, error = BAD_ADDRESSES[case]
+    with pytest.raises(error):
+        build()
+
+
+def test_seeded_stream_stores_python_ints():
+    s = SeededStream(np.int64(7), np.uint8(2), [np.int32(5)])
+    assert s == SeededStream(7, 2, (5,))
+    assert all(type(k) is int for k in (s.master_seed, s.stream_index, *s.subpath))
 
 
 STREAM_TAKERS = {
@@ -87,6 +117,15 @@ def test_trial_generators_match_substreams():
     via_sub = [sample_gue(2, s.substream(i)) for i in range(3)]
     for a, b in zip(via_iter, via_sub):
         assert np.array_equal(a, b)
+
+
+def test_trial_seed_words_refuse_indices_past_32_bits():
+    s = SeededStream(11, 2, (3,))
+    last = _trial_seed_words(s, 2**32 - 1, 2**32)[0]
+    want = np.random.PCG64(s.substream(2**32 - 1)._seed_sequence())
+    assert np.random.PCG64(_TrialSeed(last, s, 2**32 - 1)).state == want.state
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _trial_seed_words(s, 2**32 - 1, 2**32 + 1)
 
 
 # -- draw oracle ------------------------------------------------------------------

@@ -282,6 +282,20 @@ def test_spectral_rows_schema_and_invariants():
         spectral_rows("induced", 16, None, 5, SeededStream(21))
 
 
+ZERO_TRIAL_RUNS = {
+    "chunk_map": lambda: chunk_map(len, 3, 0, 4),
+    "spectral_rows": lambda: spectral_rows("induced", 4, 8, 0, SeededStream(3)),
+    "concentration": lambda: concentration_experiment(2, 50, 0, SeededStream(3), body="s0"),
+    "gue_approx": lambda: gue_approx_experiment(8, 64, "d0", 0, SeededStream(3)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(ZERO_TRIAL_RUNS))
+def test_zero_trials_rejected(run):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        ZERO_TRIAL_RUNS[run]()
+
+
 # -- batched engine against a per-trial reference -------------------------------------
 #
 # The reference draws and evaluates one trial at a time through the public

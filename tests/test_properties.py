@@ -1,10 +1,13 @@
 """Property tests over random inputs: the batched partial transpose and the
 closed-form gauges of the state, PPT and separable bodies, the partial trace,
 the separable support function, d_inf and the semicircle quantile, binary
-matrix records and config digests."""
+matrix records, config digests and block-derived trial streams."""
 
+import pickle
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from entanglab.config import ExperimentConfig
+from entanglab import rng
 from entanglab.io import read_matrix_records, write_matrix_records
 from entanglab.linalg import (
     ProductDims,
@@ -27,6 +31,7 @@ from entanglab.separability import (
     gauge_states,
     support_separable,
 )
+from entanglab.rng import SeededStream, trial_generators
 from entanglab.spectral import dinf_empirical_empirical, semicircle_quantile
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -180,3 +185,36 @@ SCAN_CONFIG = {
 def test_config_digest_ignores_key_order(keys):
     reordered = ExperimentConfig.from_dict({k: SCAN_CONFIG[k] for k in keys})
     assert reordered.digest() == ExperimentConfig.from_dict(SCAN_CONFIG).digest()
+
+
+def _same_generators(a, b):
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.integers(2**63, size=4).tolist() == b.integers(2**63, size=4).tolist()
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(0, 2**130),
+    st.integers(0, 2**40),
+    st.lists(st.integers(0, 2**40), max_size=3),
+    st.integers(1, 8),
+)
+def test_trial_generators_match_seed_sequence(master_seed, stream_index, subpath, trials):
+    # Trial streams come from a vectorized copy of numpy's SeedSequence mixing,
+    # here in blocks of 3 trials; numpy's own derivation is the oracle, so this
+    # fails if numpy's SeedSequence ever changes. Warnings are errors: a uint32
+    # overflow warning means the arithmetic left the arrays.
+    stream = SeededStream(master_seed, stream_index, tuple(subpath))
+    with warnings.catch_warnings(), mock.patch.object(rng, "_BLOCK", 3):
+        warnings.simplefilter("error")
+        got = list(trial_generators(stream, trials))
+        for t, gen in enumerate(got):
+            want = stream.substream(t).generator()
+            assert gen.bit_generator.state == want.bit_generator.state
+            back, want_back = (pickle.loads(pickle.dumps(g)) for g in (gen, want))
+            _same_generators(gen, want)
+            _same_generators(back, want_back)
+            for a, b in zip(gen.spawn(2) + back.spawn(2), want.spawn(2) + want_back.spawn(2)):
+                _same_generators(a, b)
+        raw = np.random.default_rng(master_seed)
+        assert all(g is raw for g in trial_generators(raw, trials))
