@@ -30,12 +30,7 @@ from .geometry import (
 from .io import read_matrix_records, write_csv, write_matrix_records
 from .linalg import ProductDims, hermitian_eigenvalues, hermitize, traceless_part
 from .rng import SeededStream, chunk_map, trial_generators
-from .separability import (
-    gauge_ppt,
-    gauge_separable,
-    gauge_separable_sym,
-    gauge_states,
-)
+from .separability import _gauge
 from .stats import from_samples
 from .widths import (
     ppt_threshold_estimate,
@@ -112,20 +107,18 @@ def _cmd_sample(args) -> int:
         print("sample requires --out", file=sys.stderr)
         return 2
     spec = EnsembleSpec(args.ensemble, args.n, args.s)
-    stream = SeededStream(args.seed)
-    draws = [draw_ensemble(spec, rng) for rng in trial_generators(stream, args.trials)]
-    if args.format == "bin":
-        mats = [d.matrix if hasattr(d, "matrix") else d for d in draws]
-        write_matrix_records(args.out, mats)
-        return 0
-    if spec.kind == "ginibre":
+    if spec.kind == "ginibre" and args.format == "csv":
         print("ginibre draws are not self-adjoint; use --format bin", file=sys.stderr)
         return 2
-    rows = []
-    for t, d in enumerate(draws):
-        mat = d.matrix if hasattr(d, "matrix") else d
-        for i, lam in enumerate(hermitian_eigenvalues(mat)):
-            rows.append((t, i, lam))
+    # induced and uniform draws are DensityMatrix objects, the rest plain arrays
+    gens = trial_generators(SeededStream(args.seed), args.trials)
+    draws = (draw_ensemble(spec, rng) for rng in gens)
+    mats = [getattr(d, "matrix", d) for d in draws]
+    if args.format == "bin":
+        write_matrix_records(args.out, mats)
+        return 0
+    rows = [(t, i, lam) for t, mat in enumerate(mats)
+            for i, lam in enumerate(hermitian_eigenvalues(mat))]
     write_csv(args.out, ["trial", "index", "value"], rows)
     return 0
 
@@ -142,23 +135,14 @@ def _cmd_gauge(args) -> int:
     if A.shape[0] != dims.n:
         print(f"matrix is {A.shape[0]}x{A.shape[0]} but dims give n={dims.n}", file=sys.stderr)
         return 2
-    if args.body == "d0":
-        value, width, evals = gauge_states(A), 0.0, 0
-    elif args.body == "ppt0":
-        value, width, evals = gauge_ppt(A, dims), 0.0, 0
-    elif args.body == "s0":
-        res = gauge_separable(A, dims)
-        value, width, evals = res.value, res.bracket_width, res.membership_evals
-    else:  # ssym
-        res = gauge_separable_sym(A, dims)
-        value, width, evals = res.value, res.bracket_width, res.membership_evals
+    res = _gauge(args.body, A, dims)
     _emit(
         {
             "body": args.body,
             "dims": list(dims.factors),
-            "value": value,
-            "bracket_width": width,
-            "evals": evals,
+            "value": res.value,
+            "bracket_width": res.bracket_width,
+            "evals": res.membership_evals,
             "trace_removed": trace,
         },
         args.out,

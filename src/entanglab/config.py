@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 
 __all__ = ["ConfigError", "ExperimentConfig"]
@@ -16,13 +17,18 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the offending key."""
 
 
+def _is_int(v) -> bool:
+    """An integer that is not a bool (JSON true/false load as bools)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _require_int(raw: dict, key: str, minimum: int, default: int | None = None) -> int:
     if key not in raw:
         if default is not None:
             return default
         raise ConfigError(f"missing required key '{key}'")
     v = raw[key]
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _is_int(v):
         raise ConfigError(f"'{key}' must be an integer, got {v!r}")
     if v < minimum:
         raise ConfigError(f"'{key}' must be >= {minimum}, got {v}")
@@ -79,16 +85,19 @@ class ExperimentConfig:
         bad = set(tol) - _TOLERANCE_KEYS
         if bad:
             raise ConfigError(f"unknown tolerance key(s) {sorted(bad)}")
-        gauge_tol = float(tol.get("gauge_tol", 1e-8))
-        if gauge_tol <= 0:
-            raise ConfigError("'gauge_tol' must be positive")
+        gauge_tol = tol.get("gauge_tol", 1e-8)
+        # compared exactly, so an int past the float range is refused, not overflowed
+        if not (_is_int(gauge_tol) or isinstance(gauge_tol, float)) or not (
+            0 < gauge_tol <= sys.float_info.max
+        ):
+            raise ConfigError(f"'gauge_tol' must be a finite positive number, got {gauge_tol!r}")
 
         kwargs = dict(
             experiment=experiment,
             trials=trials,
             master_seed=master_seed,
             output=output,
-            gauge_tol=gauge_tol,
+            gauge_tol=float(gauge_tol),
             raw=dict(raw),
         )
         try:

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, _require_int
+from .config import ConfigError, ExperimentConfig, _is_int, _require_int
 from .ensembles import (
     _centered_induced_states,
     _gue0_states,
@@ -31,15 +31,14 @@ from .ensembles import (
     coupled_partial_trace,
 )
 from .io import write_csv, write_sidecar
-from .linalg import ProductDims, _hermitize_stack, hs_norm
+from .linalg import ProductDims
 from .rng import SeededStream, chunk_map, split_stream, trial_chunks
 from .separability import (
     EXACT_DIMS,
     PPT_EIGENVALUE_TOL,
+    _body_gauge,
     _min_pt,
-    _ppt_gauge,
     _require_exact_dims,
-    _state_gauge,
 )
 from .spectral import alpha_beta, dinf_semicircle
 from .stats import from_samples, wilson_interval
@@ -64,21 +63,6 @@ __all__ = [
 ]
 
 SPECTRAL_HEADER = ["trial", "n", "s", "ensemble", "dinf", "alpha", "beta", "lambda_max", "lambda_min"]
-
-
-def _body_gauge(body: str, dims: ProductDims):
-    """Gauge ||A||_K of each traceless direction in a stack. At 2x2 and 2x3
-    the separable body s0 is the PPT body, so both read the PPT closed form;
-    s0 is refused on other dims."""
-    if body == "s0":
-        _require_exact_dims(dims)
-    if body == "d0":
-        return lambda A: _state_gauge(_hermitize_stack(A))
-    if body == "hs":
-        return lambda A: np.array([hs_norm(a) for a in A])
-    if body in ("ppt0", "s0"):
-        return lambda A: _ppt_gauge(_hermitize_stack(A), dims)
-    raise ValueError(f"unknown body {body!r}")
 
 
 def _count_meeting(criterion: str, dims: ProductDims, states: np.ndarray) -> int:
@@ -178,11 +162,8 @@ def _run_scan(config: ExperimentConfig, rows: list) -> dict:
 
 def _check_scan(raw: dict, kw: dict) -> None:
     dims = raw.get("dims")
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 2 for d in dims)
-    ):
+    if not (isinstance(dims, list) and len(dims) == 2
+            and all(_is_int(d) and d >= 2 for d in dims)):
         raise ConfigError("'dims' must be a list of two integers >= 2")
     kw["dims"] = (dims[0], dims[1])
 
@@ -194,12 +175,12 @@ def _check_scan(raw: dict, kw: dict) -> None:
         start = sv.get("start")
         stop = sv.get("stop")
         step = sv.get("step", 1)
-        if not all(isinstance(v, int) for v in (start, stop, step)) or step < 1:
+        if not all(map(_is_int, (start, stop, step))) or step < 1:
             raise ConfigError("'s_values' range needs integer start/stop and step >= 1")
         values = tuple(range(start, stop + 1, step))
         if not values:
             raise ConfigError(f"'s_values' range {start}:{stop}:{step} is empty")
-    elif isinstance(sv, list) and sv and all(isinstance(v, int) for v in sv):
+    elif isinstance(sv, list) and sv and all(map(_is_int, sv)):
         values = tuple(sv)
     else:
         raise ConfigError("'s_values' must be a non-empty integer list or a start/stop/step object")
@@ -210,10 +191,8 @@ def _check_scan(raw: dict, kw: dict) -> None:
     criterion = raw.get("criterion")
     if criterion not in ("exact", "ppt"):
         raise ConfigError("'criterion' must be 'exact' or 'ppt'")
-    if criterion == "exact" and kw["dims"] not in EXACT_DIMS:
-        raise ConfigError(
-            f"criterion 'exact' requires dims in {sorted(EXACT_DIMS)}, got {kw['dims']}"
-        )
+    if criterion == "exact":
+        _require_exact_dims(ProductDims(kw["dims"]))
     kw["criterion"] = criterion
 
 
@@ -270,13 +249,9 @@ class ConcentrationSummary:
         return self.at_s.std / self.at_4s.std
 
 
-def concentration_experiment(
-    d: int, s: int, trials: int, stream, body: str = "s0", gauge_tol: float = 1e-8
-) -> ConcentrationSummary:
-    """Location and spread of ||rho - Id/n||_K at environment sizes s and 4s.
-
-    `gauge_tol` is unused: every body's gauge, s0 included, is exact.
-    """
+def concentration_experiment(d: int, s: int, trials: int, stream,
+                             body: str = "s0") -> ConcentrationSummary:
+    """Location and spread of ||rho - Id/n||_K at environment sizes s and 4s."""
     dims = ProductDims((d, d))
     gauge = _body_gauge(body, dims)
     subs = split_stream(stream, 2)
@@ -329,25 +304,19 @@ class RatioResult:
     gue_stderr: float
 
 
-def _gue_approx_dims(n: int, body: str) -> ProductDims:
-    """The factors of C^n that the body's gauge reads: d x d for the PPT and
-    separable bodies, which need n = d^2, and C^n itself otherwise."""
-    if body not in ("ppt0", "s0"):
-        return ProductDims((n,))
+def _gue_approx_dims(n: int) -> ProductDims:
+    """C^n as d x d when n = d^2, the factors the PPT and separable bodies
+    read; otherwise C^n itself, which those bodies refuse."""
     d = math.isqrt(n)
-    if d * d != n:
-        raise ValueError(f"body {body!r} requires n to be a perfect square")
-    return ProductDims((d, d))
+    return ProductDims((d, d) if d * d == n else (n,))
 
 
-def gue_approx_experiment(n: int, s: int, body: str, trials: int, stream,
-                          gauge_tol: float = 1e-8) -> RatioResult:
+def gue_approx_experiment(n: int, s: int, body: str, trials: int, stream) -> RatioResult:
     """R(n, s) = n sqrt(s) E||rho - Id/n||_K / E||G||_K for the chosen body.
 
     Approaches 1 when both n and s/n are large; how fast depends on the body.
-    `gauge_tol` is unused: every body's gauge, s0 included, is exact.
     """
-    gauge = _body_gauge(body, _gue_approx_dims(n, body))
+    gauge = _body_gauge(body, _gue_approx_dims(n))
     sub_state, sub_gue = split_stream(stream, 2)
     num = from_samples(chunk_map(lambda gens: gauge(_centered_induced_states(n, s, gens)),
                                  sub_state, trials, n))
@@ -372,7 +341,7 @@ def _check_gue_approx(raw: dict, kw: dict) -> None:
     body = raw.get("body")
     if body not in ("d0", "ppt0", "hs", "s0"):
         raise ConfigError("'body' must be one of d0, ppt0, hs, s0")
-    _body_gauge(body, _gue_approx_dims(kw["n"], body))
+    _body_gauge(body, _gue_approx_dims(kw["n"]))
     kw["body"] = body
 
 

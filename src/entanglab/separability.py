@@ -14,11 +14,18 @@ each as a Minkowski gauge ||A||_K = inf {t >= 0 : Id/n + A/t in K}:
 Deciding separability is NP-hard in general, so for any other dimensions the
 exact routines raise instead of silently substituting PPT; callers choose the
 PPT body explicitly.
+
+`_BODIES` is the one place a body is defined: it maps each body name (d0,
+hs, ppt0, s0, ssym) to its batched kernel and its dims rule. The public
+gauges, the experiments and the `gauge` command all read it, through
+`_body_gauge` for stacks and `_gauge` for one direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -86,10 +93,7 @@ def _require_exact_dims(dims: ProductDims) -> None:
 
 def _require_bipartite(dims: ProductDims) -> None:
     if dims.k != 2:
-        raise ValueError(
-            f"bipartite dims required, got {dims.factors}; handle multipartite "
-            "cuts one at a time"
-        )
+        raise ValueError(f"bipartite dims d1 x d2 required, got {dims.factors}")
 
 
 def min_pt_eigenvalue(rho) -> float:
@@ -145,6 +149,49 @@ def _state_gauge(A: np.ndarray) -> np.ndarray:
     return A.shape[-1] * np.maximum(0.0, -np.linalg.eigvalsh(A)[..., 0])
 
 
+@dataclass(frozen=True)
+class _Body:
+    kernel: Callable[..., np.ndarray]  # (stack, dims) -> gauge of each matrix
+    dims_rule: Callable[[ProductDims], None]
+    eigensolves: int  # per matrix
+
+
+def _any_dims(dims: ProductDims) -> None:
+    """Dims rule of the bodies whose gauge reads only the matrix."""
+
+
+_BODIES = {
+    "d0": _Body(lambda A, dims: _state_gauge(A), _any_dims, 1),
+    "hs": _Body(lambda A, dims: np.array([hs_norm(a) for a in A]), _any_dims, 0),
+    "ppt0": _Body(_ppt_gauge, _require_bipartite, 2),
+    # at 2x2 and 2x3 separable means PPT
+    "s0": _Body(_ppt_gauge, _require_exact_dims, 2),
+    "ssym": _Body(_ppt_gauge_sym, _require_exact_dims, 2),
+}
+
+
+def _body_gauge(body: str, dims: ProductDims) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched gauge ||A||_K of a stack of traceless self-adjoint matrices
+    on `dims`; raises if the body's dims rule refuses `dims`."""
+    if body not in _BODIES:
+        raise ValueError(f"unknown body {body!r}")
+    entry = _BODIES[body]
+    entry.dims_rule(dims)
+    return partial(entry.kernel, dims=dims)
+
+
+def _gauge(body: str, A: np.ndarray, dims: ProductDims) -> GaugeResult:
+    """Gauge of one direction: checked traceless and sized for `dims`, 0 for
+    the zero direction, with the eigensolves made."""
+    gauge = _body_gauge(body, dims)
+    A = _require_traceless(A)
+    if A.shape[0] != dims.n:
+        raise ValueError("matrix size does not match dims")
+    if hs_norm(A) == 0.0:
+        return GaugeResult(0.0, 0.0, 0)
+    return GaugeResult(float(gauge(A[None])[0]), 0.0, _BODIES[body].eigensolves)
+
+
 def gauge_states(A: np.ndarray) -> float:
     """Gauge of the centered set of all states: n * max(0, -lambda_min(A))."""
     return float(_state_gauge(_require_traceless(A)))
@@ -152,19 +199,7 @@ def gauge_states(A: np.ndarray) -> float:
 
 def gauge_ppt(A: np.ndarray, dims: ProductDims) -> float:
     """Gauge of the centered PPT body: an intersection, so a max of gauges."""
-    _require_bipartite(dims)
-    return float(_ppt_gauge(_require_traceless(A), dims))
-
-
-def _exact_gauge(A: np.ndarray, dims: ProductDims, kernel) -> GaugeResult:
-    _require_exact_dims(dims)
-    A = _require_traceless(A)
-    if A.shape[0] != dims.n:
-        raise ValueError("matrix size does not match dims")
-    if hs_norm(A) == 0.0:
-        return GaugeResult(0.0, 0.0, 0)
-    # one eigensolve of A and one of A^Gamma
-    return GaugeResult(float(kernel(A, dims)), 0.0, 2)
+    return _gauge("ppt0", A, dims).value
 
 
 def gauge_separable(A: np.ndarray, dims: ProductDims, tol: float = 1e-8) -> GaugeResult:
@@ -175,14 +210,14 @@ def gauge_separable(A: np.ndarray, dims: ProductDims, tol: float = 1e-8) -> Gaug
     The result is exact: `bracket_width` is 0 and `membership_evals` counts
     the eigensolves made. `tol` is accepted for compatibility and unused.
     """
-    return _exact_gauge(A, dims, _ppt_gauge)
+    return _gauge("s0", A, dims)
 
 
 def gauge_separable_sym(A: np.ndarray, dims: ProductDims, tol: float = 1e-8) -> GaugeResult:
     """Gauge of the symmetrized separable body S0 intersect -S0, exact like
     `gauge_separable`: n * max(-lambda_min, lambda_max) over A and A^Gamma.
     `tol` is accepted for compatibility and unused."""
-    return _exact_gauge(A, dims, _ppt_gauge_sym)
+    return _gauge("ssym", A, dims)
 
 
 def _contracted_factor(T: np.ndarray, psis: list[np.ndarray], j: int) -> np.ndarray:
@@ -251,15 +286,12 @@ def support_separable(
     return SupportResult(witness_val, best_psis, restarts)
 
 
-def mean_gauge_gue(d: int, trials: int, stream, tol: float = 1e-8) -> Estimate:
+def mean_gauge_gue(d: int, trials: int, stream) -> Estimate:
     """Monte-Carlo mean of the separable gauge of trace-zero GUE draws on
     C^d x C^d. Only d = 2 has an exact separable gauge, the PPT gauge, so
     this is the mean gauge of `ppt_threshold_estimate(2, ...)`, on the same
-    draws. `tol` is unused."""
-    if d != 2:
-        raise UnsupportedDimensionError(
-            "the separable gauge is exact only at d = 2; use the PPT gauge for d >= 3"
-        )
+    draws."""
+    _require_exact_dims(ProductDims((d, d)))
     from .widths import ppt_threshold_estimate
 
     return ppt_threshold_estimate(2, trials, stream).mean_gauge

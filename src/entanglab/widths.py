@@ -28,6 +28,7 @@ from .separability import (
     UnsupportedDimensionError,
     _ppt_gauge,
     _ppt_gauge_sym,
+    _require_exact_dims,
     support_separable,
 )
 from .stats import Estimate, from_samples
@@ -293,16 +294,13 @@ def symmetrization_volume_ratio(m: int, points: int, stream) -> SymmetrizationRe
 # ---------------------------------------------------------------------------
 
 
-def separability_threshold_estimate(d: int, trials: int, stream, tol: float = 1e-8) -> Estimate:
+def separability_threshold_estimate(d: int, trials: int, stream) -> Estimate:
     """(E ||G||_S0 / d^2)^2 from the exact separable gauge; d = 2 only.
 
     At d = 2 the separable body is the PPT body, so this is the PPT
-    threshold estimate on the same draws. `tol` is unused: the gauge is exact.
+    threshold estimate on the same draws.
     """
-    if d != 2:
-        raise UnsupportedDimensionError(
-            "the separable gauge is exact only at d = 2; use the PPT gauge for d >= 3"
-        )
+    _require_exact_dims(ProductDims((d, d)))
     return ppt_threshold_estimate(2, trials, stream).threshold
 
 

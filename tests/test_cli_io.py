@@ -9,6 +9,7 @@ import pytest
 from conftest import child_env
 
 import entanglab
+import entanglab.cli
 import entanglab.rng
 from entanglab.cli import _build_parser, main
 from entanglab.config import ConfigError, ExperimentConfig
@@ -69,7 +70,7 @@ def test_sidecar_path():
 # -- CLI ---------------------------------------------------------------------------
 
 
-def test_cli_sample_csv_and_bin(tmp_path):
+def test_cli_sample_csv_and_bin(tmp_path, monkeypatch):
     out = tmp_path / "eigs.csv"
     rc = main(["sample", "--ensemble", "gue0", "--n", "4", "--trials", "2",
                "--seed", "3", "--out", str(out)])
@@ -86,9 +87,15 @@ def test_cli_sample_csv_and_bin(tmp_path):
     assert len(mats) == 3
     assert all(abs(np.trace(m) - 1) < 1e-12 for m in mats)
 
+    # eigenvalue CSV undefined for non-hermitian draws: refused before drawing
+    def no_draws(*args):
+        raise AssertionError("sample drew before refusing the format")
+
+    monkeypatch.setattr(entanglab.cli, "draw_ensemble", no_draws)
     rc = main(["sample", "--ensemble", "ginibre", "--n", "3", "--s", "4",
                "--trials", "1", "--seed", "0", "--out", str(tmp_path / "x.csv")])
-    assert rc == 2  # eigenvalue CSV undefined for non-hermitian draws
+    assert rc == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_gauge_bell_direction(tmp_path, capsys):
@@ -97,16 +104,21 @@ def test_cli_gauge_bell_direction(tmp_path, capsys):
     A = np.outer(phi, phi.conj()) - np.eye(4) / 4
     path = tmp_path / "a.bin"
     write_matrix_records(path, [A])
-    rc = main(["gauge", "--input", str(path), "--body", "s0", "--dims", "2,2"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["value"] == pytest.approx(3.0, abs=1e-6)
-    assert payload["evals"] > 0
-    assert payload["bracket_width"] <= 1e-7
+    zero = tmp_path / "zero.bin"
+    write_matrix_records(zero, [np.eye(4)])  # Id/n is the zero direction
+    # body -> (gauge, eigensolves): A has lambda_min -1/4, A^Gamma -3/4
+    for body, (value, evals) in {"s0": (3.0, 2), "ssym": (3.0, 2),
+                                 "d0": (1.0, 1), "ppt0": (3.0, 2)}.items():
+        rc = main(["gauge", "--input", str(path), "--body", body, "--dims", "2,2"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0, body
+        assert payload["value"] == pytest.approx(value, abs=1e-10), body
+        assert payload["evals"] == evals, body
+        assert payload["bracket_width"] == 0.0, body
 
-    rc = main(["gauge", "--input", str(path), "--body", "d0", "--dims", "2,2"])
-    payload = json.loads(capsys.readouterr().out)
-    assert rc == 0 and payload["value"] == pytest.approx(1.0, abs=1e-10)
+        rc = main(["gauge", "--input", str(zero), "--body", body, "--dims", "2,2"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0 and payload["value"] == 0.0 and payload["evals"] == 0, body
 
 
 def test_cli_geometry_checks(tmp_path, capsys):

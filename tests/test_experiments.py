@@ -35,9 +35,11 @@ from entanglab.experiments import (
 from entanglab.linalg import ProductDims, hs_norm
 from entanglab.rng import SeededStream, chunk_map, split_stream, trial_generators
 from entanglab.separability import (
+    EXACT_DIMS,
     PPT_EIGENVALUE_TOL,
     gauge_ppt,
     gauge_separable,
+    gauge_separable_sym,
     gauge_states,
     is_separable_exact,
     min_pt_eigenvalue,
@@ -87,6 +89,10 @@ def test_config_s_values_range_form():
         make_config(s_values={"start": 1, "stop": 4, "step": 0})
     with pytest.raises(ConfigError, match="empty"):
         make_config(s_values={"start": 9, "stop": 3})
+    # JSON true/false load as bools, which are ints to isinstance
+    for bad in ([True, 4], {"start": True, "stop": 3}, {"start": 2, "stop": 3, "step": True}):
+        with pytest.raises(ConfigError, match="s_values"):
+            make_config(s_values=bad)
 
 
 def test_config_digest_is_canonical():
@@ -102,8 +108,12 @@ def test_config_digest_is_canonical():
 def test_config_tolerances():
     cfg = make_config(tolerances={"gauge_tol": 1e-6})
     assert cfg.gauge_tol == 1e-6
+    assert make_config(tolerances={"gauge_tol": 1}).gauge_tol == 1.0
     with pytest.raises(ConfigError):
         make_config(tolerances={"nope": 1})
+    for bad in (None, [1e-8], "x", True, 0, -1e-8, math.nan, math.inf, 10 ** 400):
+        with pytest.raises(ConfigError, match="gauge_tol"):
+            make_config(tolerances={"gauge_tol": bad})
 
 
 # -- wilson ----------------------------------------------------------------------
@@ -318,8 +328,9 @@ STREAMS = {
 
 def public_gauges(dims):
     gauges = {"d0": gauge_states, "hs": hs_norm, "ppt0": lambda A: gauge_ppt(A, dims)}
-    if dims.factors == (2, 2):
+    if dims.factors in EXACT_DIMS:
         gauges["s0"] = lambda A: gauge_separable(A, dims).value
+        gauges["ssym"] = lambda A: gauge_separable_sym(A, dims).value
     return gauges
 
 
