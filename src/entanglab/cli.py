@@ -30,7 +30,7 @@ from .geometry import (
 from .io import read_matrix_records, write_csv, write_matrix_records
 from .linalg import ProductDims, hermitian_eigenvalues, hermitize, traceless_part
 from .rng import SeededStream, chunk_map, trial_generators
-from .separability import _gauge
+from .separability import _CRITERIA, _gauge
 from .stats import from_samples
 from .widths import (
     ppt_threshold_estimate,
@@ -285,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-threshold", help="criterion probability over s values")
     p.add_argument("--dims", type=_parse_dims, required=True)
-    p.add_argument("--criterion", required=True, choices=["exact", "ppt"])
+    p.add_argument("--criterion", required=True, choices=sorted(_CRITERIA))
     p.add_argument("--s-values", type=_parse_s_values, required=True,
                    help="comma list (2,4,8) or range start:stop[:step]")
     add_common(p)

@@ -25,7 +25,7 @@ scratch buffer and the Gram product is written straight into the chunk's
 stack. A GUE chunk draws every generator's diagonal and off-diagonal normals
 into rows of one array and builds the triangle, Hermitian completion,
 diagonal and traceless projection once for the whole stack. The public
-samplers run the same kernels on a chunk of one.
+samplers and couplings run the same stacked kernels on a chunk of one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .geometry import log_znorm
 from .linalg import ProductDims, _hermitize_stack, hermitize, partial_trace, traceless_part
-from .rng import SeededStream, _as_stream, as_generator
+from .rng import as_generator
 
 __all__ = [
     "DensityMatrix",
@@ -195,12 +195,15 @@ def _wishart_stack(n: int, s: int, gens: list) -> np.ndarray:
     return W
 
 
-def _induced_states(n: int, s: int, gens) -> np.ndarray:
-    """Stack of induced states, one per generator: normalization and
-    hermitization run once over the stack of Gram products."""
-    W = _wishart_stack(n, s, list(gens))
+def _unit_trace(W: np.ndarray) -> np.ndarray:
+    """States from a stack of Gram products, normalized and hermitized."""
     W /= np.trace(W, axis1=-2, axis2=-1).real[:, None, None]
     return _hermitize_stack(W)
+
+
+def _induced_states(n: int, s: int, gens) -> np.ndarray:
+    """Stack of induced states, one per generator."""
+    return _unit_trace(_wishart_stack(n, s, list(gens)))
 
 
 def _centered_induced_states(n: int, s: int, gens) -> np.ndarray:
@@ -239,6 +242,35 @@ class CoupledPair:
     resamples: int = 0
 
 
+def _projection_pairs(d1: int, d2: int, s: int, gens: list) -> tuple[np.ndarray, np.ndarray, int]:
+    """Stacks of the small and the large states of `coupled_local_projection`,
+    one pair per generator, and the count of degenerate compressions redrawn
+    from the same generator. Each trial draws into two n x s buffers, as in
+    `_wishart_stack`, and writes both Gram products into its stack slots."""
+    rows = [i * d2 + j for i in range(d1) for j in range(d1)]
+    A = np.empty((d2 * d2, s), dtype=complex)
+    Ac = np.empty_like(A)
+    small = np.empty((len(gens), d1 * d1, d1 * d1), dtype=complex)
+    large = np.empty((len(gens), d2 * d2, d2 * d2), dtype=complex)
+    resamples = 0
+    for Wk, Vk, rng in zip(small, large, gens):
+        while True:
+            _ginibre_into(A, Ac, rng)
+            np.matmul(A[rows], Ac[rows].T, out=Wk)
+            if np.trace(Wk).real > 1e-300:
+                break
+            resamples += 1
+        np.matmul(A, Ac.T, out=Vk)
+    return _unit_trace(small), _unit_trace(large), resamples
+
+
+def _partial_trace_pairs(d: int, s: int, gens) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of the small and the large states of `coupled_partial_trace`,
+    one pair per generator."""
+    large = _induced_states(4 * d * d, s, gens)
+    return partial_trace(large, ProductDims((2, d, 2, d)), keep=(1, 3)), large
+
+
 def coupled_local_projection(d1: int, d2: int, s: int, stream) -> CoupledPair:
     """Couple mu_{d2^2,s} on C^{d2}xC^{d2} with mu_{d1^2,s} on C^{d1}xC^{d1}.
 
@@ -247,33 +279,16 @@ def coupled_local_projection(d1: int, d2: int, s: int, stream) -> CoupledPair:
     state implies separability of the small one (local operations cannot
     create entanglement). Rows of the underlying Ginibre matrix with both
     local coordinates below d1 are themselves i.i.d. Ginibre, so the small
-    state carries exactly the d1-system induced distribution.
+    state carries exactly the d1-system induced distribution. A degenerate
+    compression (measure zero) is redrawn and counted in `resamples`.
     """
     if not (2 <= d1 <= d2):
         raise ValueError("need 2 <= d1 <= d2")
     if s < 1:
         raise ValueError("s must be >= 1")
-
-    rows = [i * d2 + j for i in range(d1) for j in range(d1)]
-    base = _as_stream(stream)
-    rng = as_generator(base)
-    attempt = 0
-    while True:
-        A = sample_ginibre(d2 * d2, s, rng)
-        B = A[rows, :]
-        wB = B @ B.conj().T
-        trB = float(np.trace(wB).real)
-        if trB > 1e-300:
-            break
-        # Measure-zero degenerate compression: move to a fresh substream.
-        attempt += 1
-        if isinstance(base, SeededStream):
-            rng = base.substream(attempt).generator()
-
-    wA = A @ A.conj().T
-    large = DensityMatrix(ProductDims((d2, d2)), wA / float(np.trace(wA).real))
-    small = DensityMatrix(ProductDims((d1, d1)), wB / trB)
-    return CoupledPair(large, small, resamples=attempt)
+    small, large, resamples = _projection_pairs(d1, d2, s, [as_generator(stream)])
+    return CoupledPair(DensityMatrix(ProductDims((d2, d2)), large[0]),
+                       DensityMatrix(ProductDims((d1, d1)), small[0]), resamples)
 
 
 def coupled_partial_trace(d: int, s: int, stream) -> CoupledPair:
@@ -287,11 +302,9 @@ def coupled_partial_trace(d: int, s: int, stream) -> CoupledPair:
         raise ValueError("d must be >= 2")
     if s < 1:
         raise ValueError("s must be >= 1")
-    large = sample_induced_state(4 * d * d, s, stream, dims=ProductDims((2 * d, 2 * d)))
-    fine = ProductDims((2, d, 2, d))
-    reduced = partial_trace(large.matrix, fine, keep=(1, 3))
-    small = DensityMatrix(ProductDims((d, d)), reduced)
-    return CoupledPair(large, small)
+    small, large = _partial_trace_pairs(d, s, [as_generator(stream)])
+    return CoupledPair(DensityMatrix(ProductDims((2 * d, 2 * d)), large[0]),
+                       DensityMatrix(ProductDims((d, d)), small[0]))
 
 
 def draw_ensemble(spec: EnsembleSpec, stream):

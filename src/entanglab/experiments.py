@@ -27,19 +27,13 @@ from .ensembles import (
     _centered_induced_states,
     _gue0_states,
     _induced_states,
-    coupled_local_projection,
-    coupled_partial_trace,
+    _partial_trace_pairs,
+    _projection_pairs,
 )
 from .io import write_csv, write_sidecar
 from .linalg import ProductDims
-from .rng import SeededStream, chunk_map, split_stream, trial_chunks
-from .separability import (
-    EXACT_DIMS,
-    PPT_EIGENVALUE_TOL,
-    _body_gauge,
-    _min_pt,
-    _require_exact_dims,
-)
+from .rng import SeededStream, chunk_map, split_stream
+from .separability import _CRITERIA, EXACT_DIMS, _body_gauge, _criterion
 from .spectral import alpha_beta, dinf_semicircle
 from .stats import from_samples, wilson_interval
 
@@ -63,14 +57,6 @@ __all__ = [
 ]
 
 SPECTRAL_HEADER = ["trial", "n", "s", "ensemble", "dinf", "alpha", "beta", "lambda_max", "lambda_min"]
-
-
-def _count_meeting(criterion: str, dims: ProductDims, states: np.ndarray) -> int:
-    """How many states of a stack are PPT, or separable for criterion
-    "exact", which PPT decides only at 2x2 and 2x3."""
-    if criterion == "exact":
-        _require_exact_dims(dims)
-    return int(np.count_nonzero(_min_pt(states, dims) >= PPT_EIGENVALUE_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +84,7 @@ class ScanResult:
 
     @property
     def header(self) -> list[str]:
-        p_col = "p_hat" if self.criterion == "exact" else "ppt_probability"
-        return ["s", "trials", "successes", p_col, "ci_low", "ci_high"]
+        return ["s", "trials", "successes", _CRITERIA[self.criterion].column, "ci_low", "ci_high"]
 
     def rows(self) -> list[tuple]:
         return [astuple(p) for p in self.points]
@@ -108,10 +93,9 @@ class ScanResult:
 def _scan_point(dims: ProductDims, s: int, trials: int, criterion: str, stream) -> ScanPoint:
     """Successes among `trials` induced states on `dims`, with their Wilson
     interval."""
-    successes = sum(
-        _count_meeting(criterion, dims, _induced_states(dims.n, s, gens))
-        for gens in trial_chunks(stream, trials, dims.n)
-    )
+    meets = _criterion(criterion, dims)
+    met = chunk_map(lambda gens: meets(_induced_states(dims.n, s, gens)), stream, trials, dims.n)
+    successes = int(np.count_nonzero(met))
     lo, hi = wilson_interval(successes, trials)
     return ScanPoint(s, trials, successes, successes / trials, lo, hi)
 
@@ -189,10 +173,10 @@ def _check_scan(raw: dict, kw: dict) -> None:
     kw["s_values"] = values
 
     criterion = raw.get("criterion")
-    if criterion not in ("exact", "ppt"):
-        raise ConfigError("'criterion' must be 'exact' or 'ppt'")
-    if criterion == "exact":
-        _require_exact_dims(ProductDims(kw["dims"]))
+    names = sorted(_CRITERIA)
+    if criterion not in names:
+        raise ConfigError(f"'criterion' must be {' or '.join(map(repr, names))}")
+    _criterion(criterion, ProductDims(kw["dims"]))
     kw["criterion"] = criterion
 
 
@@ -383,62 +367,41 @@ class MonotonicityResult:
         return ps >= pl - slack_sigmas * sigma
 
 
-def _exactish_criterion(dims: tuple[int, int]) -> str:
-    return "exact" if dims in EXACT_DIMS else "ppt"
-
-
-def _coupled_successes(couple, n: int, crit_small: str, crit_large: str,
-                       trials: int, stream) -> tuple[int, int]:
-    """Successes of the small and of the large states of `trials` coupled
-    pairs couple(rng), whose large states act on C^n."""
-    small = large = 0
-    for gens in trial_chunks(stream, trials, n):
-        pairs = [couple(g) for g in gens]
-        smalls = np.stack([p.small.matrix for p in pairs])
-        larges = np.stack([p.large.matrix for p in pairs])
-        small += _count_meeting(crit_small, pairs[0].small.dims, smalls)
-        large += _count_meeting(crit_large, pairs[0].large.dims, larges)
-    return small, large
+def _monotonicity(mode: str, pairs, small: tuple, large: tuple,
+                  trials: int, stream) -> MonotonicityResult:
+    """Successes of both sides of `trials` coupled pairs and of direct draws
+    of each side, a side being (dims, s, criterion); pairs(gens) draws a
+    chunk's stacks of small and of large states."""
+    sub_coupled, sub_ds, sub_dl = split_stream(stream, 3)
+    meets = [_criterion(crit, ProductDims(dims)) for dims, _, crit in (small, large)]
+    both = chunk_map(lambda gens: np.stack([m(x) for m, x in zip(meets, pairs(gens))], axis=1),
+                     sub_coupled, trials, math.prod(large[0]))
+    cs, cl = map(int, np.count_nonzero(both, axis=0))
+    ds, dl = [_scan_point(ProductDims(dims), s, trials, crit, sub).successes
+              for (dims, s, crit), sub in ((small, sub_ds), (large, sub_dl))]
+    return MonotonicityResult(
+        mode,
+        MonoSide("coupled-small", *small, trials, cs),
+        MonoSide("coupled-large", *large, trials, cl),
+        MonoSide("direct-small", *small, trials, ds),
+        MonoSide("direct-large", *large, trials, dl),
+    )
 
 
 def projection_monotonicity(d1: int, d2: int, s: int, trials: int, stream) -> MonotonicityResult:
     """Local-compression coupling: the probability of the criterion cannot
     drop when passing from the C^{d2} x C^{d2} state to its coupled
     C^{d1} x C^{d1} compression."""
-    crit_small = _exactish_criterion((d1, d1))
-    crit_large = _exactish_criterion((d2, d2))
-    sub_coupled, sub_ds, sub_dl = split_stream(stream, 3)
-    cs, cl = _coupled_successes(
-        lambda rng: coupled_local_projection(d1, d2, s, rng), d2 * d2,
-        crit_small, crit_large, trials, sub_coupled,
-    )
-    ds_cnt = _scan_point(ProductDims((d1, d1)), s, trials, crit_small, sub_ds).successes
-    dl_cnt = _scan_point(ProductDims((d2, d2)), s, trials, crit_large, sub_dl).successes
-    return MonotonicityResult(
-        "projection",
-        MonoSide("coupled-small", (d1, d1), s, crit_small, trials, cs),
-        MonoSide("coupled-large", (d2, d2), s, crit_large, trials, cl),
-        MonoSide("direct-small", (d1, d1), s, crit_small, trials, ds_cnt),
-        MonoSide("direct-large", (d2, d2), s, crit_large, trials, dl_cnt),
-    )
+    small, large = (((d, d), s, "exact" if (d, d) in EXACT_DIMS else "ppt") for d in (d1, d2))
+    return _monotonicity("projection", lambda gens: _projection_pairs(d1, d2, s, gens)[:2],
+                         small, large, trials, stream)
 
 
 def partial_trace_monotonicity(d: int, s: int, trials: int, stream) -> MonotonicityResult:
     """Qubit-pair partial-trace coupling: PPT probability at (2d, s) is
     dominated by the one at (d, 4s)."""
-    sub_coupled, sub_ds, sub_dl = split_stream(stream, 3)
-    cs, cl = _coupled_successes(
-        lambda rng: coupled_partial_trace(d, s, rng), 4 * d * d, "ppt", "ppt", trials, sub_coupled
-    )
-    ds_cnt = _scan_point(ProductDims((d, d)), 4 * s, trials, "ppt", sub_ds).successes
-    dl_cnt = _scan_point(ProductDims((2 * d, 2 * d)), s, trials, "ppt", sub_dl).successes
-    return MonotonicityResult(
-        "partial-trace",
-        MonoSide("coupled-small", (d, d), 4 * s, "ppt", trials, cs),
-        MonoSide("coupled-large", (2 * d, 2 * d), s, "ppt", trials, cl),
-        MonoSide("direct-small", (d, d), 4 * s, "ppt", trials, ds_cnt),
-        MonoSide("direct-large", (2 * d, 2 * d), s, "ppt", trials, dl_cnt),
-    )
+    return _monotonicity("partial-trace", partial(_partial_trace_pairs, d, s),
+                         ((d, d), 4 * s, "ppt"), ((2 * d, 2 * d), s, "ppt"), trials, stream)
 
 
 def _run_monotonicity(config: ExperimentConfig, rows: list) -> dict:

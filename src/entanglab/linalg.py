@@ -119,33 +119,38 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(A), np.asarray(B))
 
 
-def _validate_dims(H: np.ndarray, dims: ProductDims) -> None:
+def _on_factors(H: np.ndarray, dims: ProductDims, factors, role: str) -> tuple[np.ndarray, list]:
+    """H checked as a matrix or stack (..., n, n) on `dims`, and the sorted
+    distinct factor indices `factors`, checked in range."""
+    H = _check_square(H, batched=True)
     if H.shape[-1] != dims.n:
         raise ValueError(f"matrix size {H.shape[-1]} does not match dims {dims.factors}")
+    idx = sorted(set(int(i) for i in np.atleast_1d(np.asarray(factors, dtype=int))))
+    if any(i < 0 or i >= dims.k for i in idx):
+        raise ValueError(f"{role} factor indices {idx} out of range for {dims.k} factors")
+    return H, idx
 
 
 def partial_trace(H: np.ndarray, dims: ProductDims, keep) -> np.ndarray:
     """Trace out all tensor factors not in `keep` (iterable of factor indices).
 
     Preserves the trace; the result acts on the kept factors in their
-    original order.
+    original order. H is one matrix or a stack (..., n, n), traced matrix by
+    matrix.
     """
-    H = _check_square(H)
-    _validate_dims(H, dims)
-    ds = dims.factors
-    k = dims.k
-    keep = sorted(set(int(i) for i in np.atleast_1d(np.asarray(keep, dtype=int))))
-    if any(i < 0 or i >= k for i in keep):
-        raise ValueError(f"kept factor indices {keep} out of range for {k} factors")
+    H, keep = _on_factors(H, dims, keep, "kept")
+    ds, k = dims.factors, dims.k
     if len(keep) == k:
         return H.copy()
 
     # einsum labels: row index of factor i is i, column index is k + i; a
     # traced factor shares its row label between row and column side.
+    batch = H.shape[:-2]
     col = [i if i not in keep else k + i for i in range(k)]
-    res = np.einsum(H.reshape(ds + ds), list(range(k)) + col, keep + [k + i for i in keep])
+    res = np.einsum(H.reshape(batch + ds + ds), [..., *range(k), *col],
+                    [..., *keep, *(k + i for i in keep)])
     nk = int(np.prod([ds[i] for i in keep]))
-    return res.reshape(nk, nk)
+    return res.reshape(batch + (nk, nk))
 
 
 def partial_transpose(H: np.ndarray, dims: ProductDims, transposed) -> np.ndarray:
@@ -156,14 +161,8 @@ def partial_transpose(H: np.ndarray, dims: ProductDims, transposed) -> np.ndarra
     bipartite product this sends A (x) B to A (x) B^T when the second factor
     is transposed.
     """
-    H = _check_square(H, batched=True)
-    _validate_dims(H, dims)
-    ds = dims.factors
-    k = dims.k
-    tset = sorted(set(int(i) for i in np.atleast_1d(np.asarray(transposed, dtype=int))))
-    if any(i < 0 or i >= k for i in tset):
-        raise ValueError(f"transposed factor indices {tset} out of range for {k} factors")
-
+    H, tset = _on_factors(H, dims, transposed, "transposed")
+    ds, k = dims.factors, dims.k
     batch = H.shape[:-2]
     b = len(batch)
     perm = list(range(b + 2 * k))

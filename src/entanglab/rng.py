@@ -10,9 +10,10 @@ trials by `_trial_seed_words`, a vectorized copy of SeedSequence's mixing:
 the words a block shares are mixed once, and only the trial index is mixed
 as an array. Each generator's state is bit-identical to that of
 `stream.substream(t).generator()`, and its `spawn` and pickling go through
-numpy's own SeedSequence. Bit-exact reproducibility is promised for a fixed
-numpy/entanglab installation, not across library versions; the property test
-comparing the two derivations fails loudly if numpy's SeedSequence changes.
+numpy's own SeedSequence. `chunk_map`, the only chunk loop, hands them to
+an experiment a chunk at a time. Bit-exact reproducibility is promised for a
+fixed numpy/entanglab installation, not across library versions; the property
+test comparing the two derivations fails loudly if numpy's SeedSequence changes.
 """
 
 from __future__ import annotations
@@ -209,19 +210,12 @@ def split_stream(stream, parts: int) -> list:
     return [stream.substream(i) for i in range(parts)]
 
 
-def trial_chunks(stream, trials: int, n: int):
-    """The trials' generators, one per trial as from `trial_generators`, in
-    chunks of as many trials as fit n x n complex matrices into _CHUNK_BYTES
-    (at least one)."""
-    size = max(1, _CHUNK_BYTES // (16 * n * n))
-    gens = trial_generators(stream, trials)
-    while chunk := list(islice(gens, size)):
-        yield chunk
-
-
 def chunk_map(f, stream, trials: int, n: int) -> np.ndarray:
-    """f(gens) over the chunks of `trial_chunks`, concatenated: one value
-    per trial, evaluated once per stacked chunk."""
+    """f(gens) over chunks of the trials' generators (from `trial_generators`)
+    of as many trials as fit n x n complex matrices into _CHUNK_BYTES, at
+    least one; the results are concatenated, one value per trial."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return np.concatenate([f(gens) for gens in trial_chunks(stream, trials, n)])
+    size = max(1, _CHUNK_BYTES // (16 * n * n))
+    gens = trial_generators(stream, trials)
+    return np.concatenate([f(list(islice(gens, size))) for _ in range(0, trials, size)])

@@ -19,6 +19,10 @@ PPT body explicitly.
 hs, ppt0, s0, ssym) to its batched kernel and its dims rule. The public
 gauges, the experiments and the `gauge` command all read it, through
 `_body_gauge` for stacks and `_gauge` for one direction.
+
+`_CRITERIA` does the same for per-state criteria (exact, ppt): a kernel with
+one bool per state of a stack, a dims rule and a CSV column. Scans, both
+monotonicity couplings and `is_separable_exact` read it through `_criterion`.
 """
 
 from __future__ import annotations
@@ -117,8 +121,34 @@ def is_separable_exact(rho) -> bool:
 
     if not isinstance(rho, DensityMatrix) or rho.dims is None:
         raise ValueError("need a DensityMatrix with bipartite dims")
-    _require_exact_dims(rho.dims)
-    return min_pt_eigenvalue(rho) >= PPT_EIGENVALUE_TOL
+    return bool(_criterion("exact", rho.dims)(rho.matrix[None])[0])
+
+
+def _is_ppt(states: np.ndarray, dims: ProductDims) -> np.ndarray:
+    """Whether each state of a stack is PPT, boundary states included."""
+    return _min_pt(states, dims) >= PPT_EIGENVALUE_TOL
+
+
+@dataclass(frozen=True)
+class _Criterion:
+    kernel: Callable[..., np.ndarray]  # (stack, dims) -> bool per state
+    dims_rule: Callable[[ProductDims], None]
+    column: str  # CSV column of the fraction of states meeting it
+
+
+_CRITERIA = {
+    # at 2x2 and 2x3 separable means PPT
+    "exact": _Criterion(_is_ppt, _require_exact_dims, "p_hat"),
+    "ppt": _Criterion(_is_ppt, _require_bipartite, "ppt_probability"),
+}
+
+
+def _criterion(name: str, dims: ProductDims) -> Callable[[np.ndarray], np.ndarray]:
+    """Whether each state of a stack on `dims` meets criterion `name`;
+    raises if the criterion's dims rule refuses `dims`."""
+    entry = _CRITERIA[name]
+    entry.dims_rule(dims)
+    return partial(entry.kernel, dims=dims)
 
 
 def _pt_spectra(A: np.ndarray, dims: ProductDims) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +161,7 @@ def _ppt_gauge(A: np.ndarray, dims: ProductDims) -> np.ndarray:
     """Batched gauge of the centered PPT body, an intersection of the state
     body with its partial transpose: n * max(0, -lambda_min(A), -lambda_min(A^Gamma))."""
     lam, lam_pt = _pt_spectra(A, dims)
-    return dims.n * np.maximum(0.0, -np.minimum(lam[..., 0], lam_pt[..., 0]))
+    return dims.n * (np.maximum(0.0, -np.minimum(lam[..., 0], lam_pt[..., 0])) + 0.0)
 
 
 def _ppt_gauge_sym(A: np.ndarray, dims: ProductDims) -> np.ndarray:
@@ -141,12 +171,13 @@ def _ppt_gauge_sym(A: np.ndarray, dims: ProductDims) -> np.ndarray:
     lam, lam_pt = _pt_spectra(A, dims)
     low = np.minimum(lam[..., 0], lam_pt[..., 0])
     high = np.maximum(lam[..., -1], lam_pt[..., -1])
-    return dims.n * np.maximum(-low, high)
+    return dims.n * (np.maximum(-low, high) + 0.0)
 
 
 def _state_gauge(A: np.ndarray) -> np.ndarray:
     """Batched gauge of the centered set of all states: n * max(0, -lambda_min(A))."""
-    return A.shape[-1] * np.maximum(0.0, -np.linalg.eigvalsh(A)[..., 0])
+    # + 0.0 turns the -0.0 of max(0.0, -0.0) into 0.0, as in the PPT gauges
+    return A.shape[-1] * (np.maximum(0.0, -np.linalg.eigvalsh(A)[..., 0]) + 0.0)
 
 
 @dataclass(frozen=True)

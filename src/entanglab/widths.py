@@ -195,9 +195,7 @@ def width_duality_check(dims: ProductDims, trials: int, stream) -> DualityCheck:
         raise UnsupportedDimensionError(
             f"width duality check is implemented for (2, 2) only, got {dims.factors}"
         )
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    G = _gue0_states(4, trial_generators(stream, trials))
+    G = chunk_map(partial(_gue0_states, 4), stream, trials, 4)
 
     gauges = _gauge_sym_qubit_pair(G)
     support_vals = _certified_sym_support(G, gauges)

@@ -14,6 +14,8 @@ from entanglab.ensembles import (
     _centered_induced_states,
     _gue0_states,
     _induced_states,
+    _partial_trace_pairs,
+    _projection_pairs,
     coupled_local_projection,
     coupled_partial_trace,
     draw_ensemble,
@@ -162,7 +164,41 @@ def _induced_oracle(n, s, rng):
     return (rho + rho.conj().T) / 2
 
 
-# name: (stacked sampler (n, s, gens), oracle of one trial (n, s, rng))
+def _projection_dims(n):
+    """(d1, d2) of the local-projection coupling drawn at size n."""
+    d2 = 2 + n % 3
+    return min(d2, 2 + n % 2), d2
+
+
+def _projection_oracle(d1, d2, s, rng):
+    """The Gram products of the kept rows and of all rows of one Ginibre
+    draw, normalized and hermitized, flattened into one row: small, large."""
+    A = _ginibre_oracle(d2 * d2, s, rng)
+    rows = [i * d2 + j for i in range(d1) for j in range(d1)]
+    states = []
+    for B in (A[rows], A):
+        W = B @ B.conj().T
+        rho = W / np.trace(W).real
+        states.append(((rho + rho.conj().T) / 2).ravel())
+    return np.concatenate(states)
+
+
+def _partial_trace_oracle(d, s, rng):
+    """An induced state on C^2 x C^d x C^2 x C^d and its explicit partial
+    trace over the two qubit factors, flattened into one row: small, large."""
+    rho = _induced_oracle(4 * d * d, s, rng)
+    small = np.einsum("iajbicjd->abcd", rho.reshape((2, d) * 4)).reshape(d * d, d * d)
+    return np.concatenate([small.ravel(), rho.ravel()])
+
+
+def _pair_rows(small, large, *resamples):
+    """A coupling's two stacks as rows of the oracles' form; a resample
+    count, if given, is dropped."""
+    return np.concatenate([small.reshape(len(small), -1), large.reshape(len(large), -1)], axis=1)
+
+
+# name: (stacked sampler (n, s, gens), oracle of one trial (n, s, rng)); a
+# coupling maps n to its dims and draws rows of its small and large states
 STACKED_DRAWS = {
     "induced": (_induced_states, _induced_oracle),
     "centered_induced": (
@@ -170,6 +206,12 @@ STACKED_DRAWS = {
     "gue0": (
         lambda n, s, gens: _gue0_states(n, gens),
         lambda n, s, rng: _traceless_oracle(_gue_oracle(n, rng))),
+    "projection_pairs": (
+        lambda n, s, gens: _pair_rows(*_projection_pairs(*_projection_dims(n), s, gens)),
+        lambda n, s, rng: _projection_oracle(*_projection_dims(n), s, rng)),
+    "partial_trace_pairs": (
+        lambda n, s, gens: _pair_rows(*_partial_trace_pairs(2 + n % 2, s, gens)),
+        lambda n, s, rng: _partial_trace_oracle(2 + n % 2, s, rng)),
 }
 
 
@@ -388,16 +430,17 @@ def test_coupled_projection_traces_and_dims():
 
 
 def test_coupled_projection_int_seed_resamples_like_its_stream(monkeypatch):
-    # a degenerate compression moves to substream(attempt) for an int seed
-    # exactly as for the SeededStream it stands for
-    real_draw = ensembles.sample_ginibre
+    # a degenerate compression is redrawn from the same generator, for an
+    # int seed exactly as for the SeededStream it stands for
+    real_draw = ensembles._ginibre_into
     degenerate = []
 
-    def draw(n, s, stream):
-        A = real_draw(n, s, stream)
-        return np.zeros_like(A) if degenerate and degenerate.pop() else A
+    def draw(A, Ac, rng):
+        real_draw(A, Ac, rng)
+        if degenerate and degenerate.pop():
+            A[:] = Ac[:] = 0
 
-    monkeypatch.setattr(ensembles, "sample_ginibre", draw)
+    monkeypatch.setattr(ensembles, "_ginibre_into", draw)
     pairs = []
     for stream in (7, SeededStream(7)):
         degenerate.append(True)
@@ -406,6 +449,33 @@ def test_coupled_projection_int_seed_resamples_like_its_stream(monkeypatch):
     assert a.resamples == b.resamples == 1
     assert a.large.matrix.tobytes() == b.large.matrix.tobytes()
     assert a.small.matrix.tobytes() == b.small.matrix.tobytes()
+
+
+def test_projection_pairs_redraw_only_a_degenerate_compression(monkeypatch):
+    # trial 2 of a 3-trial chunk first draws a zero compressed block: it is
+    # redrawn from its own generator, and the other pairs keep their bytes
+    def chunk():
+        return list(trial_generators(SeededStream(36), 3))
+
+    clean = _pair_rows(*_projection_pairs(2, 3, 5, chunk()))
+    real_draw = ensembles._ginibre_into
+    draws = []
+
+    def draw(A, Ac, rng):
+        real_draw(A, Ac, rng)
+        draws.append(rng)
+        if len(draws) == 2:
+            A[[0, 1, 3, 4]] = Ac[[0, 1, 3, 4]] = 0  # the rows kept at d1 = 2
+
+    monkeypatch.setattr(ensembles, "_ginibre_into", draw)
+    small, large, resamples = _projection_pairs(2, 3, 5, chunk())
+    got = _pair_rows(small, large)
+    assert resamples == 1 and len(draws) == 4
+    assert got[0].tobytes() == clean[0].tobytes()
+    assert got[2].tobytes() == clean[2].tobytes()
+    rng = chunk()[1]
+    _ginibre_oracle(9, 5, rng)  # the discarded draw
+    assert got[1].tobytes() == _projection_oracle(2, 3, 5, rng).tobytes()
 
 
 def test_coupled_projection_marginal_distribution():

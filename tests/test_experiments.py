@@ -9,6 +9,7 @@ import scipy
 
 import entanglab.experiments as exps
 import entanglab.rng
+import entanglab.separability
 from entanglab.config import ConfigError, ExperimentConfig
 from entanglab.ensembles import (
     _centered_induced_states,
@@ -403,7 +404,7 @@ def test_engine_scan_and_gauges_match_per_trial_reference(monkeypatch, dims, tri
     states = _induced_states(pd.n, s, list(trial_generators(new(), trials)))
     ref = [min_pt_eigenvalue(sample_induced_state(pd.n, s, g, dims=pd))
            for g in trial_generators(new(), trials)]
-    assert exps._min_pt(states, pd).tolist() == ref
+    assert entanglab.separability._min_pt(states, pd).tolist() == ref
 
     for body, gauge in public_gauges(pd).items():
         gauge_of = exps._body_gauge(body, pd)

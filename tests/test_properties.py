@@ -25,6 +25,8 @@ from entanglab.linalg import (
     traceless_part,
 )
 from entanglab.separability import (
+    _BODIES,
+    _body_gauge,
     gauge_ppt,
     gauge_separable,
     gauge_separable_sym,
@@ -66,11 +68,15 @@ def stack_and_factors(draw):
 @PROPERTY_SETTINGS
 @given(stack_and_factors())
 def test_partial_transpose_of_stack_is_per_slice(case):
+    # and the partial trace over the other factors, bit for bit
     dims, H, factors = case
     got = partial_transpose(H, dims, factors)
+    traced = partial_trace(H, dims, factors)
     assert got.shape == H.shape
+    assert traced.shape[:-2] == H.shape[:-2]
     for idx in np.ndindex(H.shape[:-2]):
         assert np.array_equal(got[idx], partial_transpose(H[idx], dims, factors))
+        assert traced[idx].tobytes() == partial_trace(H[idx], dims, factors).tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -95,6 +101,17 @@ def test_gauges_positively_homogeneous(dims, seed, c):
     )
     for gauge in gauges:
         assert np.isclose(gauge(c * A), c * gauge(A), rtol=1e-9, atol=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(exact_dims_st, seed_st, st.sampled_from([0.0, -0.0, 1e-300, 1.0]))
+def test_no_gauge_is_negative_zero(dims, seed, scale):
+    # a gauge is >= 0 and its zero is +0.0, also where lambda_min is +0.0
+    A = scale * traceless_direction(seed, dims.n)
+    stack = np.stack([A, np.zeros_like(A)])
+    for body in sorted(_BODIES):
+        assert not np.signbit(_body_gauge(body, dims)(stack)).any(), body
+    assert not np.signbit(gauge_states(stack[1]))
 
 
 @PROPERTY_SETTINGS
