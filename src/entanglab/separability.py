@@ -23,6 +23,9 @@ gauges, the experiments and the `gauge` command all read it, through
 `_CRITERIA` does the same for per-state criteria (exact, ppt): a kernel with
 one bool per state of a stack, a dims rule and a CSV column. Scans, both
 monotonicity couplings and `is_separable_exact` read it through `_criterion`.
+Both criteria decide PPT by a Cholesky factorization of rho^Gamma + 1e-11 * Id,
+or by `eigvalsh` where numpy lacks its batched Cholesky gufunc; the two agree
+except within rounding of the tolerance.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ import numpy as np
 from .linalg import ProductDims, hermitize, hs_norm, partial_transpose, top_eigenpair
 from .rng import as_generator
 from .stats import Estimate
+
+try:  # numpy's batched Cholesky: NaN factors for the failures, not an exception
+    from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
+except ImportError:
+    _cholesky_lo = None
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -125,8 +133,15 @@ def is_separable_exact(rho) -> bool:
 
 
 def _is_ppt(states: np.ndarray, dims: ProductDims) -> np.ndarray:
-    """Whether each state of a stack is PPT, boundary states included."""
-    return _min_pt(states, dims) >= PPT_EIGENVALUE_TOL
+    """Whether each state of a stack is PPT, boundary states included: whether
+    rho^Gamma + 1e-11 * Id has a Cholesky factor, which agrees with the eigvalsh
+    fallback lambda_min(rho^Gamma) >= -1e-11 outside rounding at the tolerance."""
+    if _cholesky_lo is None:
+        return _min_pt(states, dims) >= PPT_EIGENVALUE_TOL
+    pt = partial_transpose(states, dims, 1)  # a fresh array
+    pt[..., range(dims.n), range(dims.n)] -= PPT_EIGENVALUE_TOL
+    with np.errstate(invalid="ignore"):
+        return ~np.isnan(_cholesky_lo(pt)[..., -1, -1])
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,44 @@ def test_partial_trace_monotonicity():
     assert res.ordering_holds()
 
 
+# -- the PPT kernel: Cholesky, or eigvalsh without numpy's gufunc ----------------
+
+
+def _ppt_counts():
+    """Successes of scans and of both monotonicity modes, all counted by `_is_ppt`."""
+    scans = (
+        threshold_scan(make_config(dims=[3, 3], criterion="ppt", s_values=[24, 36, 48], trials=300)),
+        threshold_scan(make_config(dims=[2, 3], s_values=[4, 8, 12], trials=300)),
+    )
+    monos = (
+        projection_monotonicity(2, 3, 20, 300, SeededStream(41)),
+        partial_trace_monotonicity(2, 12, 300, SeededStream(42)),
+    )
+    counts = [p.successes for r in scans for p in r.points]
+    counts += [side.successes for m in monos
+               for side in (m.coupled_small, m.coupled_large, m.direct_small, m.direct_large)]
+    return counts
+
+
+def test_eigvalsh_fallback_counts_like_cholesky(monkeypatch):
+    assert entanglab.separability._cholesky_lo is not None
+    counts = _ppt_counts()
+    assert sum(0 < c < 300 for c in counts) >= 6
+    monkeypatch.setattr(entanglab.separability, "_cholesky_lo", None)
+    assert _ppt_counts() == counts
+
+
+def test_ppt_counts_make_no_eigensolve(monkeypatch):
+    # with the gufunc present, a silent fall back to eigvalsh would raise here
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(entanglab.separability.np.linalg, "eigvalsh", no_eigensolve)
+    res = threshold_scan(make_config(dims=[3, 3], criterion="ppt", s_values=[36], trials=50))
+    mono = projection_monotonicity(2, 3, 20, 50, SeededStream(43))
+    assert res.points[0].trials == 50 and mono.coupled_large.trials == 50
+
+
 # -- spectral rows -----------------------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
-"""Property tests over random inputs: the batched partial transpose and the
-closed-form gauges of the state, PPT and separable bodies, the partial trace,
-the separable support function, d_inf and the semicircle quantile, binary
-matrix records, config digests and block-derived trial streams."""
+"""Property tests over random inputs: the batched partial transpose, the
+Cholesky PPT test and the closed-form gauges of the state, PPT and separable
+bodies, the partial trace, the separable support function, d_inf and the
+semicircle quantile, binary matrix records, config digests and block-derived
+trial streams."""
 
 import pickle
 import tempfile
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from entanglab.config import ExperimentConfig
-from entanglab import rng
+from entanglab import rng, separability
+from entanglab.ensembles import _induced_states
 from entanglab.io import read_matrix_records, write_matrix_records
 from entanglab.linalg import (
     ProductDims,
@@ -25,6 +27,7 @@ from entanglab.linalg import (
     traceless_part,
 )
 from entanglab.separability import (
+    PPT_EIGENVALUE_TOL,
     _BODIES,
     _body_gauge,
     gauge_ppt,
@@ -84,6 +87,33 @@ def test_partial_transpose_of_stack_is_per_slice(case):
 def test_partial_transpose_is_involution(case):
     dims, H, factors = case
     assert np.array_equal(partial_transpose(partial_transpose(H, dims, factors), dims, factors), H)
+
+
+# offsets of lambda_min(rho^Gamma) from the PPT tolerance; None keeps the draw
+pt_offset_st = st.sampled_from([None, -1e-9, -1e-12, -2e-13, 2e-13, 1e-12, 1e-9])
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from([(2, 2), (2, 3), (3, 3), (4, 4)]).map(ProductDims),
+    seed_st,
+    st.integers(1, 40),
+    st.lists(pt_offset_st, min_size=1, max_size=6),
+)
+def test_cholesky_ppt_matches_eigvalsh_outside_rounding(dims, seed, s, offsets):
+    # induced states, some shifted by a multiple of Id (which commutes with
+    # the partial transpose) to put lambda_min(rho^Gamma) next to the
+    # tolerance; the two tests agree on every state outside a 1e-13 band
+    assert separability._cholesky_lo is not None
+    states = _induced_states(dims.n, s, trial_generators(seed, len(offsets)))
+    lam = separability._min_pt(states, dims)
+    for i, offset in enumerate(offsets):
+        if offset is not None:
+            states[i] += (PPT_EIGENVALUE_TOL + offset - lam[i]) * np.eye(dims.n)
+    lam = separability._min_pt(states, dims)
+    clear = np.abs(lam - PPT_EIGENVALUE_TOL) > 1e-13
+    got = separability._is_ppt(states, dims)
+    np.testing.assert_array_equal(got[clear], (lam >= PPT_EIGENVALUE_TOL)[clear])
 
 
 exact_dims_st = st.sampled_from([(2, 2), (2, 3), (3, 2)]).map(ProductDims)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from conftest import separable_bisection_gauge_oracle
 
-from entanglab.ensembles import DensityMatrix, sample_gue0
+from entanglab import separability
+from entanglab.ensembles import DensityMatrix, _induced_states, sample_gue0
 from entanglab.linalg import ProductDims, hermitize, hs_norm, kron, partial_transpose, traceless_part
 from entanglab.rng import SeededStream, trial_generators
 from entanglab.separability import (
+    PPT_EIGENVALUE_TOL,
     GaugeResult,
     UnsupportedDimensionError,
     gauge_ppt,
@@ -74,6 +76,43 @@ def test_is_separable_exact():
         assert is_separable_exact(rho)
     with pytest.raises(UnsupportedDimensionError):
         is_separable_exact(DensityMatrix(ProductDims((3, 3)), np.eye(9) / 9))
+
+
+@pytest.fixture(params=["cholesky", "eigvalsh"])
+def ppt_path(request, monkeypatch):
+    """Run a test on the Cholesky kernel and on its eigvalsh fallback."""
+    assert separability._cholesky_lo is not None
+    if request.param == "eigvalsh":
+        monkeypatch.setattr(separability, "_cholesky_lo", None)
+    return request.param
+
+
+def test_boundary_states_stay_ppt(ppt_path):
+    # lambda_min(rho^Gamma) is 0 (Werner at 1/3, the pure product state, whose
+    # partial transpose has rank one) or well inside (Id/n)
+    product = np.zeros(4, dtype=complex)
+    product[1] = 1.0
+    states = [werner(1 / 3), DensityMatrix(DIMS22, np.outer(product, product)),
+              DensityMatrix(DIMS22, np.eye(4) / 4)]
+    assert all(is_separable_exact(rho) for rho in states)
+    assert separability._is_ppt(np.stack([r.matrix for r in states]), DIMS22).all()
+
+
+def test_rank_deficient_induced_states_classified_alike(ppt_path):
+    # s = 3 < n = 4: each state has a zero eigenvalue; some are PPT, most not
+    states = _induced_states(4, 3, trial_generators(SeededStream(29), 300))
+    ppt = separability._is_ppt(states, DIMS22)
+    lam = separability._min_pt(states, DIMS22)
+    np.testing.assert_array_equal(ppt, lam >= PPT_EIGENVALUE_TOL)
+    assert 0 < ppt.sum() < 300
+    assert all(is_separable_exact(DensityMatrix(DIMS22, rho)) for rho in states[ppt])
+
+
+def test_ppt_kernel_leaves_its_input_alone():
+    states = _induced_states(6, 4, trial_generators(SeededStream(30), 5))
+    before = states.copy()
+    separability._is_ppt(states, ProductDims((2, 3)))
+    assert np.array_equal(states, before)
 
 
 # -- gauges -----------------------------------------------------------------------
