@@ -14,18 +14,23 @@ Conventions:
     the uniform (Hilbert-Schmidt) distribution on states.
 
 Draws: each trial makes only its own generator calls, and everything else
-runs in buffers of the chunk of trials it belongs to. A Ginibre draw fills
-the float view of a scratch n x s complex buffer with all 2ns normals in one
-call (real parts, then imaginary parts) and scales them into the real and
-imaginary views of the draw by the rounded reciprocal 1/sqrt(2). That product
-is what numpy computes for a complex array divided by np.sqrt(2), so the
-bytes equal those of the formula (re + 1j*im) / np.sqrt(2); dividing the
-views by sqrt(2) would round differently. The conjugate then overwrites the
-scratch buffer and the Gram product is written straight into the chunk's
-stack. A GUE chunk draws every generator's diagonal and off-diagonal normals
-into rows of one array and builds the triangle, Hermitian completion,
-diagonal and traceless projection once for the whole stack. The public
-samplers and couplings run the same stacked kernels on a chunk of one.
+runs in buffers of the chunk of trials it belongs to. Ginibre draws run in
+sub-batches of as many trials as fit two n x s complex buffers into the chunk
+budget (`rng._CHUNK_BYTES`), at least one. Each generator fills its slice of
+the float view of the scratch buffer with all 2ns normals in one call (real
+parts, then imaginary parts); the sub-batch is then scaled in place by the
+rounded reciprocal 1/sqrt(2) and copied into the real and imaginary views of
+the draws. That product is what numpy computes for a complex array divided
+by np.sqrt(2), so the bytes equal those of the formula (re + 1j*im) /
+np.sqrt(2); dividing by sqrt(2) would round differently. The conjugate then
+overwrites the scratch buffer and one stacked Gram product writes the
+sub-batch's slots of the chunk's stack; numpy's stacked matmul runs the same
+gemm on each slice as on a single matrix, so no byte depends on the
+sub-batch size. A GUE chunk draws every generator's diagonal and
+off-diagonal normals into rows of one array and builds the triangle,
+Hermitian completion, diagonal and traceless projection once for the whole
+stack. The public samplers and couplings run the same stacked kernels on a
+chunk of one.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 
 from .geometry import log_znorm
 from .linalg import ProductDims, _hermitize_stack, hermitize, partial_trace, traceless_part
-from .rng import as_generator
+from .rng import _batch_size, as_generator
 
 __all__ = [
     "DensityMatrix",
@@ -150,24 +155,43 @@ def _gue0_states(n: int, gens) -> np.ndarray:
     return traceless_part(_gue_states(n, gens))
 
 
-def _ginibre_into(A: np.ndarray, Ac: np.ndarray, rng: np.random.Generator) -> None:
-    """Draw one Ginibre matrix into A and its conjugate into Ac (both n x s
-    complex). The 2ns normals (real parts, then imaginary parts) land in
-    Ac's float view before it is overwritten by the conjugate."""
-    raw = Ac.view(np.float64).reshape(2, *A.shape)
-    rng.standard_normal(out=raw)
-    np.multiply(raw[0], _INV_SQRT2, out=A.real)
-    np.multiply(raw[1], _INV_SQRT2, out=A.imag)
+def _ginibre_into(A: np.ndarray, Ac: np.ndarray, gens: list) -> None:
+    """Draw one Ginibre matrix per generator into the stack A and the
+    conjugates into Ac (both k x n x s complex, k = len(gens), contiguous).
+    Generator i puts its 2ns normals (real parts, then imaginary parts) into
+    slice i of Ac's float view in one call. One scaling of that view in
+    place, one copy into the real and the imaginary parts of A and one
+    conjugate into Ac then serve the whole stack."""
+    raw = Ac.view(np.float64).reshape(len(gens), 2, *A.shape[1:])
+    for row, rng in zip(raw, gens):
+        rng.standard_normal(out=row)
+    raw *= _INV_SQRT2
+    A.real, A.imag = raw[:, 0], raw[:, 1]
     np.conjugate(A, out=Ac)
+
+
+def _ginibre_batches(n: int, s: int, gens: list):
+    """Ginibre draws of the generators, a sub-batch at a time: as many trials
+    as fit two n x s complex buffers into the chunk budget, at least one.
+    Yields each sub-batch's offset into gens, its draws and their conjugates,
+    as views of two buffers that the next sub-batch overwrites."""
+    k = _batch_size(32 * n * s)
+    A = np.empty((min(k, len(gens)), n, s), dtype=complex)
+    Ac = np.empty_like(A)
+    for i in range(0, len(gens), k):
+        batch = gens[i:i + k]
+        a, ac = A[:len(batch)], Ac[:len(batch)]
+        _ginibre_into(a, ac, batch)
+        yield i, a, ac
 
 
 def sample_ginibre(n: int, s: int, stream) -> np.ndarray:
     """n x s matrix of i.i.d. N_C(0,1) entries."""
     if n < 1 or s < 1:
         raise ValueError("n and s must be >= 1")
-    A = np.empty((n, s), dtype=complex)
-    _ginibre_into(A, np.empty_like(A), as_generator(stream))
-    return A
+    A = np.empty((1, n, s), dtype=complex)
+    _ginibre_into(A, np.empty_like(A), [as_generator(stream)])
+    return A[0]
 
 
 def sample_induced_state(
@@ -183,15 +207,13 @@ def sample_induced_state(
 
 
 def _wishart_stack(n: int, s: int, gens: list) -> np.ndarray:
-    """Gram products A A^dagger, one Ginibre draw per generator. Every trial
-    draws into the same two n x s buffers and writes its product straight
-    into its slot of the stack; the buffers are freed on return."""
-    A = np.empty((n, s), dtype=complex)
-    Ac = np.empty_like(A)
+    """Gram products A A^dagger, one Ginibre draw per generator. Each
+    sub-batch of `_ginibre_batches` writes its products straight into its
+    slots of the stack with one stacked matmul; the buffers are freed on
+    return."""
     W = np.empty((len(gens), n, n), dtype=complex)
-    for Wk, rng in zip(W, gens):
-        _ginibre_into(A, Ac, rng)
-        np.matmul(A, Ac.T, out=Wk)
+    for i, A, Ac in _ginibre_batches(n, s, gens):
+        np.matmul(A, np.swapaxes(Ac, -1, -2), out=W[i:i + len(A)])
     return W
 
 
@@ -245,23 +267,41 @@ class CoupledPair:
 def _projection_pairs(d1: int, d2: int, s: int, gens: list) -> tuple[np.ndarray, np.ndarray, int]:
     """Stacks of the small and the large states of `coupled_local_projection`,
     one pair per generator, and the count of degenerate compressions redrawn
-    from the same generator. Each trial draws into two n x s buffers, as in
-    `_wishart_stack`, and writes both Gram products into its stack slots."""
-    rows = [i * d2 + j for i in range(d1) for j in range(d1)]
-    A = np.empty((d2 * d2, s), dtype=complex)
-    Ac = np.empty_like(A)
-    small = np.empty((len(gens), d1 * d1, d1 * d1), dtype=complex)
-    large = np.empty((len(gens), d2 * d2, d2 * d2), dtype=complex)
-    resamples = 0
-    for Wk, Vk, rng in zip(small, large, gens):
-        while True:
-            _ginibre_into(A, Ac, rng)
-            np.matmul(A[rows], Ac[rows].T, out=Wk)
-            if np.trace(Wk).real > 1e-300:
-                break
-            resamples += 1
-        np.matmul(A, Ac.T, out=Vk)
+    from the same generator."""
+    small, large, resamples = _projection_grams(d1, d2, s, gens)
     return _unit_trace(small), _unit_trace(large), resamples
+
+
+def _projection_grams(d1: int, d2: int, s: int, gens: list) -> tuple[np.ndarray, np.ndarray, int]:
+    """The Gram products behind `_projection_pairs`, of the kept rows and of
+    all rows of each draw. Each sub-batch of `_ginibre_batches` writes both
+    into its slots of the two stacks; a degenerate trial is redrawn alone, on
+    a sub-batch of one. The draw buffers are freed on return."""
+    n, m = d2 * d2, d1 * d1
+    rows = [i * d2 + j for i in range(d1) for j in range(d1)]
+    small = np.empty((len(gens), m, m), dtype=complex)
+    large = np.empty((len(gens), n, n), dtype=complex)
+
+    def grams(i, A, Ac):
+        np.matmul(A, np.swapaxes(Ac, -1, -2), out=large[i:i + len(A)])
+        # move the kept rows, in order, to the top of each draw; rows[j] >= j,
+        # so no kept row is overwritten before it moves, and the compression
+        # needs no copy beyond the two draw buffers
+        for dst, src in enumerate(rows):
+            if src != dst:
+                A[:, dst], Ac[:, dst] = A[:, src], Ac[:, src]
+        np.matmul(A[:, :m], np.swapaxes(Ac[:, :m], -1, -2), out=small[i:i + len(A)])
+
+    resamples = 0
+    for i, A, Ac in _ginibre_batches(n, s, gens):
+        grams(i, A, Ac)
+        tr = np.trace(small[i:i + len(A)], axis1=-2, axis2=-1).real
+        for t in i + np.flatnonzero(tr <= 1e-300):
+            while np.trace(small[t]).real <= 1e-300:
+                resamples += 1
+                _ginibre_into(A[:1], Ac[:1], gens[t:t + 1])
+                grams(t, A[:1], Ac[:1])
+    return small, large, resamples
 
 
 def _partial_trace_pairs(d: int, s: int, gens) -> tuple[np.ndarray, np.ndarray]:

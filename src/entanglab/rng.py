@@ -29,8 +29,10 @@ from numpy.random.bit_generator import ISpawnableSeedSequence
 __all__ = ["SeededStream", "as_generator"]
 
 # Byte budget of one chunk's stack of n x n complex matrices (about 200 trials
-# at n = 9, 4 at n = 64). It bounds a chunk's memory at any trial count; at
-# 256 KiB the stack's temporaries stay within the peak of one large draw.
+# at n = 9, 4 at n = 64), and of the two n x s complex draw buffers of each
+# sub-batch that an induced chunk draws in (14 trials at 9 x 64, 1 at 64 x 192).
+# It bounds a chunk's memory at any trial count; at 256 KiB the stack's
+# temporaries stay within the peak of one large draw.
 _CHUNK_BYTES = 1 << 18
 
 # Trials whose seed words are derived at once: 128 KiB of words per block.
@@ -210,12 +212,17 @@ def split_stream(stream, parts: int) -> list:
     return [stream.substream(i) for i in range(parts)]
 
 
+def _batch_size(nbytes: int) -> int:
+    """Trials of `nbytes` each that fit into _CHUNK_BYTES, at least one."""
+    return max(1, _CHUNK_BYTES // nbytes)
+
+
 def chunk_map(f, stream, trials: int, n: int) -> np.ndarray:
     """f(gens) over chunks of the trials' generators (from `trial_generators`)
     of as many trials as fit n x n complex matrices into _CHUNK_BYTES, at
     least one; the results are concatenated, one value per trial."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    size = max(1, _CHUNK_BYTES // (16 * n * n))
+    size = _batch_size(16 * n * n)
     gens = trial_generators(stream, trials)
     return np.concatenate([f(list(islice(gens, size))) for _ in range(0, trials, size)])

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+import entanglab.rng
 from entanglab import ensembles
 from entanglab.ensembles import (
     DensityMatrix,
@@ -241,6 +244,61 @@ def test_draws_match_documented_formulas(shapes, trials, seed):
                 assert [x.tobytes() for x in got] == ref, (name, n, s, size)
 
 
+# rows of the Ginibre draw behind each stacked induced sampler at size n
+DRAW_ROWS = {
+    "induced": lambda n: n,
+    "centered_induced": lambda n: n,
+    "projection_pairs": lambda n: _projection_dims(n)[1] ** 2,
+    "partial_trace_pairs": lambda n: 4 * (2 + n % 2) ** 2,
+}
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=st.integers(1, 9), s=st.integers(1, 70), trials=st.integers(3, 7),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=9, s=70, trials=7, seed=0)
+@example(n=1, s=1, trials=3, seed=1)
+def test_sub_batches_keep_every_byte(n, s, trials, seed):
+    # chunk budgets that split a chunk's draws into sub-batches of 1 and 2
+    # trials, of trials - 1 (a ragged last one) and of the whole chunk
+    sub = SeededStream(seed)
+    for name, rows in DRAW_ROWS.items():
+        stacked, oracle = STACKED_DRAWS[name]
+        ref = [oracle(n, s, rng).tobytes() for rng in trial_generators(sub, trials)]
+        for k in sorted({1, 2, trials - 1, trials}):
+            with mock.patch.object(entanglab.rng, "_CHUNK_BYTES", k * 32 * rows(n) * s), \
+                    mock.patch.object(ensembles, "_ginibre_into", wraps=ensembles._ginibre_into) as draw:
+                got = stacked(n, s, list(trial_generators(sub, trials)))
+            assert draw.call_count == -(-trials // k), (name, n, s, k)
+            assert [x.tobytes() for x in got] == ref, (name, n, s, k)
+
+
+def _traced_peak(f):
+    """f()'s result and the peak bytes traced while it ran, beyond those
+    traced before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d1, d2, s, trials", [(2, 3, 40, 60), (4, 8, 200, 2)])
+def test_draw_buffers_stay_within_the_chunk_budget(d1, d2, s, trials):
+    # beyond its outputs, a chunk's draw holds at most the larger of the chunk
+    # budget and one trial's two n x s buffers: several trials per sub-batch
+    # at 9 x 40, one at 64 x 200
+    n = d2 * d2
+    bound = max(entanglab.rng._CHUNK_BYTES, 32 * n * s) + (16 << 10)
+    gens = list(trial_generators(SeededStream(37), trials))
+    W, peak = _traced_peak(lambda: ensembles._wishart_stack(n, s, gens))
+    assert peak - W.nbytes <= bound
+    out, peak = _traced_peak(lambda: _projection_pairs(d1, d2, s, gens))
+    assert peak - out[0].nbytes - out[1].nbytes <= bound
+
+
 # -- GUE / Ginibre ----------------------------------------------------------------
 
 
@@ -435,10 +493,10 @@ def test_coupled_projection_int_seed_resamples_like_its_stream(monkeypatch):
     real_draw = ensembles._ginibre_into
     degenerate = []
 
-    def draw(A, Ac, rng):
-        real_draw(A, Ac, rng)
+    def draw(A, Ac, gens):
+        real_draw(A, Ac, gens)
         if degenerate and degenerate.pop():
-            A[:] = Ac[:] = 0
+            A[0, [0, 1, 3, 4]] = Ac[0, [0, 1, 3, 4]] = 0  # the rows kept at d1 = 2
 
     monkeypatch.setattr(ensembles, "_ginibre_into", draw)
     pairs = []
@@ -461,11 +519,14 @@ def test_projection_pairs_redraw_only_a_degenerate_compression(monkeypatch):
     real_draw = ensembles._ginibre_into
     draws = []
 
-    def draw(A, Ac, rng):
-        real_draw(A, Ac, rng)
-        draws.append(rng)
-        if len(draws) == 2:
-            A[[0, 1, 3, 4]] = Ac[[0, 1, 3, 4]] = 0  # the rows kept at d1 = 2
+    def draw(A, Ac, gens):
+        # draws counts generators, not calls: the sub-batch draws trials 1-3
+        # in one call and the redraw of trial 2 is a call of its own
+        real_draw(A, Ac, gens)
+        for k, rng in enumerate(gens):
+            draws.append(rng)
+            if len(draws) == 2:
+                A[k, [0, 1, 3, 4]] = Ac[k, [0, 1, 3, 4]] = 0  # the rows kept at d1 = 2
 
     monkeypatch.setattr(ensembles, "_ginibre_into", draw)
     small, large, resamples = _projection_pairs(2, 3, 5, chunk())
