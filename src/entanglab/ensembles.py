@@ -14,23 +14,26 @@ Conventions:
     the uniform (Hilbert-Schmidt) distribution on states.
 
 Draws: each trial makes only its own generator calls, and everything else
-runs in buffers of the chunk of trials it belongs to. Ginibre draws run in
-sub-batches of as many trials as fit two n x s complex buffers into the chunk
-budget (`rng._CHUNK_BYTES`), at least one. Each generator fills its slice of
-the float view of the scratch buffer with all 2ns normals in one call (real
-parts, then imaginary parts); the sub-batch is then scaled in place by the
-rounded reciprocal 1/sqrt(2) and copied into the real and imaginary views of
-the draws. That product is what numpy computes for a complex array divided
-by np.sqrt(2), so the bytes equal those of the formula (re + 1j*im) /
-np.sqrt(2); dividing by sqrt(2) would round differently. The conjugate then
-overwrites the scratch buffer and one stacked Gram product writes the
-sub-batch's slots of the chunk's stack; numpy's stacked matmul runs the same
-gemm on each slice as on a single matrix, so no byte depends on the
-sub-batch size. A GUE chunk draws every generator's diagonal and
-off-diagonal normals into rows of one array and builds the triangle,
-Hermitian completion, diagonal and traceless projection once for the whole
-stack. The public samplers and couplings run the same stacked kernels on a
-chunk of one.
+runs in buffers of the chunk of trials it belongs to. Induced states are
+drawn in sub-batches of as many trials as fit their normals (2n x s floats),
+their real Gram products (2n x 2n floats) and the buffers of the combine
+below into the chunk budget (`rng._CHUNK_BYTES`), at least one. Each
+generator fills its row of the normals buffer with all 2ns normals in one
+call: z = [re; im], real parts first. One stacked matmul gives G = z z^T
+per trial, and with
+A = (re + i im)/sqrt(2) the Gram product 2 A A^dagger is
+(G11 + G22) + i (G21 - G12), written straight into the real and imaginary
+views of the chunk's stack. The factor 2 cancels when the state is
+normalized: its real and imaginary parts are divided by the real trace.
+numpy runs the product of an array with its own transpose as a syrk, so G is
+exactly symmetric and the Gram products exactly Hermitian; the stacked
+matmul runs the same kernel on each slice as on a single matrix, so no byte
+depends on the sub-batch size. The projection coupling takes the small
+state's Gram product as the principal submatrix of the large one at the kept
+rows. A GUE chunk draws every generator's diagonal and off-diagonal normals
+into rows of one array and builds the triangle, Hermitian completion,
+diagonal and traceless projection once for the whole stack. The public
+samplers and couplings run the same stacked kernels on a chunk of one.
 """
 
 from __future__ import annotations
@@ -116,6 +119,12 @@ class EnsembleSpec:
             object.__setattr__(self, "s", self.n)
 
 
+def _normals_into(z: np.ndarray, gens: list) -> None:
+    """Each generator fills its row of the stack z with one call."""
+    for row, rng in zip(z, gens):
+        rng.standard_normal(out=row)
+
+
 def sample_gue(n: int, stream) -> np.ndarray:
     """Standard Gaussian self-adjoint n x n matrix (E ||A||_HS^2 = n^2)."""
     if n < 1:
@@ -136,8 +145,7 @@ def _gue_states(n: int, gens) -> np.ndarray:
     assembled once for the whole stack."""
     gens = list(gens)
     raw = np.empty((len(gens), n + 2 * n * n))
-    for row, rng in zip(raw, gens):
-        rng.standard_normal(out=row)
+    _normals_into(raw, gens)
     parts = raw[:, n:].reshape(-1, 2, n, n)
     G = np.empty((len(gens), n, n), dtype=complex)
     np.multiply(parts[:, 0], _INV_SQRT2, out=G.real)
@@ -155,34 +163,16 @@ def _gue0_states(n: int, gens) -> np.ndarray:
     return traceless_part(_gue_states(n, gens))
 
 
-def _ginibre_into(A: np.ndarray, Ac: np.ndarray, gens: list) -> None:
-    """Draw one Ginibre matrix per generator into the stack A and the
-    conjugates into Ac (both k x n x s complex, k = len(gens), contiguous).
-    Generator i puts its 2ns normals (real parts, then imaginary parts) into
-    slice i of Ac's float view in one call. One scaling of that view in
-    place, one copy into the real and the imaginary parts of A and one
-    conjugate into Ac then serve the whole stack."""
-    raw = Ac.view(np.float64).reshape(len(gens), 2, *A.shape[1:])
-    for row, rng in zip(raw, gens):
-        rng.standard_normal(out=row)
-    raw *= _INV_SQRT2
-    A.real, A.imag = raw[:, 0], raw[:, 1]
-    np.conjugate(A, out=Ac)
-
-
-def _ginibre_batches(n: int, s: int, gens: list):
-    """Ginibre draws of the generators, a sub-batch at a time: as many trials
-    as fit two n x s complex buffers into the chunk budget, at least one.
-    Yields each sub-batch's offset into gens, its draws and their conjugates,
-    as views of two buffers that the next sub-batch overwrites."""
-    k = _batch_size(32 * n * s)
-    A = np.empty((min(k, len(gens)), n, s), dtype=complex)
-    Ac = np.empty_like(A)
-    for i in range(0, len(gens), k):
-        batch = gens[i:i + k]
-        a, ac = A[:len(batch)], Ac[:len(batch)]
-        _ginibre_into(a, ac, batch)
-        yield i, a, ac
+def _ginibre_into(A: np.ndarray, gens: list) -> None:
+    """Draw one Ginibre matrix per generator into the stack A (k x n x s
+    complex): generator i's 2ns normals, real parts first, each times the
+    rounded reciprocal 1/sqrt(2). That product is what numpy computes for a
+    complex array divided by np.sqrt(2), so A holds the bytes of (re + 1j*im)
+    / np.sqrt(2)."""
+    z = np.empty((len(gens), 2, *A.shape[1:]))
+    _normals_into(z, gens)
+    np.multiply(z[:, 0], _INV_SQRT2, out=A.real)
+    np.multiply(z[:, 1], _INV_SQRT2, out=A.imag)
 
 
 def sample_ginibre(n: int, s: int, stream) -> np.ndarray:
@@ -190,7 +180,7 @@ def sample_ginibre(n: int, s: int, stream) -> np.ndarray:
     if n < 1 or s < 1:
         raise ValueError("n and s must be >= 1")
     A = np.empty((1, n, s), dtype=complex)
-    _ginibre_into(A, np.empty_like(A), [as_generator(stream)])
+    _ginibre_into(A, [as_generator(stream)])
     return A[0]
 
 
@@ -207,19 +197,30 @@ def sample_induced_state(
 
 
 def _wishart_stack(n: int, s: int, gens: list) -> np.ndarray:
-    """Gram products A A^dagger, one Ginibre draw per generator. Each
-    sub-batch of `_ginibre_batches` writes its products straight into its
-    slots of the stack with one stacked matmul; the buffers are freed on
-    return."""
+    """Gram products W = 2 A A^dagger, one Ginibre draw A per generator, from
+    the real Gram products G = z z^T of their normals, a sub-batch at a time
+    (see the module docstring). The buffers are freed on return."""
     W = np.empty((len(gens), n, n), dtype=complex)
-    for i, A, Ac in _ginibre_batches(n, s, gens):
-        np.matmul(A, np.swapaxes(Ac, -1, -2), out=W[i:i + len(A)])
+    # a trial's normals, its real Gram product, and the buffers numpy's ufunc
+    # loop takes for the two strided n x n blocks the combine reads
+    k = _batch_size(16 * n * s + 32 * n * n + 16 * n * n)
+    z = np.empty((min(k, len(gens)), 2 * n, s))
+    G = np.empty((len(z), 2 * n, 2 * n))
+    for i in range(0, len(gens), k):
+        batch = gens[i:i + k]
+        zb, Gb, Wb = z[:len(batch)], G[:len(batch)], W[i:i + len(batch)]
+        _normals_into(zb, batch)
+        np.matmul(zb, np.swapaxes(zb, -1, -2), out=Gb)
+        np.add(Gb[:, :n, :n], Gb[:, n:, n:], out=Wb.real)
+        np.subtract(Gb[:, n:, :n], Gb[:, :n, n:], out=Wb.imag)
     return W
 
 
 def _unit_trace(W: np.ndarray) -> np.ndarray:
-    """States from a stack of Gram products, normalized and hermitized."""
-    W /= np.trace(W, axis1=-2, axis2=-1).real[:, None, None]
+    """States from a C-contiguous stack of Gram products: real and imaginary
+    parts divided by the real trace in place, then hermitized."""
+    parts = W.view(np.float64)
+    parts /= np.trace(W.real, axis1=-2, axis2=-1)[:, None, None]
     return _hermitize_stack(W)
 
 
@@ -273,34 +274,24 @@ def _projection_pairs(d1: int, d2: int, s: int, gens: list) -> tuple[np.ndarray,
 
 
 def _projection_grams(d1: int, d2: int, s: int, gens: list) -> tuple[np.ndarray, np.ndarray, int]:
-    """The Gram products behind `_projection_pairs`, of the kept rows and of
-    all rows of each draw. Each sub-batch of `_ginibre_batches` writes both
-    into its slots of the two stacks; a degenerate trial is redrawn alone, on
-    a sub-batch of one. The draw buffers are freed on return."""
-    n, m = d2 * d2, d1 * d1
-    rows = [i * d2 + j for i in range(d1) for j in range(d1)]
-    small = np.empty((len(gens), m, m), dtype=complex)
-    large = np.empty((len(gens), n, n), dtype=complex)
+    """The Gram products behind `_projection_pairs`: of all rows of each draw,
+    and its principal submatrix at the kept rows. After the chunk's draws, a
+    trial whose kept block has zero trace is redrawn alone from its generator
+    until it has not."""
+    n = d2 * d2
+    rows = (d2 * np.arange(d1)[:, None] + np.arange(d1)).ravel()
 
-    def grams(i, A, Ac):
-        np.matmul(A, np.swapaxes(Ac, -1, -2), out=large[i:i + len(A)])
-        # move the kept rows, in order, to the top of each draw; rows[j] >= j,
-        # so no kept row is overwritten before it moves, and the compression
-        # needs no copy beyond the two draw buffers
-        for dst, src in enumerate(rows):
-            if src != dst:
-                A[:, dst], Ac[:, dst] = A[:, src], Ac[:, src]
-        np.matmul(A[:, :m], np.swapaxes(Ac[:, :m], -1, -2), out=small[i:i + len(A)])
+    def kept(W):  # a contiguous copy, which `_unit_trace` divides in place
+        return W.take(rows, axis=-2).take(rows, axis=-1)
 
+    large = _wishart_stack(n, s, gens)
+    small = kept(large)
     resamples = 0
-    for i, A, Ac in _ginibre_batches(n, s, gens):
-        grams(i, A, Ac)
-        tr = np.trace(small[i:i + len(A)], axis1=-2, axis2=-1).real
-        for t in i + np.flatnonzero(tr <= 1e-300):
-            while np.trace(small[t]).real <= 1e-300:
-                resamples += 1
-                _ginibre_into(A[:1], Ac[:1], gens[t:t + 1])
-                grams(t, A[:1], Ac[:1])
+    for t in np.flatnonzero(np.trace(small.real, axis1=-2, axis2=-1) <= 1e-300):
+        while np.trace(small[t].real) <= 1e-300:
+            resamples += 1
+            large[t] = _wishart_stack(n, s, gens[t:t + 1])[0]
+            small[t] = kept(large[t])
     return small, large, resamples
 
 

@@ -29,10 +29,11 @@ from numpy.random.bit_generator import ISpawnableSeedSequence
 __all__ = ["SeededStream", "as_generator"]
 
 # Byte budget of one chunk's stack of n x n complex matrices (about 200 trials
-# at n = 9, 4 at n = 64), and of the two n x s complex draw buffers of each
-# sub-batch that an induced chunk draws in (14 trials at 9 x 64, 1 at 64 x 192).
-# It bounds a chunk's memory at any trial count; at 256 KiB the stack's
-# temporaries stay within the peak of one large draw.
+# at n = 9, 4 at n = 64), and of each sub-batch that an induced chunk draws in:
+# its 2n x s normals, their 2n x 2n real Gram products and the combine's ufunc
+# buffers (20 trials at 9 x 64, 1 at 64 x 192). It bounds a chunk's memory at
+# any trial count: the stack's temporaries are a small multiple of it (2.5
+# stacks in `linalg._hermitize_stack`).
 _CHUNK_BYTES = 1 << 18
 
 # Trials whose seed words are derived at once: 128 KiB of words per block.

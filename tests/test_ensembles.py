@@ -160,11 +160,32 @@ def _traceless_oracle(A):
     return A - np.trace(A) / n * np.eye(n, dtype=complex)
 
 
-def _induced_oracle(n, s, rng):
-    A = _ginibre_oracle(n, s, rng)
-    W = A @ A.conj().T
-    rho = W / np.trace(W).real
+def _wishart_oracle(n, s, rng):
+    """2 A A^dagger for the Ginibre draw A = (re + 1j*im) / sqrt(2) of the same
+    normals, from the real Gram product G = z z^T of z = [re; im]:
+    (G11 + G22) + i (G21 - G12)."""
+    z = rng.standard_normal((2 * n, s))
+    G = z @ z.T
+    W = np.empty((n, n), dtype=complex)
+    W.real = G[:n, :n] + G[n:, n:]
+    W.imag = G[n:, :n] - G[:n, n:]
+    return W
+
+
+def _state_oracle(W):
+    """The state of a Gram product: its real and imaginary parts divided by
+    its real trace, hermitized."""
+    rho = (W.view(float) / np.trace(W.real)).view(complex)
     return (rho + rho.conj().T) / 2
+
+
+def _induced_oracle(n, s, rng):
+    return _state_oracle(_wishart_oracle(n, s, rng))
+
+
+def _kept_rows(d1, d2):
+    """Rows of a d2 x d2 draw with both local coordinates below d1."""
+    return [i * d2 + j for i in range(d1) for j in range(d1)]
 
 
 def _projection_dims(n):
@@ -174,16 +195,11 @@ def _projection_dims(n):
 
 
 def _projection_oracle(d1, d2, s, rng):
-    """The Gram products of the kept rows and of all rows of one Ginibre
-    draw, normalized and hermitized, flattened into one row: small, large."""
-    A = _ginibre_oracle(d2 * d2, s, rng)
-    rows = [i * d2 + j for i in range(d1) for j in range(d1)]
-    states = []
-    for B in (A[rows], A):
-        W = B @ B.conj().T
-        rho = W / np.trace(W).real
-        states.append(((rho + rho.conj().T) / 2).ravel())
-    return np.concatenate(states)
+    """The states of the Gram product of one draw and of its principal
+    submatrix at the kept rows, flattened into one row: small, large."""
+    W = _wishart_oracle(d2 * d2, s, rng)
+    rows = _kept_rows(d1, d2)
+    return np.concatenate([_state_oracle(B).ravel() for B in (W[np.ix_(rows, rows)], W)])
 
 
 def _partial_trace_oracle(d, s, rng):
@@ -244,7 +260,7 @@ def test_draws_match_documented_formulas(shapes, trials, seed):
                 assert [x.tobytes() for x in got] == ref, (name, n, s, size)
 
 
-# rows of the Ginibre draw behind each stacked induced sampler at size n
+# rows of the Gram product behind each stacked induced sampler at size n
 DRAW_ROWS = {
     "induced": lambda n: n,
     "centered_induced": lambda n: n,
@@ -266,11 +282,40 @@ def test_sub_batches_keep_every_byte(n, s, trials, seed):
         stacked, oracle = STACKED_DRAWS[name]
         ref = [oracle(n, s, rng).tobytes() for rng in trial_generators(sub, trials)]
         for k in sorted({1, 2, trials - 1, trials}):
-            with mock.patch.object(entanglab.rng, "_CHUNK_BYTES", k * 32 * rows(n) * s), \
-                    mock.patch.object(ensembles, "_ginibre_into", wraps=ensembles._ginibre_into) as draw:
+            # a trial's normals (2 rows(n) x s), real Gram product (2 rows(n)
+            # square) and the ufunc buffers of the combine (two rows(n) square)
+            budget = k * (16 * rows(n) * s + 48 * rows(n) ** 2)
+            with mock.patch.object(entanglab.rng, "_CHUNK_BYTES", budget), \
+                    mock.patch.object(ensembles, "_normals_into", wraps=ensembles._normals_into) as draw:
                 got = stacked(n, s, list(trial_generators(sub, trials)))
             assert draw.call_count == -(-trials // k), (name, n, s, k)
             assert [x.tobytes() for x in got] == ref, (name, n, s, k)
+
+
+def _complex_state_oracle(n, s, rng):
+    """The induced state of the complex formula: A = (re + 1j*im) / sqrt(2),
+    then A A^dagger / tr."""
+    A = _ginibre_oracle(n, s, rng)
+    W = A @ A.conj().T
+    return W / np.trace(W).real
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(1, 9), s=st.integers(1, 70), trials=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=64, s=256, trials=2, seed=0)
+def test_real_gram_states_match_the_complex_formula(n, s, trials, seed):
+    # the real Gram product of the normals is the complex one up to rounding,
+    # and exactly Hermitian before the states are hermitized
+    def gens():
+        return list(trial_generators(SeededStream(seed), trials))
+
+    W = ensembles._wishart_stack(n, s, gens())
+    assert np.array_equal(W, np.swapaxes(W.conj(), -1, -2))
+    rho = _induced_states(n, s, gens())
+    ref = np.stack([_complex_state_oracle(n, s, rng) for rng in gens()])
+    scale = np.abs(rho).max(axis=(1, 2))
+    assert np.all(np.abs(rho - ref).max(axis=(1, 2)) <= 1e-13 * scale)
 
 
 def _traced_peak(f):
@@ -487,18 +532,22 @@ def test_coupled_projection_traces_and_dims():
         coupled_local_projection(3, 2, 5, SeededStream(0))
 
 
+# the normals of the rows kept at d1 = 2, d2 = 3: real parts, then imaginary
+KEPT_NORMALS = _kept_rows(2, 3) + [9 + r for r in _kept_rows(2, 3)]
+
+
 def test_coupled_projection_int_seed_resamples_like_its_stream(monkeypatch):
     # a degenerate compression is redrawn from the same generator, for an
     # int seed exactly as for the SeededStream it stands for
-    real_draw = ensembles._ginibre_into
+    real_draw = ensembles._normals_into
     degenerate = []
 
-    def draw(A, Ac, gens):
-        real_draw(A, Ac, gens)
+    def draw(z, gens):
+        real_draw(z, gens)
         if degenerate and degenerate.pop():
-            A[0, [0, 1, 3, 4]] = Ac[0, [0, 1, 3, 4]] = 0  # the rows kept at d1 = 2
+            z[0, KEPT_NORMALS] = 0
 
-    monkeypatch.setattr(ensembles, "_ginibre_into", draw)
+    monkeypatch.setattr(ensembles, "_normals_into", draw)
     pairs = []
     for stream in (7, SeededStream(7)):
         degenerate.append(True)
@@ -516,27 +565,54 @@ def test_projection_pairs_redraw_only_a_degenerate_compression(monkeypatch):
         return list(trial_generators(SeededStream(36), 3))
 
     clean = _pair_rows(*_projection_pairs(2, 3, 5, chunk()))
-    real_draw = ensembles._ginibre_into
+    real_draw = ensembles._normals_into
     draws = []
 
-    def draw(A, Ac, gens):
+    def draw(z, gens):
         # draws counts generators, not calls: the sub-batch draws trials 1-3
         # in one call and the redraw of trial 2 is a call of its own
-        real_draw(A, Ac, gens)
+        real_draw(z, gens)
         for k, rng in enumerate(gens):
             draws.append(rng)
             if len(draws) == 2:
-                A[k, [0, 1, 3, 4]] = Ac[k, [0, 1, 3, 4]] = 0  # the rows kept at d1 = 2
+                z[k, KEPT_NORMALS] = 0
 
-    monkeypatch.setattr(ensembles, "_ginibre_into", draw)
+    monkeypatch.setattr(ensembles, "_normals_into", draw)
     small, large, resamples = _projection_pairs(2, 3, 5, chunk())
     got = _pair_rows(small, large)
     assert resamples == 1 and len(draws) == 4
     assert got[0].tobytes() == clean[0].tobytes()
     assert got[2].tobytes() == clean[2].tobytes()
     rng = chunk()[1]
-    _ginibre_oracle(9, 5, rng)  # the discarded draw
+    _wishart_oracle(9, 5, rng)  # the discarded draw
     assert got[1].tobytes() == _projection_oracle(2, 3, 5, rng).tobytes()
+
+
+@pytest.mark.parametrize("d1, d2, s", [(2, 2, 3), (2, 3, 5), (2, 4, 30), (3, 4, 7)])
+def test_projection_small_gram_is_a_principal_submatrix_of_the_large(d1, d2, s):
+    # byte for byte, also for a trial redrawn after a degenerate compression,
+    # and the large Gram products are those of the induced sampler
+    def gens():
+        return list(trial_generators(SeededStream(39), 4))
+
+    rows = _kept_rows(d1, d2)
+    real_draw = ensembles._normals_into
+    calls = []
+
+    def draw(z, batch):
+        real_draw(z, batch)
+        calls.append(len(batch))
+        if len(calls) == 1:  # trial 1's first draw
+            n = d2 * d2
+            z[1, rows + [n + r for r in rows]] = 0
+
+    with mock.patch.object(ensembles, "_normals_into", draw):
+        small, large, resamples = ensembles._projection_grams(d1, d2, s, gens())
+    assert resamples == 1 and calls == [4, 1]
+    assert small.tobytes() == large[:, rows][:, :, rows].tobytes()
+    clean = ensembles._wishart_stack(d2 * d2, s, gens())
+    for t in (0, 2, 3):
+        assert large[t].tobytes() == clean[t].tobytes()
 
 
 def test_coupled_projection_marginal_distribution():
@@ -610,9 +686,8 @@ def test_sampled_states_pass_full_validation():
     # constructor builds from the same draw, bit for bit
     for t, rng in enumerate(trial_generators(SeededStream(32), 20)):
         n, s = (4, 9) if t % 2 else (6, 2)
-        A = sample_ginibre(n, s, SeededStream(32).substream(t))
-        W = A @ A.conj().T
-        checked = DensityMatrix(None, W / float(np.trace(W).real))
+        W = _wishart_oracle(n, s, SeededStream(32).substream(t).generator())
+        checked = DensityMatrix(None, (W.view(float) / np.trace(W.real)).view(complex))
         rho = sample_induced_state(n, s, rng)
         assert rho.matrix.tobytes() == checked.matrix.tobytes()
     for rng in trial_generators(SeededStream(33), 20):

@@ -314,6 +314,70 @@ def test_ppt_counts_make_no_eigensolve(monkeypatch):
     assert res.points[0].trials == 50 and mono.coupled_large.trials == 50
 
 
+def _complex_formula_states(stream, n, s, trials):
+    """Induced states of trials 0..trials-1 under `stream` by the complex
+    formula: A = (re + 1j*im) / sqrt(2), A A^dagger / tr, hermitized."""
+    out = np.empty((trials, n, n), dtype=complex)
+    for t in range(trials):
+        rng = stream.substream(t).generator()
+        A = (rng.standard_normal((n, s)) + 1j * rng.standard_normal((n, s))) / np.sqrt(2)
+        out[t] = A @ A.conj().T
+    out /= np.trace(out, axis1=1, axis2=2).real[:, None, None]
+    return (out + np.conj(np.swapaxes(out, 1, 2))) / 2
+
+
+def _eigvalsh_ppt_count(rho, d1, d2):
+    """PPT states of a stack on C^d1 x C^d2, by eigvalsh of the explicit
+    partial transpose on the second factor."""
+    pt = rho.reshape(-1, d1, d2, d1, d2).transpose(0, 1, 4, 3, 2).reshape(rho.shape)
+    return int(np.count_nonzero(np.linalg.eigvalsh(pt)[:, 0] >= PPT_EIGENVALUE_TOL))
+
+
+def _oracle_scan_count(dims, s, trials, stream):
+    return _eigvalsh_ppt_count(_complex_formula_states(stream, dims[0] * dims[1], s, trials), *dims)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ppt_counts_match_a_complex_formula_oracle(seed):
+    # the states of the real Gram product differ from those of the complex
+    # formula by rounding only, so every count must equal the oracle's
+    counts = []
+    for dims, criterion, s_values, trials in (
+        ((3, 3), "ppt", range(16, 65, 4), 40),
+        ((8, 8), "ppt", range(192, 321, 32), 8),
+        ((2, 3), "exact", range(2, 15, 2), 40),
+    ):
+        res = threshold_scan(make_config(dims=list(dims), criterion=criterion, s_values=list(s_values),
+                                         trials=trials, master_seed=seed))
+        for i, p in enumerate(res.points):
+            expected = _oracle_scan_count(dims, p.s, trials, SeededStream(seed).substream(i))
+            assert p.successes == expected, (dims, p.s)
+            counts.append(p.successes / trials)
+
+    trials, rows = 60, [0, 1, 3, 4]  # the rows of a 3x3 draw kept at d1 = 2
+    stream = SeededStream(seed)
+    for res in (projection_monotonicity(2, 3, 12, trials, stream),
+                partial_trace_monotonicity(2, 5, trials, stream)):
+        d = res.direct_small.dims[0]
+        coupled = stream.substream(0)
+        if res.mode == "projection":
+            large = _complex_formula_states(coupled, 9, 12, trials)
+            small = large[:, rows][:, :, rows]
+            small /= np.trace(small, axis1=1, axis2=2).real[:, None, None]
+        else:
+            large = _complex_formula_states(coupled, 4 * d * d, 5, trials)
+            small = np.einsum("tiajbicjd->tabcd", large.reshape((trials,) + (2, d) * 4))
+            small = small.reshape(trials, d * d, d * d)
+        dl = res.direct_large.dims[0]
+        assert res.coupled_small.successes == _eigvalsh_ppt_count(small, d, d)
+        assert res.coupled_large.successes == _eigvalsh_ppt_count(large, dl, dl)
+        for k, side in ((1, res.direct_small), (2, res.direct_large)):
+            assert side.successes == _oracle_scan_count(side.dims, side.s, trials, stream.substream(k))
+        counts += [side.successes / trials for side in (res.coupled_small, res.coupled_large,
+                                                        res.direct_small, res.direct_large)]
+    assert sum(0 < c < 1 for c in counts) >= 10
+
+
 # -- spectral rows -----------------------------------------------------------------------
 
 
