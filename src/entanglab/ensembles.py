@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import log_znorm
-from .linalg import ProductDims, _hermitize_stack, hermitize, partial_trace, traceless_part
+from .linalg import ProductDims, hermitize, partial_trace, traceless_part
 from .rng import _batch_size, as_generator
 
 __all__ = [
@@ -163,25 +163,18 @@ def _gue0_states(n: int, gens) -> np.ndarray:
     return traceless_part(_gue_states(n, gens))
 
 
-def _ginibre_into(A: np.ndarray, gens: list) -> None:
-    """Draw one Ginibre matrix per generator into the stack A (k x n x s
-    complex): generator i's 2ns normals, real parts first, each times the
-    rounded reciprocal 1/sqrt(2). That product is what numpy computes for a
-    complex array divided by np.sqrt(2), so A holds the bytes of (re + 1j*im)
-    / np.sqrt(2)."""
-    z = np.empty((len(gens), 2, *A.shape[1:]))
-    _normals_into(z, gens)
-    np.multiply(z[:, 0], _INV_SQRT2, out=A.real)
-    np.multiply(z[:, 1], _INV_SQRT2, out=A.imag)
-
-
 def sample_ginibre(n: int, s: int, stream) -> np.ndarray:
-    """n x s matrix of i.i.d. N_C(0,1) entries."""
+    """n x s matrix of i.i.d. N_C(0,1) entries: the stream's 2ns normals,
+    real parts first, each times the rounded reciprocal 1/sqrt(2). That
+    product is what numpy computes for a complex array divided by
+    np.sqrt(2), so the result holds the bytes of (re + 1j*im) / np.sqrt(2)."""
     if n < 1 or s < 1:
         raise ValueError("n and s must be >= 1")
-    A = np.empty((1, n, s), dtype=complex)
-    _ginibre_into(A, [as_generator(stream)])
-    return A[0]
+    z = as_generator(stream).standard_normal((2, n, s))
+    A = np.empty((n, s), dtype=complex)
+    np.multiply(z[0], _INV_SQRT2, out=A.real)
+    np.multiply(z[1], _INV_SQRT2, out=A.imag)
+    return A
 
 
 def sample_induced_state(
@@ -218,10 +211,11 @@ def _wishart_stack(n: int, s: int, gens: list) -> np.ndarray:
 
 def _unit_trace(W: np.ndarray) -> np.ndarray:
     """States from a C-contiguous stack of Gram products: real and imaginary
-    parts divided by the real trace in place, then hermitized."""
+    parts divided by the real trace in place. The Gram products are exactly
+    Hermitian (see the module docstring), and so are their quotients."""
     parts = W.view(np.float64)
     parts /= np.trace(W.real, axis1=-2, axis2=-1)[:, None, None]
-    return _hermitize_stack(W)
+    return W
 
 
 def _induced_states(n: int, s: int, gens) -> np.ndarray:

@@ -71,10 +71,7 @@ def write_matrix_records(path, matrices) -> None:
                 raise ValueError("matrix records must be 2-D")
             rows, cols = M.shape
             fh.write(struct.pack("<QQ", rows, cols))
-            inter = np.empty((rows, cols, 2), dtype="<f8")
-            inter[..., 0] = M.real
-            inter[..., 1] = M.imag
-            fh.write(inter.tobytes())
+            fh.write(M.astype("<c16").tobytes())
 
 
 def read_matrix_records(path) -> list[np.ndarray]:

@@ -77,12 +77,6 @@ def hermitize(A: np.ndarray) -> np.ndarray:
     return (A + A.conj().T) / 2
 
 
-def _hermitize_stack(A: np.ndarray) -> np.ndarray:
-    """`hermitize` of each matrix in a stack (..., n, n)."""
-    A = _check_square(A, batched=True)
-    return (A + np.swapaxes(A.conj(), -1, -2)) / 2
-
-
 def traceless_part(A: np.ndarray) -> np.ndarray:
     """Project A onto the trace-zero hyperplane, A - (tr A / n) Id; a stack
     (..., n, n) is projected matrix by matrix."""

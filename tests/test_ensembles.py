@@ -306,13 +306,19 @@ def _complex_state_oracle(n, s, rng):
 @example(n=64, s=256, trials=2, seed=0)
 def test_real_gram_states_match_the_complex_formula(n, s, trials, seed):
     # the real Gram product of the normals is the complex one up to rounding,
-    # and exactly Hermitian before the states are hermitized
+    # and exactly Hermitian, as are the states drawn from it: no pass
+    # hermitizes them
     def gens():
         return list(trial_generators(SeededStream(seed), trials))
 
-    W = ensembles._wishart_stack(n, s, gens())
-    assert np.array_equal(W, np.swapaxes(W.conj(), -1, -2))
+    def hermitian(stack):
+        return np.array_equal(stack, np.swapaxes(stack.conj(), -1, -2))
+
+    assert hermitian(ensembles._wishart_stack(n, s, gens()))
+    small, large, _ = _projection_pairs(*_projection_dims(n), s, gens())
+    assert hermitian(small) and hermitian(large)
     rho = _induced_states(n, s, gens())
+    assert hermitian(rho)
     ref = np.stack([_complex_state_oracle(n, s, rng) for rng in gens()])
     scale = np.abs(rho).max(axis=(1, 2))
     assert np.all(np.abs(rho - ref).max(axis=(1, 2)) <= 1e-13 * scale)
@@ -330,16 +336,19 @@ def _traced_peak(f):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("d1, d2, s, trials", [(2, 3, 40, 60), (4, 8, 200, 2)])
+@pytest.mark.parametrize("d1, d2, s, trials", [
+    (2, 3, 40, 60), (4, 8, 200, 2), (2, 3, 64, 202), (4, 8, 200, 4)])
 def test_draw_buffers_stay_within_the_chunk_budget(d1, d2, s, trials):
     # beyond its outputs, a chunk's draw holds at most the larger of the chunk
     # budget and one trial's two n x s buffers: several trials per sub-batch
-    # at 9 x 40, one at 64 x 200
+    # at 9 x 40 and 9 x 64, one at 64 x 200; the last two inputs are full
+    # chunks (`rng.chunk_map`)
     n = d2 * d2
     bound = max(entanglab.rng._CHUNK_BYTES, 32 * n * s) + (16 << 10)
     gens = list(trial_generators(SeededStream(37), trials))
-    W, peak = _traced_peak(lambda: ensembles._wishart_stack(n, s, gens))
-    assert peak - W.nbytes <= bound
+    for draw in (ensembles._wishart_stack, _induced_states):
+        W, peak = _traced_peak(lambda: draw(n, s, gens))
+        assert peak - W.nbytes <= bound, draw.__name__
     out, peak = _traced_peak(lambda: _projection_pairs(d1, d2, s, gens))
     assert peak - out[0].nbytes - out[1].nbytes <= bound
 

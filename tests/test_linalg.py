@@ -177,8 +177,8 @@ def test_traceless_part():
 
 
 def test_single_matrix_functions_reject_stacks():
-    # the batched engine hermitizes stacks through a private helper; the
-    # public single-matrix functions keep rejecting (k, n, n) input
+    # the batched engine works on stacks; the public single-matrix functions
+    # keep rejecting (k, n, n) input
     from entanglab.separability import gauge_ppt, gauge_states
 
     rng = np.random.default_rng(9)
