@@ -30,10 +30,11 @@ exactly symmetric and the Gram products exactly Hermitian; the stacked
 matmul runs the same kernel on each slice as on a single matrix, so no byte
 depends on the sub-batch size. The projection coupling takes the small
 state's Gram product as the principal submatrix of the large one at the kept
-rows. A GUE chunk draws every generator's diagonal and off-diagonal normals
-into rows of one array and builds the triangle, Hermitian completion,
-diagonal and traceless projection once for the whole stack. The public
-samplers and couplings run the same stacked kernels on a chunk of one.
+rows. A GUE chunk draws its generators' normals into rows of a sub-batch
+buffer, sized the same way, and assembles each sub-batch's triangle,
+Hermitian completion and diagonal at once; traceless draws subtract tr/n
+from the stack's diagonals in place. The public samplers and couplings run
+the same stacked kernels on a chunk of one.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import log_znorm
-from .linalg import ProductDims, hermitize, partial_trace, traceless_part
+from .linalg import ProductDims, _make_traceless, hermitize, partial_trace, traceless_part
 from .rng import _batch_size, as_generator
 
 __all__ = [
@@ -134,33 +135,37 @@ def sample_gue(n: int, stream) -> np.ndarray:
 
 def sample_gue0(n: int, stream) -> np.ndarray:
     """Trace-zero GUE: the standard Gaussian on traceless self-adjoint matrices."""
-    return traceless_part(sample_gue(n, stream))
+    return _make_traceless(sample_gue(n, stream))
 
 
 def _gue_states(n: int, gens) -> np.ndarray:
     """Stack of GUE matrices, one per generator. Each generator draws its
     diagonal and then the real and imaginary parts of a full n x n
-    off-diagonal block, in one call into its row of the chunk; the strict
-    upper triangle, the Hermitian completion and the diagonal are then
-    assembled once for the whole stack."""
+    off-diagonal block, in one call into its row of a sub-batch; the strict
+    upper triangle, its conjugate below it and the diagonal are then
+    assembled once for the sub-batch."""
     gens = list(gens)
-    raw = np.empty((len(gens), n + 2 * n * n))
-    _normals_into(raw, gens)
-    parts = raw[:, n:].reshape(-1, 2, n, n)
     G = np.empty((len(gens), n, n), dtype=complex)
-    np.multiply(parts[:, 0], _INV_SQRT2, out=G.real)
-    np.multiply(parts[:, 1], _INV_SQRT2, out=G.imag)
-    G[:, np.tri(n, dtype=bool)] = 0  # keep the strict upper triangle
-    G += np.swapaxes(G.conj(), -1, -2)
-    i = np.arange(n)
-    G[:, i, i] = raw[:, :n]
+    # a trial's normals, and its lower triangle gathered and conjugated
+    k = _batch_size(8 * (n + 2 * n * n) + 16 * n * n)
+    raw = np.empty((min(k, len(gens)), n + 2 * n * n))
+    lower, i = np.tri(n, k=-1, dtype=bool), np.arange(n)
+    for b in range(0, len(gens), k):
+        batch = gens[b:b + k]
+        rb, Gb = raw[:len(batch)], G[b:b + len(batch)]
+        _normals_into(rb, batch)
+        Gb.real, Gb.imag = np.moveaxis(rb[:, n:].reshape(-1, 2, n, n), 1, 0)
+        scaled = Gb.view(np.float64)
+        scaled *= _INV_SQRT2
+        Gb[:, lower] = np.swapaxes(Gb, -1, -2)[:, lower].conj()
+        Gb[:, i, i] = rb[:, :n]
     return G
 
 
 def _gue0_states(n: int, gens) -> np.ndarray:
     """Stack of trace-zero GUE matrices, bit-identical to `sample_gue0` of
     each generator."""
-    return traceless_part(_gue_states(n, gens))
+    return _make_traceless(_gue_states(n, gens))
 
 
 def sample_ginibre(n: int, s: int, stream) -> np.ndarray:
@@ -225,7 +230,7 @@ def _induced_states(n: int, s: int, gens) -> np.ndarray:
 
 def _centered_induced_states(n: int, s: int, gens) -> np.ndarray:
     """Stack of rho - Id/n for the induced states of `_induced_states`."""
-    return traceless_part(_induced_states(n, s, gens))
+    return _make_traceless(_induced_states(n, s, gens))
 
 
 def sample_uniform_state(n: int, stream, dims: ProductDims | None = None) -> DensityMatrix:

@@ -11,7 +11,6 @@ output rows are sorted by the scan variable before writing.
 
 from __future__ import annotations
 
-import importlib.metadata
 import math
 import os
 import sys
@@ -567,15 +566,6 @@ def run_config(path: str, output_override: str | None = None) -> int:
     return execute_config(config, output_override)
 
 
-def _installed_version(package: str) -> str | None:
-    """Version of an installed distribution, None if it is not installed;
-    read from its metadata, so the package itself is not imported."""
-    try:
-        return importlib.metadata.version(package)
-    except importlib.metadata.PackageNotFoundError:
-        return None
-
-
 def execute_config(config: ExperimentConfig, output_override: str | None = None) -> int:
     """Execute an already-validated config; see run_config."""
     try:
@@ -618,7 +608,6 @@ def execute_config(config: ExperimentConfig, output_override: str | None = None)
         "versions": {
             "entanglab": __version__,
             "numpy": np.__version__,
-            "scipy": _installed_version("scipy"),
         },
         "extra": extra,
     }

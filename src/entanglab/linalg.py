@@ -81,8 +81,14 @@ def traceless_part(A: np.ndarray) -> np.ndarray:
     """Project A onto the trace-zero hyperplane, A - (tr A / n) Id; a stack
     (..., n, n) is projected matrix by matrix."""
     A = _check_square(A, batched=True)
-    n = A.shape[-1]
-    return A - (np.trace(A, axis1=-2, axis2=-1) / n)[..., None, None] * np.eye(n, dtype=A.dtype)
+    return _make_traceless(A.astype(np.result_type(A, 1.0)))
+
+
+def _make_traceless(A: np.ndarray) -> np.ndarray:
+    """`traceless_part` of a float or complex stack, in place on its diagonals."""
+    diag = np.einsum("...ii->...i", A)
+    diag -= diag.sum(axis=-1, keepdims=True) / A.shape[-1]
+    return A
 
 
 def hs_inner(A: np.ndarray, B: np.ndarray) -> float:

@@ -33,9 +33,8 @@ __all__ = ["SeededStream", "as_generator"]
 # its 2n x s normals, their 2n x 2n real Gram products and the combine's ufunc
 # buffers (20 trials at 9 x 64, 1 at 64 x 192). It bounds a chunk's memory at
 # any trial count: the stack's temporaries are a small multiple of it (the
-# tracemalloc peaks of `linalg.traceless_part`, result included, and of the
-# shifted partial transpose and Cholesky in `separability._is_ppt` are about
-# 2.0 stacks each).
+# tracemalloc peak of the shifted partial transpose and Cholesky in
+# `separability._is_ppt` is about 2.0 stacks, result included).
 _CHUNK_BYTES = 1 << 18
 
 # Trials whose seed words are derived at once: 128 KiB of words per block.

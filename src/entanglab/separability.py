@@ -139,7 +139,7 @@ def _is_ppt(states: np.ndarray, dims: ProductDims) -> np.ndarray:
     if _cholesky_lo is None:
         return _min_pt(states, dims) >= PPT_EIGENVALUE_TOL
     pt = partial_transpose(states, dims, 1)  # a fresh array
-    pt[..., range(dims.n), range(dims.n)] -= PPT_EIGENVALUE_TOL
+    np.einsum("...ii->...i", pt)[...] -= PPT_EIGENVALUE_TOL
     with np.errstate(invalid="ignore"):
         return ~np.isnan(_cholesky_lo(pt)[..., -1, -1])
 

@@ -334,7 +334,8 @@ def test_config_rejects_unhashable_experiment():
 # -- SciPy is a test-only dependency ------------------------------------------------
 
 # One tiny invocation of every subcommand (every geometry check too), run in
-# a child process in which `import scipy` raises ImportError.
+# a child process in which `import scipy` raises ImportError; none of them
+# loads importlib.metadata either.
 NO_SCIPY_RUNS = {
     "sample": [["sample", "--ensemble", "induced", "--n", "4", "--s", "6", "--trials", "2",
                 "--format", "bin", "--out", "d.bin"]],
@@ -364,13 +365,16 @@ sys.modules["scipy"] = None  # any import of scipy or a submodule now raises Imp
 from entanglab.cli import main
 statuses = [main(argv) for argvs in json.loads(sys.argv[1]).values() for argv in argvs]
 print(json.dumps(statuses), file=sys.stderr)
+assert "importlib.metadata" not in sys.modules  # no run reads package metadata
 sys.exit(max(statuses))
 """
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # nor importlib.metadata, which would bring email, socket and more
     code = ("import sys, entanglab.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m in ('importlib.metadata', 'email')))")
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -337,18 +337,21 @@ def _traced_peak(f):
 
 
 @pytest.mark.parametrize("d1, d2, s, trials", [
-    (2, 3, 40, 60), (4, 8, 200, 2), (2, 3, 64, 202), (4, 8, 200, 4)])
+    (2, 3, 40, 60), (4, 8, 200, 2), (2, 3, 64, 202), (4, 8, 200, 4), (2, 2, 8, 1024)])
 def test_draw_buffers_stay_within_the_chunk_budget(d1, d2, s, trials):
     # beyond its outputs, a chunk's draw holds at most the larger of the chunk
     # budget and one trial's two n x s buffers: several trials per sub-batch
-    # at 9 x 40 and 9 x 64, one at 64 x 200; the last two inputs are full
-    # chunks (`rng.chunk_map`)
+    # at 9 x 40 and 9 x 64, one at 64 x 200; the last three inputs are full
+    # chunks (`rng.chunk_map`). The traceless draws project the drawn stack in
+    # place.
     n = d2 * d2
     bound = max(entanglab.rng._CHUNK_BYTES, 32 * n * s) + (16 << 10)
     gens = list(trial_generators(SeededStream(37), trials))
-    for draw in (ensembles._wishart_stack, _induced_states):
+    for draw in (ensembles._wishart_stack, _induced_states, _centered_induced_states):
         W, peak = _traced_peak(lambda: draw(n, s, gens))
         assert peak - W.nbytes <= bound, draw.__name__
+    G, peak = _traced_peak(lambda: _gue0_states(n, gens))
+    assert peak - G.nbytes <= bound
     out, peak = _traced_peak(lambda: _projection_pairs(d1, d2, s, gens))
     assert peak - out[0].nbytes - out[1].nbytes <= bound
 
