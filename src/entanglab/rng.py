@@ -28,14 +28,19 @@ from numpy.random.bit_generator import ISpawnableSeedSequence
 
 __all__ = ["SeededStream", "as_generator"]
 
-# Byte budget of one chunk's stack of n x n complex matrices (about 200 trials
-# at n = 9, 4 at n = 64), and of each sub-batch that an induced chunk draws in:
-# its 2n x s normals, their 2n x 2n real Gram products and the combine's ufunc
-# buffers (20 trials at 9 x 64, 1 at 64 x 192). It bounds a chunk's memory at
-# any trial count: the stack's temporaries are a small multiple of it (the
-# tracemalloc peak of the shifted partial transpose and Cholesky in
-# `separability._is_ppt` is about 2.0 stacks, result included).
+# Byte budget of one chunk: its stack of n x n complex matrices and its
+# trials' generators (252 trials at n = 1, 204 at n = 4, 112 at n = 9, 3 at
+# n = 64), and of each sub-batch that an induced chunk draws in: its 2n x s
+# normals, their 2n x 2n real Gram products and the combine's ufunc buffers
+# (20 trials at 9 x 64, 1 at 64 x 192). It bounds a chunk's memory at any
+# trial count: the stack's temporaries are a small multiple of it (the
+# tracemalloc peak of `separability._is_ppt`, which factors the shifted
+# partial transpose in place, is about one stack beyond its input).
 _CHUNK_BYTES = 1 << 18
+
+# Bytes a trial's generator holds while its chunk runs: its Generator, PCG64
+# and _TrialSeed with its row of seed words trace 792 B (numpy 2.4).
+_GENERATOR_BYTES = 1 << 10
 
 # Trials whose seed words are derived at once: 128 KiB of words per block.
 _BLOCK = 4096
@@ -219,12 +224,18 @@ def _batch_size(nbytes: int) -> int:
     return max(1, _CHUNK_BYTES // nbytes)
 
 
+def _trial_bytes(n: int) -> int:
+    """Bytes a chunk holds per trial: its n x n complex matrix and its generator."""
+    return 16 * n * n + _GENERATOR_BYTES
+
+
 def chunk_map(f, stream, trials: int, n: int) -> np.ndarray:
     """f(gens) over chunks of the trials' generators (from `trial_generators`)
-    of as many trials as fit n x n complex matrices into _CHUNK_BYTES, at
-    least one; the results are concatenated, one value per trial."""
+    of as many trials as fit, each with its n x n complex matrix and its
+    generator, into _CHUNK_BYTES, at least one; the results are concatenated,
+    one value per trial."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    size = _batch_size(16 * n * n)
+    size = _batch_size(_trial_bytes(n))
     gens = trial_generators(stream, trials)
     return np.concatenate([f(list(islice(gens, size))) for _ in range(0, trials, size)])

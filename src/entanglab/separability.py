@@ -141,7 +141,9 @@ def _is_ppt(states: np.ndarray, dims: ProductDims) -> np.ndarray:
     pt = partial_transpose(states, dims, 1)  # a fresh array
     np.einsum("...ii->...i", pt)[...] -= PPT_EIGENVALUE_TOL
     with np.errstate(invalid="ignore"):
-        return ~np.isnan(_cholesky_lo(pt)[..., -1, -1])
+        # the gufunc copies each matrix into its work buffer, so the factor
+        # can overwrite its input
+        return ~np.isnan(_cholesky_lo(pt, out=pt)[..., -1, -1])
 
 
 @dataclass(frozen=True)

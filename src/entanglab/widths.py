@@ -244,7 +244,7 @@ def mc_intersection_ratio(sample_points, contains_negated, points: int, stream) 
     one array; `contains_negated(Y)` tests every row of a stack for
     membership in K. Both run once per chunk of points.
     """
-    # Chunks sized as for 1 x 1 matrices: 16384 points, a few hundred KiB.
+    # Chunks sized as for 1 x 1 matrices: 252 points, each with its generator.
     hits = int(np.count_nonzero(
         chunk_map(lambda gens: contains_negated(-sample_points(gens)), stream, points, 1)
     ))

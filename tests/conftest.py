@@ -3,11 +3,13 @@
 import itertools
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 import entanglab
+import entanglab.rng
 from entanglab.linalg import hs_norm
 from entanglab.separability import gauge_states
 
@@ -17,6 +19,24 @@ def child_env() -> dict:
     src = str(Path(entanglab.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def chunk_trials(monkeypatch, n, trials):
+    """Make `rng.chunk_map` run `trials` n x n trials per chunk: the budget of
+    that many trials at the per-trial byte count it sizes chunks by."""
+    monkeypatch.setattr(entanglab.rng, "_CHUNK_BYTES", trials * entanglab.rng._trial_bytes(n))
+
+
+def traced_peak(f):
+    """f()'s result and the peak bytes traced while it ran, beyond those
+    traced before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def pt_index_permutation(H, dims):

@@ -6,11 +6,10 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import child_env
+from conftest import child_env, chunk_trials
 
 import entanglab
 import entanglab.cli
-import entanglab.rng
 from entanglab.cli import _build_parser, main
 from entanglab.config import ConfigError, ExperimentConfig
 from entanglab.ensembles import sample_gue0
@@ -160,7 +159,7 @@ def test_cli_urysohn_matches_per_trial_reference(tmp_path, monkeypatch):
                 "passed": bool(v <= est.mean / gm + 3 * est.stderr / gm)}
     out = tmp_path / "urysohn.json"
     for chunk in (1, 2, trials - 1, trials, trials + 1):
-        monkeypatch.setattr(entanglab.rng, "_CHUNK_BYTES", chunk * 16 * n * n)
+        chunk_trials(monkeypatch, n, chunk)
         assert main(["geometry", "--check", "urysohn", "--n", str(n), "--trials", str(trials),
                      "--seed", str(seed), "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == expected, chunk

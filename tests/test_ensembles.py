@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
@@ -122,6 +123,22 @@ def test_trial_generators_match_substreams():
     via_sub = [sample_gue(2, s.substream(i)) for i in range(3)]
     for a, b in zip(via_iter, via_sub):
         assert np.array_equal(a, b)
+
+
+def test_trial_generators_fit_their_byte_count():
+    # the bytes each generator of a full n = 1 chunk holds, its row of seed
+    # words included: chunks are sized by this count, so a numpy release
+    # whose generators outgrow it fails here
+    trials = entanglab.rng._batch_size(entanglab.rng._trial_bytes(1))
+    list(trial_generators(SeededStream(1), trials))  # first-use allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gens = list(trial_generators(SeededStream(2), trials))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(gens) == trials and held <= trials * entanglab.rng._GENERATOR_BYTES, held / trials
 
 
 def test_trial_seed_words_refuse_indices_past_32_bits():
@@ -324,35 +341,24 @@ def test_real_gram_states_match_the_complex_formula(n, s, trials, seed):
     assert np.all(np.abs(rho - ref).max(axis=(1, 2)) <= 1e-13 * scale)
 
 
-def _traced_peak(f):
-    """f()'s result and the peak bytes traced while it ran, beyond those
-    traced before the call."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = f()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("d1, d2, s, trials", [
-    (2, 3, 40, 60), (4, 8, 200, 2), (2, 3, 64, 202), (4, 8, 200, 4), (2, 2, 8, 1024)])
+    (2, 3, 40, 60), (4, 8, 200, 2), (2, 3, 64, 202), (4, 8, 200, 4), (2, 2, 8, 1024),
+    (2, 3, 64, 112), (4, 8, 200, 3), (2, 2, 8, 204)])
 def test_draw_buffers_stay_within_the_chunk_budget(d1, d2, s, trials):
     # beyond its outputs, a chunk's draw holds at most the larger of the chunk
     # budget and one trial's two n x s buffers: several trials per sub-batch
     # at 9 x 40 and 9 x 64, one at 64 x 200; the last three inputs are full
-    # chunks (`rng.chunk_map`). The traceless draws project the drawn stack in
-    # place.
+    # chunks (`rng.chunk_map`), and the three before them hold more trials
+    # than a chunk. The traceless draws project the drawn stack in place.
     n = d2 * d2
     bound = max(entanglab.rng._CHUNK_BYTES, 32 * n * s) + (16 << 10)
     gens = list(trial_generators(SeededStream(37), trials))
     for draw in (ensembles._wishart_stack, _induced_states, _centered_induced_states):
-        W, peak = _traced_peak(lambda: draw(n, s, gens))
+        W, peak = traced_peak(lambda: draw(n, s, gens))
         assert peak - W.nbytes <= bound, draw.__name__
-    G, peak = _traced_peak(lambda: _gue0_states(n, gens))
+    G, peak = traced_peak(lambda: _gue0_states(n, gens))
     assert peak - G.nbytes <= bound
-    out, peak = _traced_peak(lambda: _projection_pairs(d1, d2, s, gens))
+    out, peak = traced_peak(lambda: _projection_pairs(d1, d2, s, gens))
     assert peak - out[0].nbytes - out[1].nbytes <= bound
 
 

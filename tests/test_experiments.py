@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import chunk_trials, traced_peak
 
 import entanglab.experiments as exps
 import entanglab.rng
@@ -46,6 +47,7 @@ from entanglab.separability import (
 )
 from entanglab.spectral import alpha_beta, dinf_semicircle
 from entanglab.stats import from_samples, wilson_interval
+from entanglab.widths import ppt_threshold_estimate, symmetrization_volume_ratio
 
 
 def make_config(**overrides):
@@ -169,11 +171,6 @@ def test_crossing_interpolation():
     # linear interpolation: 10 + (0.5-0.3)/(0.7-0.3) * 10 = 15
     assert crossing_estimate(pts) == pytest.approx(15.0)
     assert crossing_estimate(pts[:1]) is None
-
-
-def chunk_trials(monkeypatch, n, trials):
-    """Make the engine evaluate `trials` n x n matrices per chunk."""
-    monkeypatch.setattr(entanglab.rng, "_CHUNK_BYTES", trials * 16 * n * n)
 
 
 def test_scan_same_successes_at_any_chunk_size(monkeypatch):
@@ -408,6 +405,39 @@ def test_zero_trials_rejected(run):
         ZERO_TRIAL_RUNS[run]()
 
 
+# -- chunk memory ------------------------------------------------------------------------
+
+
+def test_chunk_sizes_count_each_trials_generator(monkeypatch):
+    # a chunk holds as many trials as fit their n x n matrices and generators
+    # into the budget; `chunk_trials` forces the chunk size it names
+    def first_chunk(n):
+        return int(chunk_map(lambda gens: np.full(len(gens), len(gens)), 3, 1000, n)[0])
+
+    assert [first_chunk(n) for n in (1, 4, 9, 64)] == [252, 204, 112, 3]
+    for k in (1, 3, 60):
+        chunk_trials(monkeypatch, 4, k)
+        assert first_chunk(4) == k
+
+
+CHUNK_PIPELINES = {  # whole chunk_map runs at n = 1, 4, 9 and 64
+    "symmetrization-n1": lambda: symmetrization_volume_ratio(3, 20000, SeededStream(3)),
+    "ppt-threshold-n4": lambda: ppt_threshold_estimate(2, 1200, SeededStream(3)),
+    "scan-3x3": lambda: exps._scan_point(ProductDims((3, 3)), 64, 400, "ppt", SeededStream(3)),
+    "scan-8x8": lambda: exps._scan_point(ProductDims((8, 8)), 256, 100, "ppt", SeededStream(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_PIPELINES))
+def test_chunk_pipelines_stay_within_four_chunk_budgets(name):
+    # a run holds one chunk at a time: its generators, its stack and their
+    # temporaries, plus one block of seed words, whatever its trial count
+    run = CHUNK_PIPELINES[name]
+    run()  # first-use allocations (caches, lazy imports) are not the chunk's
+    _, peak = traced_peak(run)
+    assert peak <= 4 * entanglab.rng._CHUNK_BYTES, peak
+
+
 # -- batched engine against a per-trial reference -------------------------------------
 #
 # The reference draws and evaluates one trial at a time through the public
@@ -596,7 +626,7 @@ def test_run_config_roundtrip_and_determinism(tmp_path):
     assert (tmp_path / "scan.csv").read_bytes() == first
 
 
-def test_sidecar_scipy_version_is_null_without_scipy(tmp_path, monkeypatch):
+def test_sidecar_versions_are_entanglab_and_numpy(tmp_path, monkeypatch):
     # the sidecar records the versions of the code that wrote the file, SciPy
     # not among them, whether or not SciPy's metadata is installed
     real_version = importlib.metadata.version

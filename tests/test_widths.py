@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import separable_bisection_gauge_oracle
+from conftest import chunk_trials, separable_bisection_gauge_oracle
 
-import entanglab.rng
 from entanglab.ensembles import sample_gue0
 from entanglab.geometry import gamma_m, vrad_states
 from entanglab.linalg import ProductDims
@@ -214,7 +213,7 @@ def test_ppt_threshold_estimate_matches_per_trial_gauges(monkeypatch, d):
     # batched draws and gauges, in chunks of 3, against one public gauge call
     # per trial: the same numbers, bit for bit
     dims = ProductDims((d, d))
-    monkeypatch.setattr(entanglab.rng, "_CHUNK_BYTES", 3 * 16 * dims.n ** 2)
+    chunk_trials(monkeypatch, dims.n, 3)
     for trials in (1, 2, 3, 4, 7):
         for new in (lambda: SeededStream(31), lambda: np.random.default_rng(31)):
             res = ppt_threshold_estimate(d, trials, new())
