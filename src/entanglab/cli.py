@@ -42,20 +42,8 @@ from .widths import (
 __all__ = ["main"]
 
 
-def _as_plain(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _as_plain(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {k: _as_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_as_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(_as_plain(payload), indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -132,9 +120,6 @@ def _cmd_gauge(args) -> int:
     trace = float(np.trace(A).real)
     A = traceless_part(A)
     dims = ProductDims(args.dims)
-    if A.shape[0] != dims.n:
-        print(f"matrix is {A.shape[0]}x{A.shape[0]} but dims give n={dims.n}", file=sys.stderr)
-        return 2
     res = _gauge(args.body, A, dims)
     _emit(
         {
@@ -175,7 +160,7 @@ def _cmd_geometry(args) -> int:
         )
     elif check == "duality":
         res = width_duality_check(ProductDims((2, 2)), args.trials, SeededStream(seed))
-        payload.update(_as_plain(res))
+        payload.update(dataclasses.asdict(res))
         payload["passed"] = res.passed
     elif check == "urysohn":
         n = args.n
@@ -192,7 +177,7 @@ def _cmd_geometry(args) -> int:
         )
     elif check == "rogers-shephard":
         res = symmetrization_volume_ratio(args.m, args.points, SeededStream(seed))
-        payload.update(_as_plain(res))
+        payload.update(dataclasses.asdict(res))
         payload["passed"] = res.passed
     elif check == "sep-bounds":
         b1, b2, beta = separable_volume_bounds(args.k, args.d)
@@ -202,7 +187,7 @@ def _cmd_geometry(args) -> int:
         payload.update(d=2, trials=args.trials, value=est.mean, stderr=est.stderr)
     else:  # s0-ppt
         res = ppt_threshold_estimate(args.d, args.trials, SeededStream(seed))
-        payload.update(_as_plain(res))
+        payload.update(dataclasses.asdict(res))
     _emit(payload, args.out)
     return 0
 
@@ -210,7 +195,7 @@ def _cmd_geometry(args) -> int:
 def _cmd_estimate_s0(args) -> int:
     if args.ppt:
         res = ppt_threshold_estimate(args.d, args.trials, SeededStream(args.seed))
-        payload = _as_plain(res)
+        payload = dataclasses.asdict(res)
         payload.update(kind="ppt", trials=args.trials, seed=args.seed)
     else:
         est = separability_threshold_estimate(args.d, args.trials, SeededStream(args.seed))

@@ -85,9 +85,6 @@ class ScanResult:
     def header(self) -> list[str]:
         return ["s", "trials", "successes", _CRITERIA[self.criterion].column, "ci_low", "ci_high"]
 
-    def rows(self) -> list[tuple]:
-        return [astuple(p) for p in self.points]
-
 
 def _scan_point(dims: ProductDims, s: int, trials: int, criterion: str, stream) -> ScanPoint:
     """Successes among `trials` induced states on `dims`, with their Wilson
@@ -122,24 +119,20 @@ def threshold_scan(config: ExperimentConfig) -> ScanResult:
     """
     if config.experiment != "threshold-scan":
         raise ConfigError(f"expected a threshold-scan config, got {config.experiment!r}")
-    points = list(_scan_points(config))
-    meta = _scan_metadata(config, points)
-    return ScanResult(config.dims, config.criterion, points, meta.get("crossing_s"), meta)
-
-
-def _scan_points(config: ExperimentConfig):
-    """The scan's points in increasing s, each yielded as soon as it is done."""
-    dims = ProductDims(config.dims)
-    base = SeededStream(config.master_seed)
-    for i, s in enumerate(sorted(config.s_values)):
-        yield _scan_point(dims, s, config.trials, config.criterion, base.substream(i))
+    rows: list[tuple] = []
+    meta = _run_scan(config, rows)
+    return ScanResult(config.dims, config.criterion, [ScanPoint(*row) for row in rows],
+                      meta.get("crossing_s"), meta)
 
 
 def _run_scan(config: ExperimentConfig, rows: list) -> dict:
+    """Append the scan's points in increasing s, each as soon as it is done."""
+    dims = ProductDims(config.dims)
+    base = SeededStream(config.master_seed)
     points = []
-    for p in _scan_points(config):
-        points.append(p)
-        rows.append(astuple(p))
+    for i, s in enumerate(sorted(config.s_values)):
+        points.append(_scan_point(dims, s, config.trials, config.criterion, base.substream(i)))
+        rows.append(astuple(points[-1]))
     return _scan_metadata(config, points)
 
 

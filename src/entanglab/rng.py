@@ -5,7 +5,7 @@ numpy's PCG64 seeded through numpy's SeedSequence entropy mixing, so any trial
 of any sweep can be reproduced in isolation and trials can run concurrently
 without sharing generator state.
 
-Trial streams (`trial_generators`) are derived in blocks of up to _BLOCK
+Trial streams (`trial_generators`) are derived in blocks of up to 1024
 trials by `_trial_seed_words`, a vectorized copy of SeedSequence's mixing:
 the words a block shares are mixed once, and only the trial index is mixed
 as an array. Each generator's state is bit-identical to that of
@@ -42,8 +42,8 @@ _CHUNK_BYTES = 1 << 18
 # and _TrialSeed with its row of seed words trace 792 B (numpy 2.4).
 _GENERATOR_BYTES = 1 << 10
 
-# Trials whose seed words are derived at once: 128 KiB of words per block.
-_BLOCK = 4096
+# Trials whose seed words are derived at once: 32 KiB of words per block.
+_BLOCK = 1024
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size, hash and
 # mix constants, all arithmetic modulo 2**32.

@@ -36,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from .ensembles import DensityMatrix
 from .linalg import ProductDims, hermitize, hs_norm, partial_transpose, top_eigenpair
 from .rng import as_generator
 from .stats import Estimate
@@ -110,8 +111,6 @@ def _require_bipartite(dims: ProductDims) -> None:
 
 def min_pt_eigenvalue(rho) -> float:
     """Smallest eigenvalue of the partial transpose; >= -1e-11 means PPT."""
-    from .ensembles import DensityMatrix
-
     if not isinstance(rho, DensityMatrix) or rho.dims is None:
         raise ValueError("need a DensityMatrix with bipartite dims")
     _require_bipartite(rho.dims)
@@ -125,8 +124,6 @@ def _min_pt(H: np.ndarray, dims: ProductDims) -> np.ndarray:
 
 def is_separable_exact(rho) -> bool:
     """Exact separability for qubit-qubit and qubit-qutrit states (PPT test)."""
-    from .ensembles import DensityMatrix
-
     if not isinstance(rho, DensityMatrix) or rho.dims is None:
         raise ValueError("need a DensityMatrix with bipartite dims")
     return bool(_criterion("exact", rho.dims)(rho.matrix[None])[0])
@@ -234,7 +231,7 @@ def _gauge(body: str, A: np.ndarray, dims: ProductDims) -> GaugeResult:
     gauge = _body_gauge(body, dims)
     A = _require_traceless(A)
     if A.shape[0] != dims.n:
-        raise ValueError("matrix size does not match dims")
+        raise ValueError(f"matrix size {A.shape[0]} does not match dims {dims.factors}")
     if hs_norm(A) == 0.0:
         return GaugeResult(0.0, 0.0, 0)
     return GaugeResult(float(gauge(A[None])[0]), 0.0, _BODIES[body].eigensolves)

@@ -9,12 +9,15 @@ matrices the standard Gaussian direction is exactly a trace-zero GUE draw.
 Widths of the separable body are reported as certified lower bounds: the
 product-state maximization that evaluates its support function is a
 heuristic that can stop below the optimum, never above it.
+
+Every estimate runs through `rng.chunk_map`; the width-duality check, too,
+scores one chunk of directions at a time, so its memory is one chunk's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -22,8 +25,8 @@ import numpy as np
 
 from .ensembles import _gue0_states, sample_gue0
 from .geometry import gamma_m
-from .linalg import ProductDims, partial_transpose
-from .rng import SeededStream, _as_stream, chunk_map, trial_generators
+from .linalg import ProductDims, _make_traceless, partial_transpose
+from .rng import SeededStream, _as_stream, chunk_map
 from .separability import (
     UnsupportedDimensionError,
     _ppt_gauge,
@@ -83,24 +86,18 @@ class WidthEstimate:
 
 
 def gaussian_mean_width_mc(oracle: SupportOracle, trials: int, stream) -> WidthEstimate:
-    """Sample mean of h_K over standard Gaussian directions."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    vals = []
-    failures = 0
-    for rng in trial_generators(stream, trials):
-        h = float(oracle.support(oracle.direction(rng)))
-        if math.isnan(h):
-            failures += 1
-            continue
-        vals.append(h)
-    if not vals:
+    """Sample mean of h_K over standard Gaussian directions; a NaN support
+    value counts as a failed evaluation."""
+    # one direction at a time: a chunk holds only generators and values, as at n = 1
+    vals = chunk_map(lambda gens: np.array([oracle.support(oracle.direction(rng)) for rng in gens],
+                                           float), stream, trials, 1)
+    failed = np.isnan(vals)
+    if failed.all():
         raise RuntimeError("all support evaluations failed")
-    est = from_samples(vals)
+    est = from_samples(vals[~failed])
     gm = gamma_m(oracle.dim)
-    return WidthEstimate(
-        est.mean, est.mean / gm, est.stderr, trials, failures, seed=str(stream)
-    )
+    return WidthEstimate(est.mean, est.mean / gm, est.stderr, trials,
+                         int(np.count_nonzero(failed)), seed=str(stream))
 
 
 def separable_width(
@@ -114,11 +111,7 @@ def separable_width(
         return support_separable(G, dims, restarts=restarts, tol=tol, stream=0).value
 
     oracle = SupportOracle(dims.m, support, draw=lambda rng: sample_gue0(n, rng))
-    est = gaussian_mean_width_mc(oracle, trials, stream)
-    return WidthEstimate(
-        est.value, est.width, est.stderr, est.trials, est.failures,
-        lower_bound=True, seed=str(stream),
-    )
+    return replace(gaussian_mean_width_mc(oracle, trials, stream), lower_bound=True)
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +145,13 @@ def _certified_sym_support(G: np.ndarray, gauges: np.ndarray,
     attained by a feasible point regardless of how inexact the projections
     are.
     """
-    t = G.shape[0]
-    eye = np.eye(4)
     x = G / gauges[:, None, None]
     best = np.einsum("tij,tji->t", x, G).real
     for _ in range(steps):
-        x = x + step_size * G
-        tr = np.trace(x, axis1=1, axis2=2)[:, None, None] / 4.0
-        x = x - tr * eye
-        x = _clip_operator_norm(x, 0.25)
+        x = _clip_operator_norm(_make_traceless(x + step_size * G), 0.25)
         x = partial_transpose(x, _DIMS22, 1)
         x = partial_transpose(_clip_operator_norm(x, 0.25), _DIMS22, 1)
-        tr = np.trace(x, axis1=1, axis2=2)[:, None, None] / 4.0
-        cand = x - tr * eye
+        cand = _make_traceless(x.copy())
         g = _gauge_sym_qubit_pair(cand)
         ok = g > 0
         val = np.where(ok, np.einsum("tij,tji->t", cand, G).real / np.where(ok, g, 1.0), 0.0)
@@ -195,13 +182,16 @@ def width_duality_check(dims: ProductDims, trials: int, stream) -> DualityCheck:
         raise UnsupportedDimensionError(
             f"width duality check is implemented for (2, 2) only, got {dims.factors}"
         )
-    G = chunk_map(partial(_gue0_states, 4), stream, trials, 4)
 
-    gauges = _gauge_sym_qubit_pair(G)
-    support_vals = _certified_sym_support(G, gauges)
-    gauge_est = from_samples(gauges, seed=str(stream))
-    support_est = from_samples(support_vals, seed=str(stream))
-    one_sided = from_samples(_ppt_gauge(G, _DIMS22), seed=str(stream))
+    def per_direction(gens):
+        """Each direction's Ssym gauge, certified Ssym support and S0 gauge."""
+        G = _gue0_states(4, gens)
+        gauges = _gauge_sym_qubit_pair(G)
+        return np.stack([gauges, _certified_sym_support(G, gauges), _ppt_gauge(G, _DIMS22)], 1)
+
+    gauge_est, support_est, one_sided = (
+        from_samples(v, seed=str(stream)) for v in chunk_map(per_direction, stream, trials, 4).T
+    )
 
     product = support_est.mean * gauge_est.mean
     rel = math.hypot(

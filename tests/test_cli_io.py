@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import subprocess
@@ -24,6 +25,7 @@ from entanglab.io import (
 )
 from entanglab.rng import SeededStream, trial_generators
 from entanglab.stats import from_samples
+from entanglab.widths import ppt_threshold_estimate
 
 def test_format_value():
     assert format_value(0.5) == "0.5"
@@ -95,6 +97,39 @@ def test_cli_sample_csv_and_bin(tmp_path, monkeypatch):
                "--trials", "1", "--seed", "0", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_emit_writes_numpy_scalars_as_plain_json(tmp_path, capsys):
+    ppt = dataclasses.asdict(ppt_threshold_estimate(2, 20, SeededStream(1)))
+    payload = {"count": np.int64(3), "flag": np.bool_(True), "mean": np.float64(0.1),
+               "missing": np.float64("nan"), "pair": (np.int64(-2), np.float64(2.5)),
+               "ppt": ppt}
+    plain = {"count": 3, "flag": True, "mean": 0.1, "missing": float("nan"),
+             "pair": [-2, 2.5], "ppt": ppt}
+    expected = json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    assert '"missing": NaN' in expected and '"mean": 0.1,' in expected
+
+    entanglab.cli._emit(payload, None)
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "payload.json"
+    entanglab.cli._emit(payload, str(out))
+    assert out.read_text() == expected
+    with pytest.raises(TypeError):
+        entanglab.cli._emit({"set": {1}}, None)
+
+
+def test_cli_gauge_refuses_dims_of_another_size(tmp_path, capsys):
+    dump = tmp_path / "rho.bin"
+    assert main(["sample", "--ensemble", "induced", "--n", "4", "--s", "6",
+                 "--format", "bin", "--out", str(dump)]) == 0
+    out = tmp_path / "gauge.json"
+    rc = main(["gauge", "--input", str(dump), "--body", "ppt0", "--dims", "2,3",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix size 4 does not match dims (2, 3)\n"
 
 
 def test_cli_gauge_bell_direction(tmp_path, capsys):

@@ -47,7 +47,11 @@ from entanglab.separability import (
 )
 from entanglab.spectral import alpha_beta, dinf_semicircle
 from entanglab.stats import from_samples, wilson_interval
-from entanglab.widths import ppt_threshold_estimate, symmetrization_volume_ratio
+from entanglab.widths import (
+    ppt_threshold_estimate,
+    symmetrization_volume_ratio,
+    width_duality_check,
+)
 
 
 def make_config(**overrides):
@@ -425,6 +429,7 @@ CHUNK_PIPELINES = {  # whole chunk_map runs at n = 1, 4, 9 and 64
     "ppt-threshold-n4": lambda: ppt_threshold_estimate(2, 1200, SeededStream(3)),
     "scan-3x3": lambda: exps._scan_point(ProductDims((3, 3)), 64, 400, "ppt", SeededStream(3)),
     "scan-8x8": lambda: exps._scan_point(ProductDims((8, 8)), 256, 100, "ppt", SeededStream(3)),
+    "duality-n4": lambda: width_duality_check(ProductDims((2, 2)), 3000, SeededStream(3)),
 }
 
 
