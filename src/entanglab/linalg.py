@@ -98,7 +98,8 @@ def hs_inner(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def hs_norm(A: np.ndarray) -> float:
-    return float(np.linalg.norm(A))
+    """Hilbert-Schmidt norm of a matrix, by the stacked call of the `hs` body."""
+    return float(np.linalg.norm(A, axis=(-2, -1)))
 
 
 def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:

@@ -17,14 +17,14 @@ PPT body explicitly.
 
 `_BODIES` is the one place a body is defined: it maps each body name (d0,
 hs, ppt0, s0, ssym) to its batched kernel and its dims rule. The public
-gauges, the experiments and the `gauge` command all read it, through
-`_body_gauge` for stacks and `_gauge` for one direction.
+gauges, the experiments, the width estimates and the `gauge` command all read
+it, through `_body_gauge` for stacks and `_gauge` for one direction.
 
 `_CRITERIA` does the same for per-state criteria (exact, ppt): a kernel with
 one bool per state of a stack, a dims rule and a CSV column. Scans, both
 monotonicity couplings and `is_separable_exact` read it through `_criterion`.
-Both criteria decide PPT by a Cholesky factorization of rho^Gamma + 1e-11 * Id,
-or by `eigvalsh` where numpy lacks its batched Cholesky gufunc; the two agree
+Both criteria decide PPT by one batched Cholesky factorization of
+rho^Gamma + 1e-11 * Id, which agrees with lambda_min(rho^Gamma) >= -1e-11
 except within rounding of the tolerance.
 """
 
@@ -35,16 +35,14 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
+# numpy's batched Cholesky, which numpy.linalg.cholesky calls: NaN factors for
+# the failures, not an exception
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .ensembles import DensityMatrix
 from .linalg import ProductDims, hermitize, hs_norm, partial_transpose, top_eigenpair
 from .rng import as_generator
 from .stats import Estimate
-
-try:  # numpy's batched Cholesky: NaN factors for the failures, not an exception
-    from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
-except ImportError:
-    _cholesky_lo = None
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -131,10 +129,8 @@ def is_separable_exact(rho) -> bool:
 
 def _is_ppt(states: np.ndarray, dims: ProductDims) -> np.ndarray:
     """Whether each state of a stack is PPT, boundary states included: whether
-    rho^Gamma + 1e-11 * Id has a Cholesky factor, which agrees with the eigvalsh
-    fallback lambda_min(rho^Gamma) >= -1e-11 outside rounding at the tolerance."""
-    if _cholesky_lo is None:
-        return _min_pt(states, dims) >= PPT_EIGENVALUE_TOL
+    rho^Gamma + 1e-11 * Id has a Cholesky factor, which agrees with
+    lambda_min(rho^Gamma) >= -1e-11 outside rounding at the tolerance."""
     pt = partial_transpose(states, dims, 1)  # a fresh array
     np.einsum("...ii->...i", pt)[...] -= PPT_EIGENVALUE_TOL
     with np.errstate(invalid="ignore"):
@@ -207,7 +203,7 @@ def _any_dims(dims: ProductDims) -> None:
 
 _BODIES = {
     "d0": _Body(lambda A, dims: _state_gauge(A), _any_dims, 1),
-    "hs": _Body(lambda A, dims: np.array([hs_norm(a) for a in A]), _any_dims, 0),
+    "hs": _Body(lambda A, dims: np.linalg.norm(A, axis=(-2, -1)), _any_dims, 0),
     "ppt0": _Body(_ppt_gauge, _require_bipartite, 2),
     # at 2x2 and 2x3 separable means PPT
     "s0": _Body(_ppt_gauge, _require_exact_dims, 2),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -29,8 +28,7 @@ from .linalg import ProductDims, _make_traceless, partial_transpose
 from .rng import SeededStream, _as_stream, chunk_map
 from .separability import (
     UnsupportedDimensionError,
-    _ppt_gauge,
-    _ppt_gauge_sym,
+    _body_gauge,
     _require_exact_dims,
     support_separable,
 )
@@ -126,7 +124,9 @@ def separable_width(
 # ---------------------------------------------------------------------------
 
 _DIMS22 = ProductDims((2, 2))
-_gauge_sym_qubit_pair = partial(_ppt_gauge_sym, dims=_DIMS22)
+_gauge_sym_qubit_pair = _body_gauge("ssym", _DIMS22)
+_ASCENT_STEPS = 25
+_ASCENT_STEP_SIZE = 0.05
 
 
 def _clip_operator_norm(batch: np.ndarray, radius: float) -> np.ndarray:
@@ -135,8 +135,7 @@ def _clip_operator_norm(batch: np.ndarray, radius: float) -> np.ndarray:
     return np.einsum("tij,tj,tkj->tik", v, w, v.conj())
 
 
-def _certified_sym_support(G: np.ndarray, gauges: np.ndarray,
-                           steps: int = 25, step_size: float = 0.05) -> np.ndarray:
+def _certified_sym_support(G: np.ndarray, gauges: np.ndarray) -> np.ndarray:
     """Certified lower bounds on h_{Ssym}(G_t), batched.
 
     Ascent iterates x <- x + step * G followed by cheap cyclic projections
@@ -147,8 +146,8 @@ def _certified_sym_support(G: np.ndarray, gauges: np.ndarray,
     """
     x = G / gauges[:, None, None]
     best = np.einsum("tij,tji->t", x, G).real
-    for _ in range(steps):
-        x = _clip_operator_norm(_make_traceless(x + step_size * G), 0.25)
+    for _ in range(_ASCENT_STEPS):
+        x = _clip_operator_norm(_make_traceless(x + _ASCENT_STEP_SIZE * G), 0.25)
         x = partial_transpose(x, _DIMS22, 1)
         x = partial_transpose(_clip_operator_norm(x, 0.25), _DIMS22, 1)
         cand = _make_traceless(x.copy())
@@ -182,12 +181,13 @@ def width_duality_check(dims: ProductDims, trials: int, stream) -> DualityCheck:
         raise UnsupportedDimensionError(
             f"width duality check is implemented for (2, 2) only, got {dims.factors}"
         )
+    s0_gauge = _body_gauge("s0", dims)
 
     def per_direction(gens):
         """Each direction's Ssym gauge, certified Ssym support and S0 gauge."""
         G = _gue0_states(4, gens)
         gauges = _gauge_sym_qubit_pair(G)
-        return np.stack([gauges, _certified_sym_support(G, gauges), _ppt_gauge(G, _DIMS22)], 1)
+        return np.stack([gauges, _certified_sym_support(G, gauges), s0_gauge(G)], 1)
 
     gauge_est, support_est, one_sided = (
         from_samples(v, seed=str(stream)) for v in chunk_map(per_direction, stream, trials, 4).T
@@ -311,7 +311,8 @@ def ppt_threshold_estimate(d: int, trials: int, stream) -> PPTThresholdResult:
         raise ValueError("trials must be >= 1")
     dims = ProductDims((d, d))
     n = dims.n
-    vals = chunk_map(lambda gens: _ppt_gauge(_gue0_states(n, gens), dims), stream, trials, n)
+    gauge = _body_gauge("ppt0", dims)
+    vals = chunk_map(lambda gens: gauge(_gue0_states(n, gens)), stream, trials, n)
     mean_est = from_samples(vals, seed=str(stream))
     d2 = float(d * d)
     thr = Estimate(

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.metadata
 import json
 import math
@@ -276,7 +277,7 @@ def test_partial_trace_monotonicity():
     assert res.ordering_holds()
 
 
-# -- the PPT kernel: Cholesky, or eigvalsh without numpy's gufunc ----------------
+# -- the PPT kernel: one batched Cholesky, no eigensolve --------------------------
 
 
 def _ppt_counts():
@@ -295,16 +296,21 @@ def _ppt_counts():
     return counts
 
 
-def test_eigvalsh_fallback_counts_like_cholesky(monkeypatch):
-    assert entanglab.separability._cholesky_lo is not None
+def test_ppt_counts_match_the_min_pt_reference_kernel(monkeypatch):
     counts = _ppt_counts()
     assert sum(0 < c < 300 for c in counts) >= 6
-    monkeypatch.setattr(entanglab.separability, "_cholesky_lo", None)
+    sep = entanglab.separability
+
+    def eigvalsh_ppt(states, dims):
+        return sep._min_pt(states, dims) >= PPT_EIGENVALUE_TOL
+
+    for name, entry in list(sep._CRITERIA.items()):
+        monkeypatch.setitem(sep._CRITERIA, name, dataclasses.replace(entry, kernel=eigvalsh_ppt))
     assert _ppt_counts() == counts
 
 
 def test_ppt_counts_make_no_eigensolve(monkeypatch):
-    # with the gufunc present, a silent fall back to eigvalsh would raise here
+    # the PPT kernel factors rho^Gamma; any eigvalsh call on its path raises here
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigvalsh called")
 

@@ -165,6 +165,8 @@ def test_hs_inner_real_for_hermitian():
         raw = np.trace(A @ B)
         assert abs(raw.imag) <= 1e-12
         assert hs_inner(A, B) == pytest.approx(raw.real)
+        # the norm sums in its own order: equal to sqrt(tr A^2) within rounding
+        assert hs_norm(A) == pytest.approx(np.sqrt(hs_inner(A, A)), rel=32 * np.finfo(float).eps)
 
 
 def test_traceless_part():

@@ -104,7 +104,6 @@ def test_cholesky_ppt_matches_eigvalsh_outside_rounding(dims, seed, s, offsets):
     # induced states, some shifted by a multiple of Id (which commutes with
     # the partial transpose) to put lambda_min(rho^Gamma) next to the
     # tolerance; the two tests agree on every state outside a 1e-13 band
-    assert separability._cholesky_lo is not None
     states = _induced_states(dims.n, s, trial_generators(seed, len(offsets)))
     lam = separability._min_pt(states, dims)
     for i, offset in enumerate(offsets):

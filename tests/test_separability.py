@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,16 +79,7 @@ def test_is_separable_exact():
         is_separable_exact(DensityMatrix(ProductDims((3, 3)), np.eye(9) / 9))
 
 
-@pytest.fixture(params=["cholesky", "eigvalsh"])
-def ppt_path(request, monkeypatch):
-    """Run a test on the Cholesky kernel and on its eigvalsh fallback."""
-    assert separability._cholesky_lo is not None
-    if request.param == "eigvalsh":
-        monkeypatch.setattr(separability, "_cholesky_lo", None)
-    return request.param
-
-
-def test_boundary_states_stay_ppt(ppt_path):
+def test_boundary_states_stay_ppt():
     # lambda_min(rho^Gamma) is 0 (Werner at 1/3, the pure product state, whose
     # partial transpose has rank one) or well inside (Id/n)
     product = np.zeros(4, dtype=complex)
@@ -95,10 +87,12 @@ def test_boundary_states_stay_ppt(ppt_path):
     states = [werner(1 / 3), DensityMatrix(DIMS22, np.outer(product, product)),
               DensityMatrix(DIMS22, np.eye(4) / 4)]
     assert all(is_separable_exact(rho) for rho in states)
-    assert separability._is_ppt(np.stack([r.matrix for r in states]), DIMS22).all()
+    stack = np.stack([r.matrix for r in states])
+    assert separability._is_ppt(stack, DIMS22).all()
+    assert (separability._min_pt(stack, DIMS22) >= PPT_EIGENVALUE_TOL).all()
 
 
-def test_rank_deficient_induced_states_classified_alike(ppt_path):
+def test_rank_deficient_induced_states_classified_alike():
     # s = 3 < n = 4: each state has a zero eigenvalue; some are PPT, most not
     states = _induced_states(4, 3, trial_generators(SeededStream(29), 300))
     ppt = separability._is_ppt(states, DIMS22)
@@ -106,6 +100,32 @@ def test_rank_deficient_induced_states_classified_alike(ppt_path):
     np.testing.assert_array_equal(ppt, lam >= PPT_EIGENVALUE_TOL)
     assert 0 < ppt.sum() < 300
     assert all(is_separable_exact(DensityMatrix(DIMS22, rho)) for rho in states[ppt])
+
+
+def test_numpy_cholesky_gufunc_behaves_as_the_ppt_kernel_needs():
+    # `_is_ppt` reads a NaN last entry of each factor as "not PPT" and factors
+    # in place; a numpy that changes any of this fails here, not as a miscount
+    gufunc = separability._cholesky_lo
+    assert gufunc.signature == "(m,m)->(m,m)", (
+        f"numpy's cholesky_lo now has signature {gufunc.signature!r}, not one factor per matrix")
+    stack = np.array([[[2.0, 1.0], [1.0, 2.0]], [[1.0, 2.0], [2.0, 1.0]]], dtype=complex)
+    aliased = stack.copy()
+    try:
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error")
+            fresh = gufunc(stack)
+            gufunc(aliased, out=aliased)
+    except Exception as exc:
+        pytest.fail(f"numpy's cholesky_lo now raises {exc!r} on an indefinite matrix "
+                    f"under errstate(invalid='ignore') instead of writing NaN")
+    assert np.isfinite(fresh[0]).all(), (
+        "numpy's cholesky_lo no longer gives a finite factor of a positive-definite matrix")
+    np.testing.assert_allclose(fresh[0] @ fresh[0].conj().T, stack[0], rtol=1e-15, atol=1e-15,
+                               err_msg="numpy's cholesky_lo no longer returns the lower factor")
+    assert np.isnan(fresh[1, -1, -1]), (
+        "numpy's cholesky_lo no longer writes NaN into the factor of an indefinite matrix")
+    assert aliased.tobytes() == fresh.tobytes(), (
+        "numpy's cholesky_lo with out= aliased to its input no longer matches a fresh output")
 
 
 def test_ppt_kernel_leaves_its_input_alone():
