@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .ensembles import EnsembleSpec, _gue0_states, draw_ensemble
 from .experiments import EXPERIMENTS, execute_config, run_config
 from .geometry import (
@@ -98,15 +98,15 @@ def _cmd_sample(args) -> int:
     if spec.kind == "ginibre" and args.format == "csv":
         print("ginibre draws are not self-adjoint; use --format bin", file=sys.stderr)
         return 2
-    # induced and uniform draws are DensityMatrix objects, the rest plain arrays
+    # written a draw at a time; induced and uniform draws are DensityMatrix objects
     gens = trial_generators(SeededStream(args.seed), args.trials)
     draws = (draw_ensemble(spec, rng) for rng in gens)
-    mats = [getattr(d, "matrix", d) for d in draws]
+    mats = (getattr(d, "matrix", d) for d in draws)
     if args.format == "bin":
         write_matrix_records(args.out, mats)
         return 0
-    rows = [(t, i, lam) for t, mat in enumerate(mats)
-            for i, lam in enumerate(hermitian_eigenvalues(mat))]
+    rows = ((t, i, lam) for t, mat in enumerate(mats)
+            for i, lam in enumerate(hermitian_eigenvalues(mat)))
     write_csv(args.out, ["trial", "index", "value"], rows)
     return 0
 
@@ -160,8 +160,7 @@ def _cmd_geometry(args) -> int:
         )
     elif check == "duality":
         res = width_duality_check(ProductDims((2, 2)), args.trials, SeededStream(seed))
-        payload.update(dataclasses.asdict(res))
-        payload["passed"] = res.passed
+        payload.update(dataclasses.asdict(res), passed=res.passed)
     elif check == "urysohn":
         n = args.n
         vals = chunk_map(lambda gens: np.linalg.eigvalsh(_gue0_states(n, gens))[:, -1],
@@ -177,36 +176,28 @@ def _cmd_geometry(args) -> int:
         )
     elif check == "rogers-shephard":
         res = symmetrization_volume_ratio(args.m, args.points, SeededStream(seed))
-        payload.update(dataclasses.asdict(res))
-        payload["passed"] = res.passed
+        payload.update(dataclasses.asdict(res), passed=res.passed)
     elif check == "sep-bounds":
         b1, b2, beta = separable_volume_bounds(args.k, args.d)
         payload.update(k=args.k, d=args.d, bound_i=b1, bound_ii=b2, beta_d=beta)
-    elif check == "s0":
-        est = separability_threshold_estimate(2, args.trials, SeededStream(seed))
-        payload.update(d=2, trials=args.trials, value=est.mean, stderr=est.stderr)
-    else:  # s0-ppt
-        res = ppt_threshold_estimate(args.d, args.trials, SeededStream(seed))
-        payload.update(dataclasses.asdict(res))
+    else:  # s0 (at d = 2) or s0-ppt
+        ppt = check == "s0-ppt"
+        payload.update(_s0_estimate(args.d if ppt else 2, ppt, args.trials, seed))
     _emit(payload, args.out)
     return 0
 
 
+def _s0_estimate(d: int, ppt: bool, trials: int, seed: int) -> dict:
+    """The PPT threshold result, or the S0 threshold estimate, at local dimension d."""
+    if ppt:
+        return dataclasses.asdict(ppt_threshold_estimate(d, trials, SeededStream(seed)))
+    est = separability_threshold_estimate(d, trials, SeededStream(seed))
+    return {"d": d, "trials": trials, "value": est.mean, "stderr": est.stderr}
+
+
 def _cmd_estimate_s0(args) -> int:
-    if args.ppt:
-        res = ppt_threshold_estimate(args.d, args.trials, SeededStream(args.seed))
-        payload = dataclasses.asdict(res)
-        payload.update(kind="ppt", trials=args.trials, seed=args.seed)
-    else:
-        est = separability_threshold_estimate(args.d, args.trials, SeededStream(args.seed))
-        payload = {
-            "kind": "separable",
-            "d": args.d,
-            "trials": args.trials,
-            "seed": args.seed,
-            "value": est.mean,
-            "stderr": est.stderr,
-        }
+    payload = _s0_estimate(args.d, args.ppt, args.trials, args.seed)
+    payload.update(kind="ppt" if args.ppt else "separable", trials=args.trials, seed=args.seed)
     _emit(payload, args.out)
     return 0
 
@@ -317,7 +308,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

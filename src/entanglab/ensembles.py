@@ -145,9 +145,9 @@ def _gue_states(n: int, gens) -> np.ndarray:
     upper triangle, its conjugate below it and the diagonal are then
     assembled once for the sub-batch."""
     gens = list(gens)
-    G = np.empty((len(gens), n, n), dtype=complex)
     # a trial's normals, and its lower triangle gathered and conjugated
     k = _batch_size(8 * (n + 2 * n * n) + 16 * n * n)
+    G = np.empty((len(gens), n, n), dtype=complex)
     raw = np.empty((min(k, len(gens)), n + 2 * n * n))
     lower, i = np.tri(n, k=-1, dtype=bool), np.arange(n)
     for b in range(0, len(gens), k):
@@ -175,6 +175,7 @@ def sample_ginibre(n: int, s: int, stream) -> np.ndarray:
     np.sqrt(2), so the result holds the bytes of (re + 1j*im) / np.sqrt(2)."""
     if n < 1 or s < 1:
         raise ValueError("n and s must be >= 1")
+    _batch_size(32 * n * s)  # the normals and A: refuses a draw over the trial byte limit
     z = as_generator(stream).standard_normal((2, n, s))
     A = np.empty((n, s), dtype=complex)
     np.multiply(z[0], _INV_SQRT2, out=A.real)
@@ -198,10 +199,10 @@ def _wishart_stack(n: int, s: int, gens: list) -> np.ndarray:
     """Gram products W = 2 A A^dagger, one Ginibre draw A per generator, from
     the real Gram products G = z z^T of their normals, a sub-batch at a time
     (see the module docstring). The buffers are freed on return."""
-    W = np.empty((len(gens), n, n), dtype=complex)
     # a trial's normals, its real Gram product, and the buffers numpy's ufunc
     # loop takes for the two strided n x n blocks the combine reads
     k = _batch_size(16 * n * s + 32 * n * n + 16 * n * n)
+    W = np.empty((len(gens), n, n), dtype=complex)
     z = np.empty((min(k, len(gens)), 2 * n, s))
     G = np.empty((len(z), 2 * n, 2 * n))
     for i in range(0, len(gens), k):

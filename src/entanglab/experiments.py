@@ -32,7 +32,7 @@ from .ensembles import (
 from .io import write_csv, write_sidecar
 from .linalg import ProductDims
 from .rng import SeededStream, chunk_map, split_stream
-from .separability import _CRITERIA, EXACT_DIMS, _body_gauge, _criterion
+from .separability import _BODIES, _CRITERIA, EXACT_DIMS, _any_dims, _body_gauge, _criterion
 from .spectral import alpha_beta, dinf_semicircle
 from .stats import from_samples, wilson_interval
 
@@ -280,11 +280,13 @@ class RatioResult:
     gue_stderr: float
 
 
-def _gue_approx_dims(n: int) -> ProductDims:
-    """C^n as d x d when n = d^2, the factors the PPT and separable bodies
-    read; otherwise C^n itself, which those bodies refuse."""
+def _gue_approx_gauge(body: str, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The body's batched gauge on C^n, read as d x d when n = d^2: the
+    factors the PPT and separable bodies need, so for them n must be square."""
     d = math.isqrt(n)
-    return ProductDims((d, d) if d * d == n else (n,))
+    if d * d != n and body in _BODIES and _BODIES[body].dims_rule is not _any_dims:
+        raise ValueError(f"n must be a perfect square d^2 for the {body} body, got n = {n}")
+    return _body_gauge(body, ProductDims((d, d) if d * d == n else (n,)))
 
 
 def gue_approx_experiment(n: int, s: int, body: str, trials: int, stream) -> RatioResult:
@@ -292,7 +294,7 @@ def gue_approx_experiment(n: int, s: int, body: str, trials: int, stream) -> Rat
 
     Approaches 1 when both n and s/n are large; how fast depends on the body.
     """
-    gauge = _body_gauge(body, _gue_approx_dims(n))
+    gauge = _gue_approx_gauge(body, n)
     sub_state, sub_gue = split_stream(stream, 2)
     num = from_samples(chunk_map(lambda gens: gauge(_centered_induced_states(n, s, gens)),
                                  sub_state, trials, n))
@@ -317,7 +319,7 @@ def _check_gue_approx(raw: dict, kw: dict) -> None:
     body = raw.get("body")
     if body not in ("d0", "ppt0", "hs", "s0"):
         raise ConfigError("'body' must be one of d0, ppt0, hs, s0")
-    _body_gauge(body, _gue_approx_dims(kw["n"]))
+    _gue_approx_gauge(body, kw["n"])
     kw["body"] = body
 
 
@@ -582,7 +584,7 @@ def execute_config(config: ExperimentConfig, output_override: str | None = None)
     except BaseException as exc:  # flush whatever completed, then report
         if rows:
             write_csv(str(csv_path) + ".partial", header, rows)
-        if isinstance(exc, KeyboardInterrupt):
+        if not isinstance(exc, Exception):  # KeyboardInterrupt, SystemExit, ...
             raise
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1

@@ -38,6 +38,10 @@ __all__ = ["SeededStream", "as_generator"]
 # partial transpose in place, is about one stack beyond its input).
 _CHUNK_BYTES = 1 << 18
 
+# Most bytes one trial's buffers may take: `_batch_size`, which sizes every
+# chunk and sub-batch, refuses a larger trial before anything is allocated.
+_TRIAL_BYTES_MAX = 1 << 30
+
 # Bytes a trial's generator holds while its chunk runs: its Generator, PCG64
 # and _TrialSeed with its row of seed words trace 792 B (numpy 2.4).
 _GENERATOR_BYTES = 1 << 10
@@ -220,7 +224,10 @@ def split_stream(stream, parts: int) -> list:
 
 
 def _batch_size(nbytes: int) -> int:
-    """Trials of `nbytes` each that fit into _CHUNK_BYTES, at least one."""
+    """Trials of `nbytes` each that fit into _CHUNK_BYTES, at least one;
+    raises if one trial's `nbytes` exceed _TRIAL_BYTES_MAX."""
+    if nbytes > _TRIAL_BYTES_MAX:
+        raise ValueError(f"one trial needs {nbytes} bytes, over the limit of {_TRIAL_BYTES_MAX}")
     return max(1, _CHUNK_BYTES // nbytes)
 
 

@@ -42,8 +42,6 @@ __all__ = [
     "alpha_beta",
 ]
 
-SEMICIRCLE_SUPPORT = (-2.0, 2.0)
-
 
 def semicircle_cdf(x):
     """CDF of the standard semicircle law (density sqrt(4-x^2)/(2 pi))."""

@@ -7,10 +7,11 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import child_env, chunk_trials
+from conftest import child_env, chunk_trials, traced_peak
 
 import entanglab
 import entanglab.cli
+import entanglab.rng
 from entanglab.cli import _build_parser, main
 from entanglab.config import ConfigError, ExperimentConfig
 from entanglab.ensembles import sample_gue0
@@ -97,6 +98,29 @@ def test_cli_sample_csv_and_bin(tmp_path, monkeypatch):
                "--trials", "1", "--seed", "0", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_sample_writes_each_draw_as_it_is_made(tmp_path):
+    # holding all 1000 draws of n = 16 before writing peaked at about 4.6 MB
+    # (bin) and 6 MB (csv); written one at a time, the peak does not grow with --trials
+    for fmt in ("csv", "bin"):
+        argv = ["sample", "--ensemble", "gue", "--n", "16", "--format", fmt,
+                "--seed", "0", "--out", str(tmp_path / f"draws.{fmt}")]
+        assert main([*argv, "--trials", "2"]) == 0  # first-use allocations
+        rc, peak = traced_peak(lambda: main([*argv, "--trials", "1000"]))
+        assert rc == 0 and peak < 1 << 20, (fmt, peak)
+
+
+def test_cli_refuses_trials_over_the_byte_limit(tmp_path, monkeypatch, capsys):
+    # at a 1 MiB limit one 64 x 4096 induced or Ginibre draw is too large
+    monkeypatch.setattr(entanglab.rng, "_TRIAL_BYTES_MAX", 1 << 20)
+    assert main(["spectral", "--ensemble", "induced", "--n", "64", "--s", "4096",
+                 "--trials", "2", "--seed", "0", "--out", str(tmp_path / "spec")]) == 1
+    assert "over the limit" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["sample", "--ensemble", "ginibre", "--n", "64", "--s", "4096",
+                 "--format", "bin", "--seed", "0", "--out", str(tmp_path / "g.bin")]) == 2
+    assert "over the limit" in capsys.readouterr().err
 
 
 def test_emit_writes_numpy_scalars_as_plain_json(tmp_path, capsys):
@@ -277,6 +301,12 @@ def test_cli_error_handling(tmp_path, capsys):
     assert main(["gauge", "--input", str(tmp_path / "nope.bin"), "--body", "d0",
                  "--dims", "2,2"]) == 2  # missing input file
     assert "error" in capsys.readouterr().err
+    # the PPT body reads C^n as d x d, so n must be square; 36 = 6^2 runs
+    argv = ["gue-approx", "--s", "64", "--body", "ppt0", "--trials", "4", "--seed", "0"]
+    assert main([*argv, "--n", "32", "--out", str(tmp_path / "r32")]) == 2
+    err = capsys.readouterr().err
+    assert "n must be a perfect square d^2 for the ppt0 body, got n = 32" in err
+    assert main([*argv, "--n", "36", "--out", str(tmp_path / "r36")]) == 0
 
 
 # -- experiment subcommands are the configs whose keys are their flags ----------------

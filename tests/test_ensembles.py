@@ -37,6 +37,7 @@ from entanglab.rng import (
     _trial_seed_words,
     _TrialSeed,
     as_generator,
+    chunk_map,
     split_stream,
     trial_generators,
 )
@@ -360,6 +361,23 @@ def test_draw_buffers_stay_within_the_chunk_budget(d1, d2, s, trials):
     assert peak - G.nbytes <= bound
     out, peak = traced_peak(lambda: _projection_pairs(d1, d2, s, gens))
     assert peak - out[0].nbytes - out[1].nbytes <= bound
+
+
+def test_trials_over_the_byte_limit_are_refused_before_allocating(monkeypatch):
+    # at a 1 MiB limit, a 64 x 4096 draw (4 MiB of normals) and a chunk trial
+    # at n = 512 (4 MiB of matrix) are refused before their buffers exist
+    monkeypatch.setattr(entanglab.rng, "_TRIAL_BYTES_MAX", 1 << 20)
+    gens = list(trial_generators(SeededStream(38), 1))
+    for call in (lambda: ensembles._wishart_stack(64, 4096, gens),
+                 lambda: chunk_map(lambda g: np.zeros(len(g)), SeededStream(38), 1, 512),
+                 lambda: sample_ginibre(64, 4096, 1)):
+
+        def refused():
+            with pytest.raises(ValueError, match="over the limit"):
+                call()
+
+        _, peak = traced_peak(refused)
+        assert peak < 64 << 10, peak
 
 
 # -- GUE / Ginibre ----------------------------------------------------------------

@@ -244,9 +244,9 @@ def res_within(res):
 
 
 def test_gue_approx_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"perfect square d\^2 for the ppt0 body, got n = 6"):
         gue_approx_experiment(6, 12, "ppt0", 10, SeededStream(14))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"perfect square d\^2 for the s0 body, got n = 8"):
         gue_approx_experiment(8, 12, "s0", 10, SeededStream(15))
 
 
@@ -723,35 +723,41 @@ def test_run_config_error_paths(tmp_path, capsys):
 
 
 def test_run_config_partial_flush(tmp_path, monkeypatch):
-    import entanglab.experiments as exps
-
+    # after the first point an error returns 1 and an exit propagates; both
+    # flush the completed point first
     original = exps._scan_point
-    calls = {"k": 0}
+    for k, exc in enumerate((RuntimeError("boom"), SystemExit(3))):
+        calls = {"k": 0}
 
-    def explode_after_first(*args, **kwargs):
-        if calls["k"] >= 1:
-            raise RuntimeError("boom")
-        calls["k"] += 1
-        return original(*args, **kwargs)
+        def explode_after_first(*args, **kwargs):
+            if calls["k"] >= 1:
+                raise exc
+            calls["k"] += 1
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(exps, "_scan_point", explode_after_first)
-    path = write_config(
-        tmp_path,
-        {
-            "experiment": "threshold-scan",
-            "dims": [2, 2],
-            "s_values": [2, 4],
-            "criterion": "exact",
-            "trials": 5,
-            "master_seed": 0,
-            "output": str(tmp_path / "part"),
-        },
-    )
-    assert run_config(path) == 1
-    partial = (tmp_path / "part.csv.partial").read_text()
-    assert partial.startswith("s,trials")
-    assert len(partial.strip().splitlines()) == 2  # header + one completed point
-    assert not (tmp_path / "part.csv").exists()
+        monkeypatch.setattr(exps, "_scan_point", explode_after_first)
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "threshold-scan",
+                "dims": [2, 2],
+                "s_values": [2, 4],
+                "criterion": "exact",
+                "trials": 5,
+                "master_seed": 0,
+                "output": str(tmp_path / f"part{k}"),
+            },
+        )
+        if isinstance(exc, Exception):
+            assert run_config(path) == 1
+        else:
+            with pytest.raises(SystemExit) as info:
+                run_config(path)
+            assert info.value.code == 3
+        partial = (tmp_path / f"part{k}.csv.partial").read_text()
+        assert partial.startswith("s,trials")
+        assert len(partial.strip().splitlines()) == 2  # header + one completed point
+        assert not (tmp_path / f"part{k}.csv").exists()
 
 
 def test_run_config_other_experiments(tmp_path):
