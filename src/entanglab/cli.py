@@ -27,7 +27,7 @@ from .geometry import (
     separable_volume_bounds,
     vrad_states,
 )
-from .io import read_matrix_records, write_csv, write_matrix_records
+from .io import _write_through, read_matrix_records, write_csv, write_matrix_records
 from .linalg import ProductDims, hermitian_eigenvalues, hermitize, traceless_part
 from .rng import SeededStream, chunk_map, trial_generators
 from .separability import _CRITERIA, _gauge
@@ -45,8 +45,7 @@ __all__ = ["main"]
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_through(out, [text + "\n"])
     else:
         print(text)
 

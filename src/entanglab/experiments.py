@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import astuple, dataclass, field, replace
 from functools import partial
 
@@ -119,21 +119,20 @@ def threshold_scan(config: ExperimentConfig) -> ScanResult:
     """
     if config.experiment != "threshold-scan":
         raise ConfigError(f"expected a threshold-scan config, got {config.experiment!r}")
-    rows: list[tuple] = []
-    meta = _run_scan(config, rows)
-    return ScanResult(config.dims, config.criterion, [ScanPoint(*row) for row in rows],
-                      meta.get("crossing_s"), meta)
+    meta: dict = {}
+    points = [ScanPoint(*row) for row in _run_scan(config, meta)]
+    return ScanResult(config.dims, config.criterion, points, meta.get("crossing_s"), meta)
 
 
-def _run_scan(config: ExperimentConfig, rows: list) -> dict:
-    """Append the scan's points in increasing s, each as soon as it is done."""
+def _run_scan(config: ExperimentConfig, extra: dict):
+    """Yield the scan's points in increasing s, each as soon as it is done."""
     dims = ProductDims(config.dims)
     base = SeededStream(config.master_seed)
     points = []
     for i, s in enumerate(sorted(config.s_values)):
         points.append(_scan_point(dims, s, config.trials, config.criterion, base.substream(i)))
-        rows.append(astuple(points[-1]))
-    return _scan_metadata(config, points)
+        yield astuple(points[-1])
+    extra.update(_scan_metadata(config, points))
 
 
 def _check_scan(raw: dict, kw: dict) -> None:
@@ -244,11 +243,11 @@ def concentration_experiment(d: int, s: int, trials: int, stream,
     return ConcentrationSummary(d, body, pts[0], pts[1])
 
 
-def _run_concentration(config: ExperimentConfig, rows: list) -> dict:
+def _run_concentration(config: ExperimentConfig, extra: dict):
     summary = concentration_experiment(config.d, config.s, config.trials,
                                        SeededStream(config.master_seed), body=config.body)
-    rows.extend(map(astuple, (summary.at_s, summary.at_4s)))
-    return {"body": summary.body, "std_ratio": summary.std_ratio}
+    extra.update(body=summary.body, std_ratio=summary.std_ratio)
+    yield from map(astuple, (summary.at_s, summary.at_4s))
 
 
 def _check_concentration(raw: dict, kw: dict) -> None:
@@ -307,10 +306,9 @@ def gue_approx_experiment(n: int, s: int, body: str, trials: int, stream) -> Rat
     )
 
 
-def _run_gue_approx(config: ExperimentConfig, rows: list) -> dict:
-    rows.append(astuple(gue_approx_experiment(config.n, config.s, config.body, config.trials,
-                                              SeededStream(config.master_seed))))
-    return {}
+def _run_gue_approx(config: ExperimentConfig, extra: dict):
+    yield astuple(gue_approx_experiment(config.n, config.s, config.body, config.trials,
+                                        SeededStream(config.master_seed)))
 
 
 def _check_gue_approx(raw: dict, kw: dict) -> None:
@@ -398,19 +396,16 @@ def partial_trace_monotonicity(d: int, s: int, trials: int, stream) -> Monotonic
                          ((d, d), 4 * s, "ppt"), ((2 * d, 2 * d), s, "ppt"), trials, stream)
 
 
-def _run_monotonicity(config: ExperimentConfig, rows: list) -> dict:
+def _run_monotonicity(config: ExperimentConfig, extra: dict):
     stream = SeededStream(config.master_seed)
     if config.mode == "projection":
         res = projection_monotonicity(config.d1, config.d2, config.s, config.trials, stream)
     else:
         res = partial_trace_monotonicity(config.d, config.s, config.trials, stream)
+    extra.update(mode=res.mode, ordering_holds_2sigma=res.ordering_holds())
     for side in (res.coupled_small, res.coupled_large, res.direct_small, res.direct_large):
-        lo, hi = side.interval()
-        rows.append(
-            (side.label, "%dx%d" % side.dims, side.s, side.criterion,
-             side.trials, side.successes, side.p_hat, lo, hi)
-        )
-    return {"mode": res.mode, "ordering_holds_2sigma": res.ordering_holds()}
+        yield (side.label, "%dx%d" % side.dims, side.s, side.criterion,
+               side.trials, side.successes, side.p_hat, *side.interval())
 
 
 def _check_monotonicity(raw: dict, kw: dict) -> None:
@@ -447,14 +442,16 @@ def spectral_rows(ensemble: str, n: int, s: int | None, trials: int, stream) -> 
 
     gue0 = ensemble == "gue0"
     draw = partial(_gue0_states, n) if gue0 else partial(_centered_induced_states, n, s)
-    lams = chunk_map(lambda gens: np.linalg.eigvalsh(draw(gens)), stream, trials, n)
-    lams = lams / math.sqrt(n) if gue0 else lams * math.sqrt(n * s)
+
+    def summarize(gens):  # five numbers per trial leave the chunk, not its spectrum
+        lams = np.linalg.eigvalsh(draw(gens))
+        lams = lams / math.sqrt(n) if gue0 else lams * math.sqrt(n * s)
+        return np.array([(dinf_semicircle(lam), *alpha_beta(lam), lam[-1], lam[0])
+                         for lam in lams])
+
     s_col = "" if gue0 else s
-    return [
-        (t, n, s_col, ensemble, dinf_semicircle(lam), *alpha_beta(lam),
-         float(lam[-1]), float(lam[0]))
-        for t, lam in enumerate(lams)
-    ]
+    return [(t, n, s_col, ensemble, *row.tolist())
+            for t, row in enumerate(chunk_map(summarize, stream, trials, n))]
 
 
 def spectral_experiment(config: ExperimentConfig) -> list[tuple]:
@@ -465,9 +462,9 @@ def spectral_experiment(config: ExperimentConfig) -> list[tuple]:
     )
 
 
-def _run_spectral(config: ExperimentConfig, rows: list) -> dict:
-    rows.extend(spectral_experiment(config))
-    return {"ensemble": config.ensemble, "n": config.n, "s": config.s}
+def _run_spectral(config: ExperimentConfig, extra: dict):
+    extra.update(ensemble=config.ensemble, n=config.n, s=config.s)
+    yield from spectral_experiment(config)
 
 
 def _check_spectral(raw: dict, kw: dict) -> None:
@@ -492,13 +489,13 @@ class Experiment:
     """One experiment as the config, the runner and the CLI see it: its
     config keys beyond the common ones, `check(raw, kwargs)`, which validates
     a raw config and fills the `ExperimentConfig` fields, `header(config)`,
-    the CSV header, and `run(config, rows)`, which appends CSV rows as they
-    finish and returns the sidecar's `extra`."""
+    the CSV header, and `run(config, extra)`, a generator of the CSV rows
+    that fills the sidecar's `extra` dict by the time it is exhausted."""
 
     keys: frozenset[str]
     check: Callable[[dict, dict], None]
     header: Callable[[ExperimentConfig], list[str]]
-    run: Callable[[ExperimentConfig, list], dict]
+    run: Callable[[ExperimentConfig, dict], Iterator[tuple]]
 
 
 EXPERIMENTS = {
@@ -549,9 +546,10 @@ def _effective_seed(config: ExperimentConfig) -> tuple[int, bool]:
 def run_config(path: str, output_override: str | None = None) -> int:
     """Execute a config file; write CSV plus a JSON metadata sidecar.
 
-    Re-running with the same seed reproduces the CSV byte for byte. On
-    interruption, whatever rows exist are flushed with a `.partial` suffix.
-    Returns a process exit status (0 on success, 2 on config errors).
+    Re-running with the same seed reproduces the CSV byte for byte. Rows
+    stream through `io.write_csv`: a failed run leaves an earlier CSV as it
+    was, and `<csv>.partial` with the rows it completed. Returns a process
+    exit status (0 on success, 1 if the experiment failed, 2 on config errors).
     """
     try:
         config = ExperimentConfig.from_file(path)
@@ -576,20 +574,14 @@ def execute_config(config: ExperimentConfig, output_override: str | None = None)
     csv_path = out if str(out).endswith(".csv") else str(out) + ".csv"
 
     started = time.time()
-    rows: list[tuple] = []
     experiment = EXPERIMENTS[config.experiment]
-    header = experiment.header(config)
+    extra: dict = {}
     try:
-        extra = experiment.run(replace(config, master_seed=seed), rows)
-    except BaseException as exc:  # flush whatever completed, then report
-        if rows:
-            write_csv(str(csv_path) + ".partial", header, rows)
-        if not isinstance(exc, Exception):  # KeyboardInterrupt, SystemExit, ...
-            raise
+        rows = write_csv(csv_path, experiment.header(config),
+                         experiment.run(replace(config, master_seed=seed), extra))
+    except Exception as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1
-
-    write_csv(csv_path, header, rows)
     from . import __version__
 
     payload = {
@@ -598,7 +590,7 @@ def execute_config(config: ExperimentConfig, output_override: str | None = None)
         "master_seed": seed,
         "seed_overridden_by_env": overridden,
         "csv": os.path.basename(csv_path),
-        "rows": len(rows),
+        "rows": rows,
         "wall_time_s": round(time.time() - started, 6),
         "versions": {
             "entanglab": __version__,

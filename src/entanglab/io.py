@@ -1,6 +1,10 @@
 """Persistence: RFC-4180 CSV, JSON metadata sidecars, and the binary matrix
 dump.
 
+Every file streams its rows or records into `<path>.partial`, opened once the
+first exists and renamed onto `<path>` when they run out. A source that fails
+leaves `<path>` as it was, and `<path>.partial` with the rows it completed.
+
 Binary layout (little-endian), one record per matrix, records concatenated:
     uint64 rows, uint64 cols,
     rows*cols complex entries in row-major order, each as two float64
@@ -12,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +42,28 @@ def format_value(v) -> str:
     return str(v)
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    path = Path(path)
+def _write_through(path, records, start=lambda fh: fh.write, binary: bool = False) -> int:
+    """Write `records` to `path` as the module docstring says and count them;
+    `start(fh)` begins the file and returns the function writing one record."""
+    path, records = Path(path), iter(records)
+    first = list(islice(records, 1))  # a source that fails here opens nothing
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    part = path.with_name(path.name + ".partial")
+    with open(part, "wb") if binary else open(part, "w", newline="", encoding="utf-8") as fh:
+        count = sum(1 for _ in map(start(fh), chain(first, records)))
+    part.replace(path)
+    return count
+
+
+def write_csv(path, header: list[str], rows) -> int:
+    """Write the header, then each row as it arrives; returns the row count."""
+
+    def start(fh):
         writer = csv.writer(fh)  # default dialect terminates rows with CRLF
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        return lambda row: writer.writerow([format_value(v) for v in row])
+
+    return _write_through(path, rows, start)
 
 
 def sidecar_path(csv_path) -> Path:
@@ -54,24 +73,20 @@ def sidecar_path(csv_path) -> Path:
 
 def write_sidecar(csv_path, payload: dict) -> Path:
     out = sidecar_path(csv_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_through(out, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     return out
 
 
+def _put_matrix(fh, M) -> None:
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2:
+        raise ValueError("matrix records must be 2-D")
+    fh.write(struct.pack("<QQ", *M.shape))
+    fh.write(M.astype("<c16").tobytes())
+
+
 def write_matrix_records(path, matrices) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        for M in matrices:
-            M = np.asarray(M, dtype=complex)
-            if M.ndim != 2:
-                raise ValueError("matrix records must be 2-D")
-            rows, cols = M.shape
-            fh.write(struct.pack("<QQ", rows, cols))
-            fh.write(M.astype("<c16").tobytes())
+    _write_through(path, matrices, lambda fh: lambda M: _put_matrix(fh, M), binary=True)
 
 
 def read_matrix_records(path) -> list[np.ndarray]:

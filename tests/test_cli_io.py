@@ -112,15 +112,29 @@ def test_cli_sample_writes_each_draw_as_it_is_made(tmp_path):
 
 
 def test_cli_refuses_trials_over_the_byte_limit(tmp_path, monkeypatch, capsys):
-    # at a 1 MiB limit one 64 x 4096 induced or Ginibre draw is too large
+    # at a 1 MiB limit one 64 x 4096 induced draw is too large
     monkeypatch.setattr(entanglab.rng, "_TRIAL_BYTES_MAX", 1 << 20)
     assert main(["spectral", "--ensemble", "induced", "--n", "64", "--s", "4096",
                  "--trials", "2", "--seed", "0", "--out", str(tmp_path / "spec")]) == 1
     assert "over the limit" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    assert main(["sample", "--ensemble", "ginibre", "--n", "64", "--s", "4096",
-                 "--format", "bin", "--seed", "0", "--out", str(tmp_path / "g.bin")]) == 2
+
+
+@pytest.mark.parametrize("ensemble, fmt", [("ginibre", "bin"), ("induced", "csv")])
+def test_failed_sample_leaves_an_earlier_file_as_it_was(tmp_path, monkeypatch, capsys,
+                                                        ensemble, fmt):
+    # at a 1 MiB limit one 64 x 4096 Ginibre or induced draw is too large;
+    # the output is opened only once the first draw exists, so the refused
+    # draw neither truncates the earlier file nor leaves a .partial beside it
+    out = tmp_path / f"draws.{fmt}"
+    argv = ["sample", "--ensemble", ensemble, "--format", fmt, "--seed", "0", "--out", str(out)]
+    assert main([*argv, "--n", "4", "--s", "6", "--trials", "2"]) == 0
+    good = out.read_bytes()
+    monkeypatch.setattr(entanglab.rng, "_TRIAL_BYTES_MAX", 1 << 20)
+    assert main([*argv, "--n", "64", "--s", "4096"]) == 2
     assert "over the limit" in capsys.readouterr().err
+    assert out.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
 def test_emit_writes_numpy_scalars_as_plain_json(tmp_path, capsys):
@@ -403,8 +417,10 @@ def test_config_rejects_unhashable_experiment():
 NO_SCIPY_RUNS = {
     "sample": [["sample", "--ensemble", "induced", "--n", "4", "--s", "6", "--trials", "2",
                 "--format", "bin", "--out", "d.bin"]],
-    "gauge": [["gauge", "--input", "d.bin", "--body", b, "--dims", "2,2"]
-              for b in ("s0", "ssym", "d0", "ppt0")],
+    "gauge": [["gauge", "--input", "d.bin", "--body", "s0", "--dims", "2,2",
+               "--out", "gauge.json"]]
+             + [["gauge", "--input", "d.bin", "--body", b, "--dims", "2,2"]
+                for b in ("ssym", "d0", "ppt0")],
     "geometry": [["geometry", "--check", c, "--trials", "20", "--points", "100"]
                  for c in ("zvol", "vrad", "comparison", "duality", "urysohn",
                            "rogers-shephard", "sep-bounds", "s0", "s0-ppt")],
@@ -412,7 +428,7 @@ NO_SCIPY_RUNS = {
                   "--out", "spec"]],
     "scan-threshold": [["scan-threshold", "--dims", "2,2", "--criterion", "exact",
                         "--s-values", "2,4", "--trials", "10", "--out", "scan"]],
-    "estimate-s0": [["estimate-s0", "--d", "2", "--trials", "20"],
+    "estimate-s0": [["estimate-s0", "--d", "2", "--trials", "20", "--out", "s0.json"],
                     ["estimate-s0", "--d", "3", "--ppt", "--trials", "20"]],
     "gue-approx": [["gue-approx", "--n", "4", "--s", "8", "--body", "s0", "--trials", "10",
                     "--out", "ratio"]],
@@ -456,5 +472,14 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
                           cwd=tmp_path, env=child_env(), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    for name in ("spec.csv", "scan.csv", "ratio.csv", "conc.csv", "mono.csv", "run.csv"):
-        assert (tmp_path / name).stat().st_size > 0
+    # every file went through the one output path: each target is in place
+    # (an experiment's as a CSV and its sidecar) and no .partial is left
+    experiments = {name for name, p in subparsers.choices.items()
+                   if p.get_default("fn") is entanglab.cli._cmd_experiment}
+    expected = {"run.csv", "run.meta.json"}
+    for name, argvs in NO_SCIPY_RUNS.items():
+        for out in (argv[argv.index("--out") + 1] for argv in argvs if "--out" in argv):
+            expected |= {out + ".csv", out + ".meta.json"} if name in experiments else {out}
+    for name in expected:
+        assert (tmp_path / name).stat().st_size > 0, name
+    assert list(tmp_path.glob("*.partial")) == []

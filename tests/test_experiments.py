@@ -724,7 +724,8 @@ def test_run_config_error_paths(tmp_path, capsys):
 
 def test_run_config_partial_flush(tmp_path, monkeypatch):
     # after the first point an error returns 1 and an exit propagates; both
-    # flush the completed point first
+    # leave the completed point in .partial, and a successful rerun leaves
+    # only the CSV and its sidecar
     original = exps._scan_point
     for k, exc in enumerate((RuntimeError("boom"), SystemExit(3))):
         calls = {"k": 0}
@@ -747,6 +748,7 @@ def test_run_config_partial_flush(tmp_path, monkeypatch):
                 "master_seed": 0,
                 "output": str(tmp_path / f"part{k}"),
             },
+            name=f"part{k}.json",
         )
         if isinstance(exc, Exception):
             assert run_config(path) == 1
@@ -758,6 +760,12 @@ def test_run_config_partial_flush(tmp_path, monkeypatch):
         assert partial.startswith("s,trials")
         assert len(partial.strip().splitlines()) == 2  # header + one completed point
         assert not (tmp_path / f"part{k}.csv").exists()
+
+    monkeypatch.setattr(exps, "_scan_point", original)
+    for k in range(2):
+        assert run_config(str(tmp_path / f"part{k}.json")) == 0
+        assert sorted(p.name for p in tmp_path.glob(f"part{k}.*")) == [
+            f"part{k}.csv", f"part{k}.json", f"part{k}.meta.json"]
 
 
 def test_run_config_other_experiments(tmp_path):

@@ -1,8 +1,8 @@
 """Property tests over random inputs: the batched partial transpose, the
 Cholesky PPT test and the closed-form gauges of the state, PPT and separable
 bodies, the partial trace, the separable support function, d_inf and the
-semicircle quantile, binary matrix records, config digests and block-derived
-trial streams."""
+semicircle quantile, the output path of every written file, binary matrix
+records, config digests and block-derived trial streams."""
 
 import pickle
 import tempfile
@@ -11,6 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -18,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 from entanglab.config import ExperimentConfig
 from entanglab import rng, separability
 from entanglab.ensembles import _induced_states
-from entanglab.io import read_matrix_records, write_matrix_records
+from entanglab.io import read_matrix_records, write_csv, write_matrix_records
 from entanglab.linalg import (
     ProductDims,
     hermitize,
@@ -191,6 +192,47 @@ def test_dinf_empirical_empirical_symmetric(xy):
 def test_semicircle_quantile_antisymmetric(p):
     # 1 - p is rounded, which moves Q by at most ~1e-14 this far from the ends
     assert abs(semicircle_quantile(1 - p) + semicircle_quantile(p)) <= 1e-12
+
+
+class SourceFailed(Exception):
+    pass
+
+
+def fail_after(rows, k):
+    yield from rows[:k]
+    raise SourceFailed
+
+
+def csv_bytes(rows) -> bytes:
+    """The CSV the writer has always produced for header a,b: CRLF rows."""
+    return ("a,b\r\n" + "".join(f"{i},{x!r}\r\n" for i, x in rows)).encode()
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(st.integers(-2**63, 2**63), st.floats()), max_size=6), st.data())
+def test_csv_writer_output_contract(rows, data):
+    # a source that fails after k rows leaves no new file (k = 0) or
+    # <path>.partial with exactly those k rows, and never touches an
+    # existing <path>; a source that runs out leaves only <path>
+    k = data.draw(st.integers(0, len(rows)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out" / "t.csv"
+        part = path.with_name("t.csv.partial")
+        with pytest.raises(SourceFailed):
+            write_csv(path, ["a", "b"], fail_after(rows, k))
+        assert sorted(Path(tmp).rglob("*")) == ([path.parent, part] if k else [])
+        if k:
+            assert part.read_bytes() == csv_bytes(rows[:k])
+
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(b"earlier")
+        with pytest.raises(SourceFailed):
+            write_csv(path, ["a", "b"], fail_after(rows, k))
+        assert path.read_bytes() == b"earlier"
+
+        assert write_csv(path, ["a", "b"], iter(rows)) == len(rows)
+        assert list(path.parent.iterdir()) == [path]
+        assert path.read_bytes() == csv_bytes(rows)
 
 
 records_st = st.lists(
