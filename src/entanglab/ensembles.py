@@ -33,8 +33,10 @@ state's Gram product as the principal submatrix of the large one at the kept
 rows. A GUE chunk draws its generators' normals into rows of a sub-batch
 buffer, sized the same way, and assembles each sub-batch's triangle,
 Hermitian completion and diagonal at once; traceless draws subtract tr/n
-from the stack's diagonals in place. The public samplers and couplings run
-the same stacked kernels on a chunk of one.
+from the stack's diagonals in place. The stacked kernels refuse n or s < 1
+and, for the projection coupling, anything but 2 <= d1 <= d2 before they
+allocate; the public samplers and couplings run them on a chunk of one and
+add no checks of their own.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import log_znorm
-from .linalg import ProductDims, _make_traceless, hermitize, partial_trace, traceless_part
+from .linalg import ProductDims, _make_traceless, _require_size, hermitize, partial_trace, traceless_part
 from .rng import _batch_size, as_generator
 
 __all__ = [
@@ -80,10 +82,8 @@ class DensityMatrix:
     def __post_init__(self):
         M = hermitize(self.matrix)
         n = M.shape[0]
-        if self.dims is not None and self.dims.n != n:
-            raise ValueError(
-                f"matrix size {n} does not match dims {self.dims.factors}"
-            )
+        if self.dims is not None:
+            _require_size(M, self.dims)
         tr = float(np.trace(M).real)
         if abs(tr - 1.0) > 1e-12:
             raise ValueError(f"trace {tr} is not 1 within 1e-12")
@@ -128,8 +128,6 @@ def _normals_into(z: np.ndarray, gens: list) -> None:
 
 def sample_gue(n: int, stream) -> np.ndarray:
     """Standard Gaussian self-adjoint n x n matrix (E ||A||_HS^2 = n^2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return _gue_states(n, [as_generator(stream)])[0]
 
 
@@ -144,6 +142,8 @@ def _gue_states(n: int, gens) -> np.ndarray:
     off-diagonal block, in one call into its row of a sub-batch; the strict
     upper triangle, its conjugate below it and the diagonal are then
     assembled once for the sub-batch."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     gens = list(gens)
     # a trial's normals, and its lower triangle gathered and conjugated
     k = _batch_size(8 * (n + 2 * n * n) + 16 * n * n)
@@ -187,8 +187,6 @@ def sample_induced_state(
     n: int, s: int, stream, dims: ProductDims | None = None
 ) -> DensityMatrix:
     """Random state on C^n induced by an s-dimensional environment."""
-    if n < 1 or s < 1:
-        raise ValueError("n and s must be >= 1")
     rho = _induced_states(n, s, [as_generator(stream)])[0]
     if dims is None and n >= 2:
         dims = ProductDims((n,))
@@ -199,6 +197,8 @@ def _wishart_stack(n: int, s: int, gens: list) -> np.ndarray:
     """Gram products W = 2 A A^dagger, one Ginibre draw A per generator, from
     the real Gram products G = z z^T of their normals, a sub-batch at a time
     (see the module docstring). The buffers are freed on return."""
+    if n < 1 or s < 1:
+        raise ValueError("n and s must be >= 1")
     # a trial's normals, its real Gram product, and the buffers numpy's ufunc
     # loop takes for the two strided n x n blocks the combine reads
     k = _batch_size(16 * n * s + 32 * n * n + 16 * n * n)
@@ -278,6 +278,8 @@ def _projection_grams(d1: int, d2: int, s: int, gens: list) -> tuple[np.ndarray,
     and its principal submatrix at the kept rows. After the chunk's draws, a
     trial whose kept block has zero trace is redrawn alone from its generator
     until it has not."""
+    if not (2 <= d1 <= d2):
+        raise ValueError("need 2 <= d1 <= d2")
     n = d2 * d2
     rows = (d2 * np.arange(d1)[:, None] + np.arange(d1)).ravel()
 
@@ -313,10 +315,6 @@ def coupled_local_projection(d1: int, d2: int, s: int, stream) -> CoupledPair:
     state carries exactly the d1-system induced distribution. A degenerate
     compression (measure zero) is redrawn and counted in `resamples`.
     """
-    if not (2 <= d1 <= d2):
-        raise ValueError("need 2 <= d1 <= d2")
-    if s < 1:
-        raise ValueError("s must be >= 1")
     small, large, resamples = _projection_pairs(d1, d2, s, [as_generator(stream)])
     return CoupledPair(DensityMatrix(ProductDims((d2, d2)), large[0]),
                        DensityMatrix(ProductDims((d1, d1)), small[0]), resamples)
@@ -331,8 +329,6 @@ def coupled_partial_trace(d: int, s: int, stream) -> CoupledPair:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    if s < 1:
-        raise ValueError("s must be >= 1")
     small, large = _partial_trace_pairs(d, s, [as_generator(stream)])
     return CoupledPair(DensityMatrix(ProductDims((2 * d, 2 * d)), large[0]),
                        DensityMatrix(ProductDims((d, d)), small[0]))

@@ -437,7 +437,7 @@ def spectral_rows(ensemble: str, n: int, s: int | None, trials: int, stream) -> 
     lambda_min) for the rescaled spectrum of the chosen ensemble."""
     if ensemble not in ("gue0", "induced"):
         raise ValueError("ensemble must be 'gue0' or 'induced'")
-    if ensemble == "induced" and (s is None or s < 1):
+    if ensemble == "induced" and s is None:
         raise ValueError("induced ensemble requires s >= 1")
 
     gue0 = ensemble == "gue0"

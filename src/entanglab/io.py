@@ -77,16 +77,16 @@ def write_sidecar(csv_path, payload: dict) -> Path:
     return out
 
 
-def _put_matrix(fh, M) -> None:
+def _matrix_record(M) -> bytes:
+    """M's record, made and checked as it is pulled: a bad first matrix opens no file."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise ValueError("matrix records must be 2-D")
-    fh.write(struct.pack("<QQ", *M.shape))
-    fh.write(M.astype("<c16").tobytes())
+    return struct.pack("<QQ", *M.shape) + M.astype("<c16").tobytes()
 
 
 def write_matrix_records(path, matrices) -> None:
-    _write_through(path, matrices, lambda fh: lambda M: _put_matrix(fh, M), binary=True)
+    _write_through(path, map(_matrix_record, matrices), binary=True)
 
 
 def read_matrix_records(path) -> list[np.ndarray]:

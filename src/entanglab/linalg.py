@@ -120,12 +120,17 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(A), np.asarray(B))
 
 
+def _require_size(A: np.ndarray, dims: ProductDims) -> None:
+    """Refuse a matrix or stack (..., n, n) whose n is not the size of `dims`."""
+    if A.shape[-1] != dims.n:
+        raise ValueError(f"matrix size {A.shape[-1]} does not match dims {dims.factors}")
+
+
 def _on_factors(H: np.ndarray, dims: ProductDims, factors, role: str) -> tuple[np.ndarray, list]:
     """H checked as a matrix or stack (..., n, n) on `dims`, and the sorted
     distinct factor indices `factors`, checked in range."""
     H = _check_square(H, batched=True)
-    if H.shape[-1] != dims.n:
-        raise ValueError(f"matrix size {H.shape[-1]} does not match dims {dims.factors}")
+    _require_size(H, dims)
     idx = sorted(set(int(i) for i in np.atleast_1d(np.asarray(factors, dtype=int))))
     if any(i < 0 or i >= dims.k for i in idx):
         raise ValueError(f"{role} factor indices {idx} out of range for {dims.k} factors")

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .ensembles import DensityMatrix
-from .linalg import ProductDims, hermitize, hs_norm, partial_transpose, top_eigenpair
+from .linalg import ProductDims, _require_size, hermitize, hs_norm, partial_transpose, top_eigenpair
 from .rng import as_generator
 from .stats import Estimate
 
@@ -226,8 +226,7 @@ def _gauge(body: str, A: np.ndarray, dims: ProductDims) -> GaugeResult:
     the zero direction, with the eigensolves made."""
     gauge = _body_gauge(body, dims)
     A = _require_traceless(A)
-    if A.shape[0] != dims.n:
-        raise ValueError(f"matrix size {A.shape[0]} does not match dims {dims.factors}")
+    _require_size(A, dims)
     if hs_norm(A) == 0.0:
         return GaugeResult(0.0, 0.0, 0)
     return GaugeResult(float(gauge(A[None])[0]), 0.0, _BODIES[body].eigensolves)
@@ -293,8 +292,7 @@ def support_separable(
     if dims.k < 2:
         raise ValueError("need at least two tensor factors")
     A = _require_traceless(A)
-    if A.shape[0] != dims.n:
-        raise ValueError("matrix size does not match dims")
+    _require_size(A, dims)
     rng = as_generator(stream if stream is not None else 0)
     ds = dims.factors
     T = A.reshape(ds + ds)

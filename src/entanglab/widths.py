@@ -307,8 +307,6 @@ def ppt_threshold_estimate(d: int, trials: int, stream) -> PPTThresholdResult:
     threshold ~ 4 d^2."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     dims = ProductDims((d, d))
     n = dims.n
     gauge = _body_gauge("ppt0", dims)

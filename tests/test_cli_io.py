@@ -64,6 +64,16 @@ def test_matrix_records_roundtrip(tmp_path):
     assert first[0] == mats[0][0, 0].real and first[1] == mats[0][0, 0].imag
 
 
+def test_non_2d_first_record_opens_no_file(tmp_path):
+    path = tmp_path / "m.bin"
+    write_matrix_records(path, [np.eye(2)])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="matrix records must be 2-D"):
+        write_matrix_records(path, [np.zeros(3)])
+    assert not (tmp_path / "m.bin.partial").exists()
+    assert path.read_bytes() == before
+
+
 def test_sidecar_path():
     assert str(sidecar_path("out/run.csv")).endswith("run.meta.json")
     assert str(sidecar_path("out/run")).endswith("run.meta.json")
@@ -321,6 +331,10 @@ def test_cli_error_handling(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "n must be a perfect square d^2 for the ppt0 body, got n = 32" in err
     assert main([*argv, "--n", "36", "--out", str(tmp_path / "r36")]) == 0
+    capsys.readouterr()
+    # the GUE kernel refuses n = 0 before it sizes its buffers
+    assert main(["geometry", "--check", "urysohn", "--n", "0", "--trials", "3"]) == 2
+    assert capsys.readouterr().err == "error: n must be >= 1\n"
 
 
 # -- experiment subcommands are the configs whose keys are their flags ----------------

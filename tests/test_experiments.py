@@ -3,10 +3,12 @@ import importlib.metadata
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from conftest import chunk_trials, traced_peak
+from conftest import child_env, chunk_trials, traced_peak
 
 import entanglab.experiments as exps
 import entanglab.rng
@@ -17,6 +19,7 @@ from entanglab.ensembles import (
     _induced_states,
     coupled_local_projection,
     coupled_partial_trace,
+    sample_gue,
     sample_gue0,
     sample_induced_state,
 )
@@ -406,6 +409,7 @@ ZERO_TRIAL_RUNS = {
     "spectral_rows": lambda: spectral_rows("induced", 4, 8, 0, SeededStream(3)),
     "concentration": lambda: concentration_experiment(2, 50, 0, SeededStream(3), body="s0"),
     "gue_approx": lambda: gue_approx_experiment(8, 64, "d0", 0, SeededStream(3)),
+    "ppt_threshold_estimate": lambda: ppt_threshold_estimate(2, 0, 1),
 }
 
 
@@ -413,6 +417,54 @@ ZERO_TRIAL_RUNS = {
 def test_zero_trials_rejected(run):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         ZERO_TRIAL_RUNS[run]()
+
+
+def _in_child(call: str):
+    """Run `call` on entanglab.experiments and SeededStream in a child Python
+    with a timeout, and raise its ValueError here, so a call that never
+    returns fails the test instead of stalling the suite."""
+    code = f"from entanglab.experiments import *\nfrom entanglab.rng import SeededStream\n{call}"
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    last = (proc.stderr.strip().splitlines() or [""])[-1]
+    if last.startswith("ValueError: "):
+        raise ValueError(last.removeprefix("ValueError: "))
+    assert proc.returncode == 0, proc.stderr
+
+
+N_S = "n and s must be >= 1"
+
+# every public draw path, at a size its stacked kernel refuses, and the
+# kernel's message: no path checks sizes before it reaches the kernel
+ZERO_SIZE_RUNS = {
+    "sample_gue": (lambda: sample_gue(0, 1), "n must be >= 1"),
+    "sample_induced_state": (lambda: sample_induced_state(3, 0, 1), N_S),
+    "coupled_local_projection_s0": (lambda: coupled_local_projection(2, 3, 0, 1), N_S),
+    "coupled_local_projection_d1_over_d2": (lambda: coupled_local_projection(3, 2, 5, 1),
+                                            "need 2 <= d1 <= d2"),
+    "coupled_partial_trace": (lambda: coupled_partial_trace(2, 0, 1), N_S),
+    "spectral_rows_gue0": (lambda: spectral_rows("gue0", 0, None, 3, SeededStream(3)),
+                           "n must be >= 1"),
+    "spectral_rows_induced": (lambda: spectral_rows("induced", 0, 8, 3, SeededStream(3)), N_S),
+    "concentration": (lambda: concentration_experiment(2, 0, 3, SeededStream(3)), N_S),
+    "gue_approx": (lambda: gue_approx_experiment(4, 0, "d0", 3, SeededStream(3)), N_S),
+    "partial_trace_monotonicity": (lambda: partial_trace_monotonicity(2, 0, 3, SeededStream(3)),
+                                   N_S),
+    # in a child: an s = 0 draw that reached the degenerate-compression redraw
+    # loop would spin there on all-zero Gram products
+    "projection_monotonicity_s0": (
+        lambda: _in_child("projection_monotonicity(2, 3, 0, 4, SeededStream(1))"), N_S),
+    "projection_monotonicity_d1_over_d2": (
+        lambda: projection_monotonicity(3, 2, 5, 4, SeededStream(1)), "need 2 <= d1 <= d2"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(ZERO_SIZE_RUNS))
+def test_sizes_refused_by_the_stacked_kernels(run):
+    call, message = ZERO_SIZE_RUNS[run]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # -- chunk memory ------------------------------------------------------------------------

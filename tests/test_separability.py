@@ -288,6 +288,8 @@ def test_support_requires_traceless_and_factors():
         support_separable(np.eye(4), DIMS22)
     with pytest.raises(ValueError):
         support_separable(np.zeros((2, 2)), ProductDims((2,)))
+    with pytest.raises(ValueError, match=r"^matrix size 4 does not match dims \(2, 3\)$"):
+        support_separable(np.diag([1.0, -1.0, 0.0, 0.0]), ProductDims((2, 3)))
 
 
 def test_support_sweep_monotone():
