@@ -179,9 +179,8 @@ def _cmd_geometry(args) -> int:
     elif check == "sep-bounds":
         b1, b2, beta = separable_volume_bounds(args.k, args.d)
         payload.update(k=args.k, d=args.d, bound_i=b1, bound_ii=b2, beta_d=beta)
-    else:  # s0 (at d = 2) or s0-ppt
-        ppt = check == "s0-ppt"
-        payload.update(_s0_estimate(args.d if ppt else 2, ppt, args.trials, seed))
+    else:  # s0 or s0-ppt
+        payload.update(_s0_estimate(args.d, check == "s0-ppt", args.trials, seed))
     _emit(payload, args.out)
     return 0
 

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .ensembles import DensityMatrix
-from .linalg import ProductDims, _require_size, hermitize, hs_norm, partial_transpose, top_eigenpair
+from .linalg import ProductDims, _require_size, hermitize, hs_norm, partial_transpose
 from .rng import as_generator
 from .stats import Estimate
 
@@ -261,14 +261,14 @@ def gauge_separable_sym(A: np.ndarray, dims: ProductDims, tol: float = 1e-8) -> 
 
 
 def _contracted_factor(T: np.ndarray, psis: list[np.ndarray], j: int) -> np.ndarray:
-    """d_j x d_j matrix M with <a|M|b> = <..psi,a,psi..|A|..psi,b,psi..>."""
+    """Matrices M (..., d_j, d_j) with <a|M|b> = <..psi,a,psi..|A|..psi,b,psi..>."""
     # einsum labels: row index of factor i is i, column index is k + i.
     k = len(psis)
     operands = [T, list(range(2 * k))]
     for i in range(k):
         if i != j:
-            operands += [psis[i].conj(), [i], psis[i], [k + i]]
-    return np.einsum(*operands, [j, k + j])
+            operands += [psis[i].conj(), [..., i], psis[i], [..., k + i]]
+    return np.einsum(*operands, [..., j, k + j])
 
 
 def support_separable(
@@ -285,44 +285,40 @@ def support_separable(
     vectors psi = psi_1 x ... x psi_k. Alternating maximization: with all
     factors but one frozen the optimum is the top eigenvector of the
     contracted operator, so each half-step is exact and the objective never
-    decreases. Restarts are independent uniform product states. The result
-    is a certified lower bound on the support function (the maximization is
-    a heuristic; it can stop at a local maximum).
+    decreases. The restarts, independent uniform product states, sweep as
+    one stack, each until a sweep gains less than `tol`. The result is a
+    certified lower bound (the maximization can stop at a local maximum).
     """
     if dims.k < 2:
         raise ValueError("need at least two tensor factors")
+    if restarts < 1 or max_sweeps < 1:
+        raise ValueError("restarts and max_sweeps must be >= 1")
     A = _require_traceless(A)
     _require_size(A, dims)
     rng = as_generator(stream if stream is not None else 0)
     ds = dims.factors
     T = A.reshape(ds + ds)
 
-    best_val = -np.inf
-    best_psis: list[np.ndarray] = []
-    for _ in range(restarts):
-        psis = []
-        for d in ds:
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            psis.append(v / np.linalg.norm(v))
-        prev = -np.inf
-        for _ in range(max_sweeps):
-            val = prev
-            for j in range(dims.k):
-                M = _contracted_factor(T, psis, j)
-                val, vec = top_eigenpair(M)
-                psis[j] = vec
-            if val - prev < tol:
-                break
-            prev = val
-        if val > best_val:
-            best_val = val
-            best_psis = [p.copy() for p in psis]
+    starts = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
+              for _ in range(restarts) for d in ds]
+    psis = [np.array([v / np.linalg.norm(v) for v in starts[i::dims.k]]) for i in range(dims.k)]
+    val = np.full(restarts, -np.inf)
+    live = np.arange(restarts)
+    for _ in range(max_sweeps):
+        prev = val[live]
+        for j in range(dims.k):
+            w, vecs = np.linalg.eigh(_contracted_factor(T, [p[live] for p in psis], j))
+            psis[j][live] = vecs[..., -1]
+        val[live] = w[:, -1]
+        live = live[val[live] - prev >= tol]
+        if not live.size:
+            break
 
     # Report the value of the witness itself so the lower-bound contract
     # holds exactly.
-    M = _contracted_factor(T, best_psis, 0)
-    witness_val = float(np.real(best_psis[0].conj() @ M @ best_psis[0]))
-    return SupportResult(witness_val, best_psis, restarts)
+    best = [p[np.argmax(val)] for p in psis]
+    witness_val = float(np.real(best[0].conj() @ _contracted_factor(T, best, 0) @ best[0]))
+    return SupportResult(witness_val, best, restarts)
 
 
 def mean_gauge_gue(d: int, trials: int, stream) -> Estimate:

@@ -15,7 +15,10 @@ Z95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class Estimate:
-    """Sample mean with its standard error and provenance."""
+    """Sample mean with its standard error and provenance. `from_samples`
+    gives fewer than two samples, whose standard error is undefined, a NaN
+    one: JSON carries it as the token NaN (Python's json writes and reads it)
+    and CSV as `nan`."""
 
     mean: float
     stderr: float
@@ -38,7 +41,7 @@ class Estimate:
 def from_samples(samples, seed: str = "") -> Estimate:
     x = np.asarray(samples, dtype=float)
     n = x.size
-    stderr = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    stderr = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
     return Estimate(float(x.mean()), stderr, n, seed)
 
 

@@ -10,8 +10,9 @@ import numpy as np
 
 import entanglab
 import entanglab.rng
-from entanglab.linalg import hs_norm
-from entanglab.separability import gauge_states
+from entanglab.linalg import hermitize, hs_norm
+from entanglab.rng import as_generator
+from entanglab.separability import _contracted_factor, gauge_states
 
 
 def child_env() -> dict:
@@ -74,3 +75,28 @@ def separable_bisection_gauge_oracle(A, dims, rel_tol=1e-12):
         else:
             lo = mid
     return hi
+
+
+def support_separable_loop(A, dims, restarts, tol, max_sweeps, stream):
+    """The product-state support maximization one restart at a time: the
+    same starts, sweeps and stopping rule as `support_separable`, with each
+    contracted factor hermitized before its eigensolve. Returns the best
+    restart's last sweep value."""
+    rng = as_generator(stream)
+    T = A.reshape(dims.factors + dims.factors)
+    best_val = -np.inf
+    for _ in range(restarts):
+        psis = []
+        for d in dims.factors:
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            psis.append(v / np.linalg.norm(v))
+        prev = -np.inf
+        for _ in range(max_sweeps):
+            for j in range(dims.k):
+                w, vecs = np.linalg.eigh(hermitize(_contracted_factor(T, psis, j)))
+                val, psis[j] = w[-1], vecs[:, -1]
+            if val - prev < tol:
+                break
+            prev = val
+        best_val = max(best_val, val)
+    return best_val

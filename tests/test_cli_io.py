@@ -230,6 +230,26 @@ def test_cli_geometry_checks(tmp_path, capsys):
     assert payload["ratio"] >= payload["threshold"]
 
 
+def test_cli_geometry_s0_reads_d(capsys):
+    # --d reaches the S0 estimate, whose dims rule refuses d = 3
+    rc = main(["geometry", "--check", "s0", "--d", "3", "--trials", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: exact separability is only decidable for 2x2 and 2x3 systems, "
+        "got (3, 3); use the PPT criterion explicitly\n")
+
+
+def test_one_sample_has_no_standard_error(capsys):
+    # the standard error of one sample is undefined: NaN, and no check
+    # passes on it
+    assert math.isnan(from_samples([1.5]).stderr)
+    for argv, key in ((["--check", "duality"], "relative_stderr"),
+                      (["--check", "urysohn", "--n", "3"], "width_stderr")):
+        assert main(["geometry", *argv, "--trials", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is False and math.isnan(payload[key])
+
+
 def test_cli_urysohn_matches_per_trial_reference(tmp_path, monkeypatch):
     # batched lambda_max over chunks of any size against one eigensolve per
     # trial: the same JSON, bit for bit

@@ -166,6 +166,18 @@ def test_contracted_factor_against_basis_loop():
                     vk = np.kron(vk, ket[i])
                 expect = vb.conj() @ A @ vk
                 assert abs(M[a, b] - expect) < 1e-12
+    # a stack (R, d_i) of product vectors gives one matrix per row, each the
+    # unbatched call's
+    stack = []
+    for d in dims.factors:
+        v = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
+        stack.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+    for j, dj in enumerate(dims.factors):
+        M = _contracted_factor(T, stack, j)
+        assert M.shape == (5, dj, dj)
+        for r in range(5):
+            assert np.allclose(M[r], _contracted_factor(T, [p[r] for p in stack], j),
+                               rtol=0, atol=1e-14)
 
 
 def test_gue0_matches_projected_gue_distribution():

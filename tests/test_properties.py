@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from conftest import support_separable_loop
 
 from entanglab.config import ExperimentConfig
 from entanglab import rng, separability
@@ -173,6 +174,28 @@ def test_support_separable_below_operator_norm(dims, seed):
     A = traceless_direction(seed, dims.n)
     h = support_separable(A, dims, restarts=2, stream=seed).value
     assert h <= np.linalg.eigvalsh(A)[-1] + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]).map(ProductDims),
+    seed_st,
+    st.integers(1, 6),
+    st.sampled_from([1, 2, 3, 500]),
+    st.sampled_from([1e-12, 1e-6, 1e-3]),
+)
+def test_support_separable_stack_matches_restart_loop(dims, seed, restarts, max_sweeps, tol):
+    # the restarts swept as one stack reach the values of the restarts swept
+    # one at a time; two restarts equal to rounding may swap places, so only
+    # the values are compared
+    A = traceless_direction(seed, dims.n)
+    res = support_separable(A, dims, restarts, tol, max_sweeps, stream=SeededStream(seed))
+    ref = support_separable_loop(A, dims, restarts, tol, max_sweeps, SeededStream(seed))
+    assert abs(res.value - ref) <= 1e-10
+    psi = res.maximizer[0]
+    for p in res.maximizer[1:]:
+        psi = np.kron(psi, p)
+    assert abs(res.value - np.real(psi.conj() @ A @ psi)) <= 1e-12
 
 
 atoms_st = st.integers(1, 40).flatmap(

@@ -290,6 +290,11 @@ def test_support_requires_traceless_and_factors():
         support_separable(np.zeros((2, 2)), ProductDims((2,)))
     with pytest.raises(ValueError, match=r"^matrix size 4 does not match dims \(2, 3\)$"):
         support_separable(np.diag([1.0, -1.0, 0.0, 0.0]), ProductDims((2, 3)))
+    A = np.diag([1.0, -1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^restarts and max_sweeps must be >= 1$"):
+        support_separable(A, DIMS22, restarts=0)
+    with pytest.raises(ValueError, match=r"^restarts and max_sweeps must be >= 1$"):
+        support_separable(A, DIMS22, max_sweeps=0)
 
 
 def test_support_sweep_monotone():
