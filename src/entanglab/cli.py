@@ -17,11 +17,10 @@ import sys
 import numpy as np
 
 from .config import ExperimentConfig
-from .ensembles import EnsembleSpec, _gue0_states, draw_ensemble
+from .ensembles import EnsembleSpec, draw_ensemble
 from .experiments import EXPERIMENTS, execute_config, run_config
 from .geometry import (
     density_comparison_ratio,
-    gamma_m,
     log_weyl_chamber_znorm,
     log_znorm,
     separable_volume_bounds,
@@ -29,10 +28,10 @@ from .geometry import (
 )
 from .io import _write_through, read_matrix_records, write_csv, write_matrix_records
 from .linalg import ProductDims, hermitian_eigenvalues, hermitize, traceless_part
-from .rng import SeededStream, chunk_map, trial_generators
+from .rng import SeededStream, trial_generators
 from .separability import _CRITERIA, _gauge
-from .stats import from_samples
 from .widths import (
+    _gue0_width,
     ppt_threshold_estimate,
     separability_threshold_estimate,
     symmetrization_volume_ratio,
@@ -160,19 +159,12 @@ def _cmd_geometry(args) -> int:
     elif check == "duality":
         res = width_duality_check(ProductDims((2, 2)), args.trials, SeededStream(seed))
         payload.update(dataclasses.asdict(res), passed=res.passed)
-    elif check == "urysohn":
-        n = args.n
-        vals = chunk_map(lambda gens: np.linalg.eigvalsh(_gue0_states(n, gens))[:, -1],
-                         SeededStream(seed), args.trials, n)
-        est = from_samples(vals)
-        gm = gamma_m(n * n - 1)
-        width = est.mean / gm
-        v = vrad_states(n)
-        payload.update(
-            n=n, trials=args.trials, vrad=v, width=width,
-            width_stderr=est.stderr / gm,
-            passed=bool(v <= width + 3 * est.stderr / gm),
-        )
+    elif check == "urysohn":  # lambda_max is the support function of the centered state body
+        est, gm = _gue0_width(args.n, lambda G: np.linalg.eigvalsh(G)[:, -1], args.trials,
+                              SeededStream(seed))
+        width, v = est.mean / gm, vrad_states(args.n)
+        payload.update(n=args.n, trials=args.trials, vrad=v, width=width,
+                       width_stderr=est.stderr / gm, passed=bool(v <= width + 3 * est.stderr / gm))
     elif check == "rogers-shephard":
         res = symmetrization_volume_ratio(args.m, args.points, SeededStream(seed))
         payload.update(dataclasses.asdict(res), passed=res.passed)

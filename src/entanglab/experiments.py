@@ -235,11 +235,10 @@ def concentration_experiment(d: int, s: int, trials: int, stream,
         vals = chunk_map(lambda gens: gauge(_centered_induced_states(dims.n, s_val, gens)),
                          sub, trials, dims.n)
         est = from_samples(vals)
-        pts.append(
-            ConcentrationPoint(
-                s_val, trials, est.mean, float(np.median(vals)), float(vals.std(ddof=1)), est.stderr
-            )
-        )
+        # one sample has no spread: NaN, as its stderr, without numpy's warnings
+        std = float(vals.std(ddof=1)) if trials > 1 else math.nan
+        pts.append(ConcentrationPoint(s_val, trials, est.mean, float(np.median(vals)), std,
+                                      est.stderr))
     return ConcentrationSummary(d, body, pts[0], pts[1])
 
 

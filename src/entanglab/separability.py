@@ -68,6 +68,8 @@ EXACT_DIMS = {(2, 2), (2, 3), (3, 2)}
 
 TRACE_TOL = 1e-10
 
+_MAX_SWEEPS = 500  # of the product-state support maximization
+
 
 class UnsupportedDimensionError(ValueError):
     """Exact separability was requested outside qubit-qubit / qubit-qutrit."""
@@ -264,11 +266,51 @@ def _contracted_factor(T: np.ndarray, psis: list[np.ndarray], j: int) -> np.ndar
     """Matrices M (..., d_j, d_j) with <a|M|b> = <..psi,a,psi..|A|..psi,b,psi..>."""
     # einsum labels: row index of factor i is i, column index is k + i.
     k = len(psis)
-    operands = [T, list(range(2 * k))]
+    operands = [T, [..., *range(2 * k)]]
     for i in range(k):
         if i != j:
             operands += [psis[i].conj(), [..., i], psis[i], [..., k + i]]
     return np.einsum(*operands, [..., j, k + j])
+
+
+def _product_starts(dims: ProductDims, restarts: int, stream) -> list[np.ndarray]:
+    """Uniform product unit vectors, a stack (restarts, d_i) per factor: drawn restart
+    by restart, factor by factor, real parts first, each v / |v|; None is seed 0."""
+    rng = as_generator(stream if stream is not None else 0)
+    starts = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
+              for _ in range(restarts) for d in dims.factors]
+    return [np.array([v / np.linalg.norm(v) for v in starts[i::dims.k]]) for i in range(dims.k)]
+
+
+def _support_stack(T: np.ndarray, starts: list[np.ndarray], tol: float,
+                   max_sweeps: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Product-state support of each direction of a stack T (D, d_1..d_k, d_1..d_k)
+    from the same starts (R, d_i) per factor. Every (direction, restart) pair
+    sweeps until a sweep gains less than `tol`; a half-step contracts the
+    directions with a live pair and runs one eigh over the live pairs. Each
+    direction reports its first best restart: the witness's own <psi|A|psi>,
+    a certified lower bound, and its factors (D, d_i)."""
+    if len(starts) < 2:
+        raise ValueError("need at least two tensor factors")
+    if len(starts[0]) < 1 or max_sweeps < 1:
+        raise ValueError("restarts and max_sweeps must be >= 1")
+    psis = [np.repeat(s[None], len(T), axis=0) for s in starts]  # (D, R, d_i)
+    val = np.full(psis[0].shape[:2], -np.inf)
+    live = np.ones(val.shape, dtype=bool)
+    for _ in range(max_sweeps):
+        rows, pairs = np.flatnonzero(live.any(axis=1)), np.nonzero(live)
+        prev = val[pairs]
+        for j in range(len(psis)):
+            M = _contracted_factor(T[rows, None], [p[rows] for p in psis], j)[live[rows]]
+            w, vecs = np.linalg.eigh(M)
+            psis[j][pairs] = vecs[..., -1]
+        val[pairs] = w[:, -1]
+        live[pairs] = val[pairs] - prev >= tol
+        if not live.any():
+            break
+    best = [p[np.arange(len(T)), np.argmax(val, axis=1)] for p in psis]
+    M = _contracted_factor(T, best, 0)
+    return np.einsum("...a,...ab,...b->...", best[0].conj(), M, best[0]).real, best
 
 
 def support_separable(
@@ -276,49 +318,21 @@ def support_separable(
     dims: ProductDims,
     restarts: int = 20,
     tol: float = 1e-12,
-    max_sweeps: int = 500,
+    max_sweeps: int = _MAX_SWEEPS,
     stream=None,
 ) -> SupportResult:
-    """Support function of the centered separable body in direction A.
-
-    For traceless A this is the maximum of <psi|A|psi> over product unit
-    vectors psi = psi_1 x ... x psi_k. Alternating maximization: with all
-    factors but one frozen the optimum is the top eigenvector of the
-    contracted operator, so each half-step is exact and the objective never
-    decreases. The restarts, independent uniform product states, sweep as
-    one stack, each until a sweep gains less than `tol`. The result is a
-    certified lower bound (the maximization can stop at a local maximum).
-    """
-    if dims.k < 2:
-        raise ValueError("need at least two tensor factors")
-    if restarts < 1 or max_sweeps < 1:
-        raise ValueError("restarts and max_sweeps must be >= 1")
+    """Support function of the centered separable body in direction A: for
+    traceless A, the maximum of <psi|A|psi> over product unit vectors
+    psi = psi_1 x ... x psi_k. Alternating maximization from `restarts`
+    uniform product starts: with all factors but one frozen the optimum is
+    the top eigenvector of the contracted operator, so each half-step is
+    exact and the objective never decreases. The result is a certified lower
+    bound (the maximization can stop at a local maximum)."""
     A = _require_traceless(A)
     _require_size(A, dims)
-    rng = as_generator(stream if stream is not None else 0)
-    ds = dims.factors
-    T = A.reshape(ds + ds)
-
-    starts = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
-              for _ in range(restarts) for d in ds]
-    psis = [np.array([v / np.linalg.norm(v) for v in starts[i::dims.k]]) for i in range(dims.k)]
-    val = np.full(restarts, -np.inf)
-    live = np.arange(restarts)
-    for _ in range(max_sweeps):
-        prev = val[live]
-        for j in range(dims.k):
-            w, vecs = np.linalg.eigh(_contracted_factor(T, [p[live] for p in psis], j))
-            psis[j][live] = vecs[..., -1]
-        val[live] = w[:, -1]
-        live = live[val[live] - prev >= tol]
-        if not live.size:
-            break
-
-    # Report the value of the witness itself so the lower-bound contract
-    # holds exactly.
-    best = [p[np.argmax(val)] for p in psis]
-    witness_val = float(np.real(best[0].conj() @ _contracted_factor(T, best, 0) @ best[0]))
-    return SupportResult(witness_val, best, restarts)
+    starts = _product_starts(dims, restarts, stream)
+    vals, best = _support_stack(A.reshape((1,) + dims.factors * 2), starts, tol, max_sweeps)
+    return SupportResult(float(vals[0]), [p[0] for p in best], restarts)
 
 
 def mean_gauge_gue(d: int, trials: int, stream) -> Estimate:

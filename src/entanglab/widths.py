@@ -17,20 +17,22 @@ scores one chunk of directions at a time, so its memory is one chunk's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .ensembles import _gue0_states, sample_gue0
+from .ensembles import _gue0_states
 from .geometry import gamma_m
 from .linalg import ProductDims, _make_traceless, partial_transpose
-from .rng import SeededStream, _as_stream, chunk_map
+from .rng import SeededStream, _as_stream, _batch_size, chunk_map
 from .separability import (
+    _MAX_SWEEPS,
     UnsupportedDimensionError,
     _body_gauge,
+    _product_starts,
     _require_exact_dims,
-    support_separable,
+    _support_stack,
 )
 from .stats import Estimate, from_samples
 
@@ -52,22 +54,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SupportOracle:
-    """Support-function evaluator of a convex body in R^dim.
-
-    `support` maps a direction to h_K(direction) and must be positively
-    homogeneous with h_K(0) = 0. `draw` produces a standard Gaussian
-    direction in the body's ambient space; by default a plain Gaussian
-    vector of length `dim`.
-    """
+    """Support-function evaluator of a convex body in R^dim: `support` maps a
+    direction to h_K(direction), positively homogeneous with h_K(0) = 0."""
 
     dim: int
     support: Callable[[np.ndarray], float]
-    draw: Callable[[np.random.Generator], np.ndarray] | None = None
-
-    def direction(self, rng: np.random.Generator) -> np.ndarray:
-        if self.draw is not None:
-            return self.draw(rng)
-        return rng.standard_normal(self.dim)
 
 
 @dataclass(frozen=True)
@@ -87,8 +78,8 @@ def gaussian_mean_width_mc(oracle: SupportOracle, trials: int, stream) -> WidthE
     """Sample mean of h_K over standard Gaussian directions; a NaN support
     value counts as a failed evaluation."""
     # one direction at a time: a chunk holds only generators and values, as at n = 1
-    vals = chunk_map(lambda gens: np.array([oracle.support(oracle.direction(rng)) for rng in gens],
-                                           float), stream, trials, 1)
+    vals = chunk_map(lambda gens: np.array([oracle.support(rng.standard_normal(oracle.dim))
+                                            for rng in gens], float), stream, trials, 1)
     failed = np.isnan(vals)
     if failed.all():
         raise RuntimeError("all support evaluations failed")
@@ -98,18 +89,34 @@ def gaussian_mean_width_mc(oracle: SupportOracle, trials: int, stream) -> WidthE
                          int(np.count_nonzero(failed)), seed=str(stream))
 
 
+def _gue0_width(n: int, support, trials: int, stream) -> tuple[Estimate, float]:
+    """E h_K(G) over trace-zero GUE directions G on C^n, with `support`
+    mapping each chunk's stack of directions to one value each, and the
+    Gaussian norm constant gamma_m of their n^2 - 1 dimensions."""
+    vals = chunk_map(lambda gens: support(_gue0_states(n, gens)), stream, trials, n)
+    return from_samples(vals, seed=str(stream)), gamma_m(n * n - 1)
+
+
 def separable_width(
     dims: ProductDims, trials: int, stream, restarts: int = 20, tol: float = 1e-12
 ) -> WidthEstimate:
     """Certified lower bound on the Gaussian mean width of the centered
-    separable body, via the product-state support maximization."""
-    n = dims.n
+    separable body: the product-state support of each direction, from the
+    starts of `support_separable(..., stream=0)`, a sub-batch at a time."""
+    starts = _product_starts(dims, restarts, 0)
+    # per direction its copy of A; per restart three copies of its factors (stored, gathered,
+    # conjugated) and of its contracted factor (contracted, live pairs' stack, eigenvectors)
+    d = dims.factors
+    size = _batch_size(16 * (dims.n ** 2 + 3 * restarts * (sum(d) + max(d) ** 2)))
 
     def support(G):
-        return support_separable(G, dims, restarts=restarts, tol=tol, stream=0).value
+        T = G.reshape((len(G),) + d * 2)
+        return np.concatenate([_support_stack(T[b:b + size], starts, tol, _MAX_SWEEPS)[0]
+                               for b in range(0, len(T), size)])
 
-    oracle = SupportOracle(dims.m, support, draw=lambda rng: sample_gue0(n, rng))
-    return replace(gaussian_mean_width_mc(oracle, trials, stream), lower_bound=True)
+    est, gm = _gue0_width(dims.n, support, trials, stream)
+    return WidthEstimate(est.mean, est.mean / gm, est.stderr, trials, lower_bound=True,
+                         seed=str(stream))
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +200,10 @@ def width_duality_check(dims: ProductDims, trials: int, stream) -> DualityCheck:
         from_samples(v, seed=str(stream)) for v in chunk_map(per_direction, stream, trials, 4).T
     )
 
-    product = support_est.mean * gauge_est.mean
-    rel = math.hypot(
-        support_est.stderr / support_est.mean, gauge_est.stderr / gauge_est.mean
-    )
-    return DualityCheck(
-        support_side=support_est,
-        gauge_side=gauge_est,
-        one_sided_gauge=one_sided,
-        product=product,
-        gamma_sq=gamma_m(dims.m) ** 2,
-        relative_stderr=rel,
-    )
+    rel = math.hypot(support_est.stderr / support_est.mean, gauge_est.stderr / gauge_est.mean)
+    return DualityCheck(support_side=support_est, gauge_side=gauge_est, one_sided_gauge=one_sided,
+                        product=support_est.mean * gauge_est.mean, gamma_sq=gamma_m(dims.m) ** 2,
+                        relative_stderr=rel)
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +307,9 @@ def ppt_threshold_estimate(d: int, trials: int, stream) -> PPTThresholdResult:
     if d < 2:
         raise ValueError("d must be >= 2")
     dims = ProductDims((d, d))
-    n = dims.n
-    gauge = _body_gauge("ppt0", dims)
-    vals = chunk_map(lambda gens: gauge(_gue0_states(n, gens)), stream, trials, n)
-    mean_est = from_samples(vals, seed=str(stream))
+    mean_est, gm = _gue0_width(dims.n, _body_gauge("ppt0", dims), trials, stream)
     d2 = float(d * d)
-    thr = Estimate(
-        (mean_est.mean / d2) ** 2,
-        2.0 * mean_est.mean / (d2 * d2) * mean_est.stderr,
-        trials,
-        seed=str(stream),
-    )
-    gm = gamma_m(dims.m)
+    thr = Estimate((mean_est.mean / d2) ** 2, 2.0 * mean_est.mean / (d2 * d2) * mean_est.stderr,
+                   trials, seed=str(stream))
     wp = Estimate(mean_est.mean / gm, mean_est.stderr / gm, trials, seed=str(stream))
     return PPTThresholdResult(mean_est, thr, wp, d, dims.m)

@@ -517,3 +517,44 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     for name in expected:
         assert (tmp_path / name).stat().st_size > 0, name
     assert list(tmp_path.glob("*.partial")) == []
+
+
+# -- every subcommand is quiet at its smallest count ---------------------------------
+
+# Each subcommand (every geometry check and experiment too) at one trial, and
+# the Rogers-Shephard check at one point: one sample has no spread, and no
+# run may say so on stderr.
+SMALLEST_RUNS = {
+    "sample": [["sample", "--ensemble", "induced", "--n", "4", "--s", "6", "--trials", "1",
+                "--format", "bin", "--out", "d.bin"]],
+    "gauge": [["gauge", "--input", "d.bin", "--body", b, "--dims", "2,2", "--out", "g.json"]
+              for b in ("s0", "ssym", "d0", "ppt0")],
+    "geometry": [["geometry", "--check", c, "--trials", "1", "--points", "1", "--out", "geo.json"]
+                 for c in ("zvol", "vrad", "comparison", "duality", "urysohn",
+                           "rogers-shephard", "sep-bounds", "s0", "s0-ppt")],
+    "estimate-s0": [["estimate-s0", "--d", "2", "--trials", "1", "--out", "s0.json"],
+                    ["estimate-s0", "--d", "3", "--ppt", "--trials", "1", "--out", "s0.json"]],
+    **{name: [[*flags, "--trials", "1", "--out", "exp"]]
+       for name, (flags, _) in CLI_CONFIG_CASES.items()},
+    "run": [["run", f"{name}.json"] for name in sorted(CLI_CONFIG_CASES)],
+}
+SMALLEST_RUNS["scan-threshold"] = SMALLEST_RUNS.pop("threshold-scan")
+
+
+def test_smallest_runs_cover_every_subcommand():
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(SMALLEST_RUNS) == set(subparsers.choices)
+
+
+@pytest.mark.parametrize("argv", [argv for argvs in SMALLEST_RUNS.values() for argv in argvs],
+                         ids=" ".join)
+def test_every_subcommand_is_quiet_at_its_smallest_count(tmp_path, monkeypatch, capfd, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(SMALLEST_RUNS["sample"][0]) == 0
+    for name, (_, keys) in CLI_CONFIG_CASES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"experiment": name, "trials": 1, "master_seed": 1, "output": name, **keys}))
+    capfd.readouterr()
+    assert main(argv) == 0
+    assert capfd.readouterr().err == ""

@@ -53,6 +53,7 @@ from entanglab.spectral import alpha_beta, dinf_semicircle
 from entanglab.stats import from_samples, wilson_interval
 from entanglab.widths import (
     ppt_threshold_estimate,
+    separable_width,
     symmetrization_volume_ratio,
     width_duality_check,
 )
@@ -482,12 +483,14 @@ def test_chunk_sizes_count_each_trials_generator(monkeypatch):
         assert first_chunk(4) == k
 
 
-CHUNK_PIPELINES = {  # whole chunk_map runs at n = 1, 4, 9 and 64
+CHUNK_PIPELINES = {  # whole chunk_map runs at n = 1, 4, 9, 16 and 64
     "symmetrization-n1": lambda: symmetrization_volume_ratio(3, 20000, SeededStream(3)),
     "ppt-threshold-n4": lambda: ppt_threshold_estimate(2, 1200, SeededStream(3)),
     "scan-3x3": lambda: exps._scan_point(ProductDims((3, 3)), 64, 400, "ppt", SeededStream(3)),
     "scan-8x8": lambda: exps._scan_point(ProductDims((8, 8)), 256, 100, "ppt", SeededStream(3)),
     "duality-n4": lambda: width_duality_check(ProductDims((2, 2)), 3000, SeededStream(3)),
+    "separable-width": lambda: separable_width(ProductDims((4, 4)), 200, SeededStream(3),
+                                               restarts=20),
 }
 
 
@@ -552,9 +555,9 @@ def reference_concentration(d, s, trials, stream, body):
     for sub, s_val in zip(split_stream(stream, 2), (s, 4 * s)):
         vals = reference_gauges(d * d, s_val, trials, sub, gauge)
         est = from_samples(vals)
-        pts.append(ConcentrationPoint(
-            s_val, trials, est.mean, float(np.median(vals)), float(vals.std(ddof=1)), est.stderr
-        ))
+        std = float(vals.std(ddof=1)) if trials > 1 else math.nan  # one sample has no spread
+        pts.append(ConcentrationPoint(s_val, trials, est.mean, float(np.median(vals)), std,
+                                      est.stderr))
     return ConcentrationSummary(d, body, *pts)
 
 
@@ -607,7 +610,6 @@ def test_engine_scan_and_gauges_match_per_trial_reference(monkeypatch, dims, tri
         assert got.tobytes() == reference_gauges(pd.n, s, trials, new(), gauge).tobytes(), body
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # std of a single trial
 @pytest.mark.parametrize("stream_kind", sorted(STREAMS))
 @pytest.mark.parametrize("trials", TRIAL_COUNTS)
 @pytest.mark.parametrize("dims", sorted(ENGINE_CASES))

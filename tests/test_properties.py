@@ -1,6 +1,7 @@
 """Property tests over random inputs: the batched partial transpose, the
 Cholesky PPT test and the closed-form gauges of the state, PPT and separable
-bodies, the partial trace, the separable support function, d_inf and the
+bodies, the partial trace, the separable support function over one direction
+and over stacks of directions, d_inf and the
 semicircle quantile, the output path of every written file, binary matrix
 records, config digests and block-derived trial streams."""
 
@@ -32,6 +33,8 @@ from entanglab.separability import (
     PPT_EIGENVALUE_TOL,
     _BODIES,
     _body_gauge,
+    _product_starts,
+    _support_stack,
     gauge_ppt,
     gauge_separable,
     gauge_separable_sym,
@@ -196,6 +199,32 @@ def test_support_separable_stack_matches_restart_loop(dims, seed, restarts, max_
     for p in res.maximizer[1:]:
         psi = np.kron(psi, p)
     assert abs(res.value - np.real(psi.conj() @ A @ psi)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]).map(ProductDims),
+    seed_st,
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.sampled_from([1, 2, 3, 500]),
+)
+def test_support_stack_matches_one_direction_calls(dims, seed, directions, restarts, max_sweeps):
+    # a stack of directions swept from shared starts gives each direction the
+    # value of its own call from the same starts, as its witness's own value
+    A = np.stack([traceless_direction(seed + i, dims.n) for i in range(directions)])
+    starts = _product_starts(dims, restarts, 0)
+    vals, best = _support_stack(A.reshape((directions,) + dims.factors * 2), starts, 1e-12,
+                                max_sweeps)
+    assert vals.shape == (directions,)
+    assert [p.shape for p in best] == [(directions, d) for d in dims.factors]
+    for i in range(directions):
+        ref = support_separable(A[i], dims, restarts, 1e-12, max_sweeps, stream=0)
+        assert abs(vals[i] - ref.value) <= 1e-12
+        psi = best[0][i]
+        for p in best[1:]:
+            psi = np.kron(psi, p[i])
+        assert abs(vals[i] - np.real(psi.conj() @ A[i] @ psi)) <= 1e-12
 
 
 atoms_st = st.integers(1, 40).flatmap(

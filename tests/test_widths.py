@@ -8,7 +8,13 @@ from entanglab.ensembles import sample_gue0
 from entanglab.geometry import gamma_m, vrad_states
 from entanglab.linalg import ProductDims
 from entanglab.rng import SeededStream, trial_generators
-from entanglab.separability import gauge_ppt, gauge_separable_sym, gauge_states, mean_gauge_gue
+from entanglab.separability import (
+    gauge_ppt,
+    gauge_separable_sym,
+    gauge_states,
+    mean_gauge_gue,
+    support_separable,
+)
 from entanglab.stats import from_samples
 from entanglab.widths import (
     SupportOracle,
@@ -81,6 +87,26 @@ def test_separable_width_growth_like_fourth_root():
         expected = ((d2 * d2) / (d1 * d1)) ** 0.25
         measured = vals[d2] / vals[d1]
         assert expected / 2 <= measured <= expected * 2
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
+def test_separable_width_matches_per_direction_calls(monkeypatch, dims):
+    # directions swept a chunk at a time, against one `support_separable`
+    # call per direction from the same starts, at trial counts around the chunk
+    dims = ProductDims(dims)
+    chunk_trials(monkeypatch, dims.n, 3)
+    for trials in (1, 2, 3, 4):
+        for new in (lambda: SeededStream(34), lambda: np.random.default_rng(34)):
+            est = separable_width(dims, trials, new(), restarts=2)
+            ref = from_samples([support_separable(sample_gue0(dims.n, g), dims, 2, stream=0).value
+                                for g in trial_generators(new(), trials)])
+            assert est.value == pytest.approx(ref.mean, rel=1e-12, abs=0)
+            assert est.width == est.value / gamma_m(dims.m)
+            if trials > 1:
+                assert est.stderr == pytest.approx(ref.stderr, rel=1e-12, abs=0)
+            else:
+                assert math.isnan(est.stderr)
+            assert (est.trials, est.failures, est.lower_bound) == (trials, 0, True)
 
 
 def test_separable_width_three_factors_smoke():
