@@ -27,9 +27,9 @@ from .geometry import (
     vrad_states,
 )
 from .io import _write_through, read_matrix_records, write_csv, write_matrix_records
-from .linalg import ProductDims, hermitian_eigenvalues, hermitize, traceless_part
+from .linalg import ProductDims, hermitian_eigenvalues, traceless_part
 from .rng import SeededStream, trial_generators
-from .separability import _CRITERIA, _gauge
+from .separability import _gauge
 from .widths import (
     _gue0_width,
     ppt_threshold_estimate,
@@ -77,6 +77,11 @@ def _parse_s_values(text: str):
     return [int(p) for p in text.split(",")]
 
 
+# an experiment flag only converts its text, to int unless listed; the config rules check it
+_FLAG_TYPES = {"dims": _parse_dims, "s_values": _parse_s_values,
+               **dict.fromkeys(("criterion", "ensemble", "body", "mode"), str)}
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 
@@ -114,11 +119,8 @@ def _cmd_gauge(args) -> int:
     if not mats:
         print("no matrix records in input", file=sys.stderr)
         return 2
-    A = hermitize(mats[0])
-    trace = float(np.trace(A).real)
-    A = traceless_part(A)
     dims = ProductDims(args.dims)
-    res = _gauge(args.body, A, dims)
+    res = _gauge(args.body, traceless_part(mats[0]), dims)
     _emit(
         {
             "body": args.body,
@@ -126,7 +128,7 @@ def _cmd_gauge(args) -> int:
             "value": res.value,
             "bracket_width": res.bracket_width,
             "evals": res.membership_evals,
-            "trace_removed": trace,
+            "trace_removed": float(np.trace(mats[0]).real),
         },
         args.out,
     )
@@ -220,13 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, trials_default=1)
     p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("spectral", help="per-trial spectral statistics CSV")
-    p.add_argument("--ensemble", required=True, choices=["gue0", "induced"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, default=None)
-    add_common(p, trials_default=20)
-    p.set_defaults(fn=_cmd_experiment, experiment="spectral")
-
     p = sub.add_parser("gauge", help="gauge of a direction read from a matrix dump")
     p.add_argument("--input", required=True)
     p.add_argument("--body", required=True, choices=["s0", "ssym", "d0", "ppt0"])
@@ -249,42 +244,18 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=_cmd_geometry)
 
-    p = sub.add_parser("scan-threshold", help="criterion probability over s values")
-    p.add_argument("--dims", type=_parse_dims, required=True)
-    p.add_argument("--criterion", required=True, choices=sorted(_CRITERIA))
-    p.add_argument("--s-values", type=_parse_s_values, required=True,
-                   help="comma list (2,4,8) or range start:stop[:step]")
-    add_common(p)
-    p.set_defaults(fn=_cmd_experiment, experiment="threshold-scan")
-
     p = sub.add_parser("estimate-s0", help="threshold estimate from the Gaussian mean gauge")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--ppt", action="store_true", help="use the PPT body (any d)")
     add_common(p, trials_default=2000)
     p.set_defaults(fn=_cmd_estimate_s0)
 
-    p = sub.add_parser("gue-approx", help="GUE approximation ratio R(n, s)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--body", required=True, choices=["d0", "ppt0", "hs", "s0"])
-    add_common(p, trials_default=200)
-    p.set_defaults(fn=_cmd_experiment, experiment="gue-approx")
-
-    p = sub.add_parser("concentration", help="gauge spread at s versus 4s")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--body", choices=["s0", "d0", "ppt0"])
-    add_common(p)
-    p.set_defaults(fn=_cmd_experiment, experiment="concentration")
-
-    p = sub.add_parser("monotonicity", help="coupled monotonicity comparison")
-    p.add_argument("--mode", required=True, choices=["projection", "partial-trace"])
-    p.add_argument("--d1", type=int)
-    p.add_argument("--d2", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--s", type=int, required=True)
-    add_common(p)
-    p.set_defaults(fn=_cmd_experiment, experiment="monotonicity")
+    for name, experiment in EXPERIMENTS.items():  # its flags are its config keys
+        p = sub.add_parser(experiment.command, help=experiment.help)
+        for key in sorted(experiment.keys):
+            p.add_argument("--" + key.replace("_", "-"), type=_FLAG_TYPES.get(key, int))
+        add_common(p, trials_default=experiment.trials)
+        p.set_defaults(fn=_cmd_experiment, experiment=name)
 
     p = sub.add_parser("run", help="execute a JSON experiment config")
     p.add_argument("config")

@@ -41,7 +41,7 @@ class ExperimentConfig:
     trials: int
     master_seed: int
     output: str | None = None
-    dims: tuple[int, int] | None = None
+    dims: tuple[int, ...] | None = None
     s_values: tuple[int, ...] | None = None
     criterion: str | None = None
     ensemble: str | None = None

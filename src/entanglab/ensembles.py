@@ -116,6 +116,8 @@ class EnsembleSpec:
             raise ValueError("n must be >= 1")
         if self.kind in ("ginibre", "induced") and (self.s is None or self.s < 1):
             raise ValueError(f"{self.kind} requires s >= 1")
+        if self.kind not in ("ginibre", "induced") and self.s is not None:
+            raise ValueError("'s' applies only to the ginibre and induced ensembles")
         if self.kind == "uniform":
             object.__setattr__(self, "s", self.n)
 

@@ -75,7 +75,7 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class ScanResult:
-    dims: tuple[int, int]
+    dims: tuple[int, ...]
     criterion: str
     points: list[ScanPoint]
     crossing: float | None
@@ -137,10 +137,9 @@ def _run_scan(config: ExperimentConfig, extra: dict):
 
 def _check_scan(raw: dict, kw: dict) -> None:
     dims = raw.get("dims")
-    if not (isinstance(dims, list) and len(dims) == 2
-            and all(_is_int(d) and d >= 2 for d in dims)):
-        raise ConfigError("'dims' must be a list of two integers >= 2")
-    kw["dims"] = (dims[0], dims[1])
+    if not (isinstance(dims, list) and all(_is_int(d) and d >= 2 for d in dims)):
+        raise ConfigError("'dims' must be a list of integers >= 2")
+    kw["dims"] = tuple(dims)  # the criterion's dims rule checks their count
 
     sv = raw.get("s_values")
     if isinstance(sv, dict):
@@ -181,7 +180,7 @@ def _scan_metadata(config: ExperimentConfig, points: list[ScanPoint]) -> dict:
     return meta
 
 
-def _bound_entanglement_note(dims: tuple[int, int], points: list[ScanPoint]) -> str:
+def _bound_entanglement_note(dims: tuple[int, ...], points: list[ScanPoint]) -> str:
     """Descriptive annotation: where PPT is already typical although the
     environment is far below the separability scale d^3."""
     d = min(dims)
@@ -485,12 +484,17 @@ def _check_spectral(raw: dict, kw: dict) -> None:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment as the config, the runner and the CLI see it: its
-    config keys beyond the common ones, `check(raw, kwargs)`, which validates
-    a raw config and fills the `ExperimentConfig` fields, `header(config)`,
-    the CSV header, and `run(config, extra)`, a generator of the CSV rows
-    that fills the sidecar's `extra` dict by the time it is exhausted."""
+    """One experiment as the config, the runner and the CLI see it: its CLI
+    subcommand `command`, with its one-line `help` and default `trials`; its
+    config keys beyond the common ones, which are also the subcommand's
+    flags; `check(raw, kwargs)`, which validates a raw config and fills the
+    `ExperimentConfig` fields; `header(config)`, the CSV header; and
+    `run(config, extra)`, a generator of the CSV rows that fills the
+    sidecar's `extra` dict by the time it is exhausted."""
 
+    command: str
+    help: str
+    trials: int
     keys: frozenset[str]
     check: Callable[[dict, dict], None]
     header: Callable[[ExperimentConfig], list[str]]
@@ -499,23 +503,28 @@ class Experiment:
 
 EXPERIMENTS = {
     "threshold-scan": Experiment(
+        "scan-threshold", "criterion probability over s values", 1000,
         frozenset({"dims", "s_values", "criterion"}), _check_scan,
         lambda c: ScanResult(c.dims, c.criterion, [], None).header, _run_scan,
     ),
     "spectral": Experiment(
+        "spectral", "per-trial spectral statistics CSV", 20,
         frozenset({"ensemble", "n", "s"}), _check_spectral, lambda c: SPECTRAL_HEADER, _run_spectral
     ),
     "concentration": Experiment(
+        "concentration", "gauge spread at s versus 4s", 1000,
         frozenset({"d", "s", "body"}), _check_concentration,
         lambda c: ["s", "trials", "mean", "median", "std", "stderr"], _run_concentration,
     ),
     "gue-approx": Experiment(
+        "gue-approx", "GUE approximation ratio R(n, s)", 200,
         frozenset({"n", "s", "body"}), _check_gue_approx,
         lambda c: ["n", "s", "body", "trials", "ratio", "ratio_stderr",
                    "state_mean", "state_stderr", "gue_mean", "gue_stderr"],
         _run_gue_approx,
     ),
     "monotonicity": Experiment(
+        "monotonicity", "coupled monotonicity comparison", 1000,
         frozenset({"mode", "d", "d1", "d2", "s"}), _check_monotonicity,
         lambda c: ["side", "dims", "s", "criterion", "trials", "successes",
                    "p_hat", "ci_low", "ci_high"],

@@ -2,8 +2,10 @@ import argparse
 import dataclasses
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,6 +440,86 @@ def test_cli_experiment_flags_follow_config_rules(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The CLI's subcommand parsers by name."""
+    return next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_experiment_subcommand_has_exactly_its_config_keys_as_flags():
+    subcommands, common = _subcommands(), {"help", "trials", "seed", "out"}
+    for name, experiment in EXPERIMENTS.items():
+        p = subcommands[experiment.command]
+        assert p.get_default("fn") is entanglab.cli._cmd_experiment
+        assert p.get_default("experiment") == name
+        assert p.get_default("trials") == experiment.trials
+        assert {a.dest for a in p._actions} - common == experiment.keys, name
+
+
+# (subcommand flags, the equal config keys, the config rule's text)
+BAD_VALUE_CASES = [
+    (["spectral", "--ensemble", "gue", "--n", "4"], {"ensemble": "gue", "n": 4},
+     "'ensemble' must be 'gue0' or 'induced'"),
+    (["spectral", "--ensemble", "gue0"], {"ensemble": "gue0"}, "missing required key 'n'"),
+    (["scan-threshold", "--dims", "2,2", "--criterion", "sep", "--s-values", "2,4"],
+     {"dims": [2, 2], "criterion": "sep", "s_values": [2, 4]},
+     "'criterion' must be 'exact' or 'ppt'"),
+    (["scan-threshold", "--dims", "2,2,2", "--criterion", "ppt", "--s-values", "2,4"],
+     {"dims": [2, 2, 2], "criterion": "ppt", "s_values": [2, 4]},
+     "bipartite dims d1 x d2 required, got (2, 2, 2)"),
+    (["gue-approx", "--n", "4", "--s", "8"], {"n": 4, "s": 8},
+     "'body' must be one of d0, ppt0, hs, s0"),
+    (["concentration", "--d", "2", "--s", "4", "--body", "hs"], {"d": 2, "s": 4, "body": "hs"},
+     "'body' must be one of s0, d0, ppt0"),
+    (["monotonicity", "--mode", "trace", "--s", "4"], {"mode": "trace", "s": 4},
+     "'mode' must be 'projection' or 'partial-trace'"),
+]
+
+
+@pytest.mark.parametrize("flags, keys, rule", BAD_VALUE_CASES,
+                         ids=[" ".join(flags) for flags, _, _ in BAD_VALUE_CASES])
+def test_cli_and_config_refuse_a_bad_value_with_the_same_rule(tmp_path, capsys, flags, keys,
+                                                              rule):
+    experiment = next(k for k, e in EXPERIMENTS.items() if e.command == flags[0])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "trials": 2, "master_seed": 1, **keys}))
+    assert main([*flags, "--trials", "2", "--seed", "1", "--out", str(tmp_path / "cli")]) == 2
+    assert capsys.readouterr().err == f"error: {rule}\n"
+    assert main(["run", str(cfg), "--out", str(tmp_path / "file")]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: {rule}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each `entanglab` line of README's command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("entanglab ")]
+
+
+def test_readme_commands_parse_and_experiments_run(tmp_path):
+    # the experiment flags are generated from the registry; the docs must follow
+    argvs = _readme_commands()
+    commands = {e.command for e in EXPERIMENTS.values()}
+    assert len(argvs) == 12 and {argv[0] for argv in argvs} >= commands
+    for argv in argvs:
+        _build_parser().parse_args(argv)
+        if argv[0] in commands:
+            assert main([*argv, "--trials", "2", "--out", str(tmp_path / argv[0])]) == 0, argv
+            assert (tmp_path / f"{argv[0]}.csv").stat().st_size > 0
+            assert sidecar_path(tmp_path / f"{argv[0]}.csv").is_file()
+
+
+def test_cli_sample_refuses_s_for_ensembles_that_do_not_read_it(tmp_path, capsys):
+    for ensemble in ("gue", "gue0", "uniform"):
+        argv = ["sample", "--ensemble", ensemble, "--n", "3", "--s", "99", "--out",
+                str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: 's' applies only to the ginibre and induced ensembles\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_rejects_unhashable_experiment():
     with pytest.raises(ConfigError, match="'experiment' must be one of"):
         ExperimentConfig.from_dict({"experiment": ["spectral"], "trials": 1, "master_seed": 0})
@@ -496,9 +578,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):
-    subparsers = next(a for a in _build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    assert set(NO_SCIPY_RUNS) == set(subparsers.choices)
+    subcommands = _subcommands()
+    assert set(NO_SCIPY_RUNS) == set(subcommands)
     (tmp_path / "cfg.json").write_text(json.dumps(
         {"experiment": "spectral", "ensemble": "gue0", "n": 6, "trials": 3,
          "master_seed": 1, "output": "run"}))
@@ -508,7 +589,7 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # every file went through the one output path: each target is in place
     # (an experiment's as a CSV and its sidecar) and no .partial is left
-    experiments = {name for name, p in subparsers.choices.items()
+    experiments = {name for name, p in subcommands.items()
                    if p.get_default("fn") is entanglab.cli._cmd_experiment}
     expected = {"run.csv", "run.meta.json"}
     for name, argvs in NO_SCIPY_RUNS.items():
@@ -534,17 +615,14 @@ SMALLEST_RUNS = {
                            "rogers-shephard", "sep-bounds", "s0", "s0-ppt")],
     "estimate-s0": [["estimate-s0", "--d", "2", "--trials", "1", "--out", "s0.json"],
                     ["estimate-s0", "--d", "3", "--ppt", "--trials", "1", "--out", "s0.json"]],
-    **{name: [[*flags, "--trials", "1", "--out", "exp"]]
+    **{EXPERIMENTS[name].command: [[*flags, "--trials", "1", "--out", "exp"]]
        for name, (flags, _) in CLI_CONFIG_CASES.items()},
     "run": [["run", f"{name}.json"] for name in sorted(CLI_CONFIG_CASES)],
 }
-SMALLEST_RUNS["scan-threshold"] = SMALLEST_RUNS.pop("threshold-scan")
 
 
 def test_smallest_runs_cover_every_subcommand():
-    subparsers = next(a for a in _build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    assert set(SMALLEST_RUNS) == set(subparsers.choices)
+    assert set(SMALLEST_RUNS) == set(_subcommands())
 
 
 @pytest.mark.parametrize("argv", [argv for argvs in SMALLEST_RUNS.values() for argv in argvs],

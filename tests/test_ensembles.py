@@ -704,6 +704,9 @@ def test_ensemble_spec():
         EnsembleSpec("induced", 4)  # missing s
     with pytest.raises(ValueError):
         EnsembleSpec("wat", 4)
+    for kind in ("gue", "gue0", "uniform"):  # kinds that read no s refuse one
+        with pytest.raises(ValueError, match="'s' applies only to the ginibre and induced"):
+            EnsembleSpec(kind, 4, 4)
     G = draw_ensemble(EnsembleSpec("gue0", 5), SeededStream(29))
     assert abs(np.trace(G)) < 1e-12
     A = draw_ensemble(EnsembleSpec("ginibre", 3, 7), SeededStream(30))

@@ -89,6 +89,14 @@ def test_config_criterion_dims_rule():
     assert cfg.criterion == "ppt"
     cfg23 = make_config(dims=[2, 3])
     assert cfg23.dims == (2, 3)
+    # the scan checks each entry; the criterion's dims rule checks their count
+    with pytest.raises(ConfigError, match=r"bipartite dims d1 x d2 required, got \(2, 2, 2\)"):
+        make_config(dims=[2, 2, 2], criterion="ppt")
+    with pytest.raises(ConfigError, match=r"2x2 and 2x3 systems, got \(2,\)"):
+        make_config(dims=[2])
+    for bad in ([2, 1], [2, True], [2, "3"], "2,2"):
+        with pytest.raises(ConfigError, match="'dims' must be a list of integers >= 2"):
+            make_config(dims=bad)
 
 
 def test_config_s_values_range_form():
