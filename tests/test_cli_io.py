@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import shlex
@@ -180,6 +181,30 @@ def test_cli_gauge_refuses_dims_of_another_size(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: matrix size 4 does not match dims (2, 3)\n"
+
+
+def test_cli_gauge_one_factor_dims_follow_the_body_rule(tmp_path, capsys):
+    dump = tmp_path / "rho.bin"
+    assert main(["sample", "--ensemble", "induced", "--n", "4", "--s", "6",
+                 "--format", "bin", "--out", str(dump)]) == 0
+    out = tmp_path / "gauge.json"
+    assert main(["gauge", "--input", str(dump), "--body", "ppt0", "--dims", "4",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: bipartite dims d1 x d2 required, got (4,)\n"
+
+
+def test_cli_gauge_d0_reads_only_the_matrix(tmp_path, capsys):
+    dump = tmp_path / "rho.bin"
+    assert main(["sample", "--ensemble", "induced", "--n", "4", "--s", "6",
+                 "--format", "bin", "--out", str(dump)]) == 0
+    capsys.readouterr()
+    assert main(["gauge", "--input", str(dump), "--body", "d0", "--dims", "4"]) == 0
+    one = json.loads(capsys.readouterr().out)
+    assert main(["gauge", "--input", str(dump), "--body", "d0", "--dims", "2,2"]) == 0
+    two = json.loads(capsys.readouterr().out)
+    assert one["dims"] == [4] and two["dims"] == [2, 2]
+    assert one["value"] == two["value"] > 0 and one["evals"] == 1
 
 
 def test_cli_gauge_bell_direction(tmp_path, capsys):
@@ -467,6 +492,9 @@ BAD_VALUE_CASES = [
     (["scan-threshold", "--dims", "2,2,2", "--criterion", "ppt", "--s-values", "2,4"],
      {"dims": [2, 2, 2], "criterion": "ppt", "s_values": [2, 4]},
      "bipartite dims d1 x d2 required, got (2, 2, 2)"),
+    (["scan-threshold", "--dims", "2", "--criterion", "ppt", "--s-values", "2,4"],
+     {"dims": [2], "criterion": "ppt", "s_values": [2, 4]},
+     "bipartite dims d1 x d2 required, got (2,)"),
     (["gue-approx", "--n", "4", "--s", "8"], {"n": 4, "s": 8},
      "'body' must be one of d0, ppt0, hs, s0"),
     (["concentration", "--d", "2", "--s", "4", "--body", "hs"], {"d": 2, "s": 4, "body": "hs"},
@@ -636,3 +664,74 @@ def test_every_subcommand_is_quiet_at_its_smallest_count(tmp_path, monkeypatch, 
     capfd.readouterr()
     assert main(argv) == 0
     assert capfd.readouterr().err == ""
+
+
+# -- CLI processes freeze their heap at exit -----------------------------------------
+
+# Registered before `import entanglab.cli`, so it runs after that module's
+# exit handler (atexit runs the last registered first).
+FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count(), flush=True))
+{body}
+"""
+
+
+def _exit_freeze_count(body: str, cwd) -> int:
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE.format(body=body)], cwd=cwd,
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_cli_process_freezes_its_heap_at_exit(tmp_path):
+    body = ("from entanglab.cli import main\n"
+            "sys.exit(main(['estimate-s0', '--d', '2', '--trials', '20', '--out', 's0.json']))")
+    assert _exit_freeze_count(body, tmp_path) > 0
+    assert json.loads((tmp_path / "s0.json").read_text())["trials"] == 20
+
+
+def test_library_import_leaves_the_heap_unfrozen_at_exit(tmp_path):
+    assert _exit_freeze_count("import entanglab", tmp_path) == 0
+
+
+def test_in_process_main_calls_freeze_nothing(capsys):
+    for _ in range(2):
+        assert main(["estimate-s0", "--d", "2", "--trials", "20", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
+# What the console script runs.
+CONSOLE_SCRIPT = "import sys; from entanglab.cli import main; sys.exit(main())"
+
+
+def _console(argv, cwd) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, "-c", CONSOLE_SCRIPT, *argv], cwd=cwd,
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_printed_output_survives_the_exit(tmp_path, capsys):
+    argv = ["estimate-s0", "--d", "2", "--trials", "50", "--seed", "3"]
+    proc = _console(argv, tmp_path)
+    assert main(argv) == 0
+    assert json.loads(proc.stdout) == json.loads(capsys.readouterr().out)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_written_files_survive_the_exit(tmp_path):
+    argv = ["scan-threshold", "--dims", "2,2", "--criterion", "ppt", "--s-values", "2,8",
+            "--trials", "30", "--seed", "3", "--out"]
+    (tmp_path / "child").mkdir()
+    _console([*argv, "x"], tmp_path / "child")
+    assert main([*argv, str(tmp_path / "x")]) == 0
+    assert sorted(p.name for p in (tmp_path / "child").iterdir()) == ["x.csv", "x.meta.json"]
+    assert (tmp_path / "child/x.csv").read_bytes() == (tmp_path / "x.csv").read_bytes()
+    child, here = (json.loads((tmp_path / d / "x.meta.json").read_text())
+                   for d in ("child", "."))
+    for meta in (child, here):
+        del meta["wall_time_s"]
+    assert child == here
