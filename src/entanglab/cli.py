@@ -169,9 +169,10 @@ def _cmd_geometry(args) -> int:
         res = width_duality_check(ProductDims((2, 2)), args.trials, SeededStream(seed))
         payload.update(dataclasses.asdict(res), passed=res.passed)
     elif check == "urysohn":  # lambda_max is the support function of the centered state body
+        v = vrad_states(args.n)  # its rule, n >= 2, refuses a size before any draw
         est, gm = _gue0_width(args.n, lambda G: np.linalg.eigvalsh(G)[:, -1], args.trials,
                               SeededStream(seed))
-        width, v = est.mean / gm, vrad_states(args.n)
+        width = est.mean / gm
         payload.update(n=args.n, trials=args.trials, vrad=v, width=width,
                        width_stderr=est.stderr / gm, passed=bool(v <= width + 3 * est.stderr / gm))
     elif check == "rogers-shephard":

@@ -60,12 +60,14 @@ class ProductDims:
 
 
 def _check_square(A: np.ndarray, batched: bool = False) -> np.ndarray:
-    """A as an array, checked square and finite; `batched` also admits a
-    stack of square matrices with leading batch axes (..., n, n)."""
+    """A as an array, checked non-empty, square and finite; `batched` also
+    admits a stack of square matrices with leading batch axes (..., n, n)."""
     A = np.asarray(A)
     ndim_ok = A.ndim >= 2 if batched else A.ndim == 2
     if not ndim_ok or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if A.shape[-1] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A

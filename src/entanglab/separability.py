@@ -99,8 +99,7 @@ def _require_traceless(A: np.ndarray) -> np.ndarray:
 def _require_exact_dims(dims: ProductDims) -> None:
     if dims.factors not in EXACT_DIMS:
         raise UnsupportedDimensionError(
-            f"exact separability is only decidable for 2x2 and 2x3 systems, "
-            f"got {dims.factors}; use the PPT criterion explicitly"
+            f"exact separability is only decidable for 2x2 and 2x3 systems, got {dims.factors}"
         )
 
 
@@ -286,10 +285,10 @@ def _support_stack(T: np.ndarray, starts: list[np.ndarray], tol: float,
                    max_sweeps: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Product-state support of each direction of a stack T (D, d_1..d_k, d_1..d_k)
     from the same starts (R, d_i) per factor. Every (direction, restart) pair
-    sweeps until a sweep gains less than `tol`; a half-step contracts the
-    directions with a live pair and runs one eigh over the live pairs. Each
-    direction reports its first best restart: the witness's own <psi|A|psi>,
-    a certified lower bound, and its factors (D, d_i)."""
+    sweeps until a sweep gains less than `tol`; each sweep copies its direction
+    for every live pair, and a half-step contracts and diagonalizes only those
+    pairs. Each direction reports its first best restart: the witness's own
+    <psi|A|psi>, a certified lower bound, and its factors (D, d_i)."""
     if len(starts) < 2:
         raise ValueError("need at least two tensor factors")
     if len(starts[0]) < 1 or max_sweeps < 1:
@@ -298,11 +297,10 @@ def _support_stack(T: np.ndarray, starts: list[np.ndarray], tol: float,
     val = np.full(psis[0].shape[:2], -np.inf)
     live = np.ones(val.shape, dtype=bool)
     for _ in range(max_sweeps):
-        rows, pairs = np.flatnonzero(live.any(axis=1)), np.nonzero(live)
-        prev = val[pairs]
+        pairs = np.nonzero(live)
+        A, prev = T[pairs[0]], val[pairs]
         for j in range(len(psis)):
-            M = _contracted_factor(T[rows, None], [p[rows] for p in psis], j)[live[rows]]
-            w, vecs = np.linalg.eigh(M)
+            w, vecs = np.linalg.eigh(_contracted_factor(A, [p[pairs] for p in psis], j))
             psis[j][pairs] = vecs[..., -1]
         val[pairs] = w[:, -1]
         live[pairs] = val[pairs] - prev >= tol

@@ -104,10 +104,9 @@ def separable_width(
     separable body: the product-state support of each direction, from the
     starts of `support_separable(..., stream=0)`, a sub-batch at a time."""
     starts = _product_starts(dims, restarts, 0)
-    # per direction its copy of A; per restart three copies of its factors (stored, gathered,
-    # conjugated) and of its contracted factor (contracted, live pairs' stack, eigenvectors)
+    # per restart: a copy of its direction's A, three of its factors and of its contracted factor
     d = dims.factors
-    size = _batch_size(16 * (dims.n ** 2 + 3 * restarts * (sum(d) + max(d) ** 2)))
+    size = _batch_size(16 * restarts * (dims.n ** 2 + 3 * (sum(d) + max(d) ** 2)))
 
     def support(G):
         T = G.reshape((len(G),) + d * 2)

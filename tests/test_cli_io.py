@@ -188,10 +188,21 @@ def test_cli_gauge_one_factor_dims_follow_the_body_rule(tmp_path, capsys):
     assert main(["sample", "--ensemble", "induced", "--n", "4", "--s", "6",
                  "--format", "bin", "--out", str(dump)]) == 0
     out = tmp_path / "gauge.json"
-    assert main(["gauge", "--input", str(dump), "--body", "ppt0", "--dims", "4",
-                 "--out", str(out)]) == 2
-    assert not out.exists()
-    assert capsys.readouterr().err == "error: bipartite dims d1 x d2 required, got (4,)\n"
+    for body, rule in (("ppt0", "bipartite dims d1 x d2 required"),
+                       ("s0", "exact separability is only decidable for 2x2 and 2x3 systems")):
+        assert main(["gauge", "--input", str(dump), "--body", body, "--dims", "4",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {rule}, got (4,)\n"
+
+
+def test_cli_gauge_refuses_an_empty_matrix(tmp_path, capsys):
+    dump = tmp_path / "empty.bin"
+    write_matrix_records(dump, [np.zeros((0, 0))])
+    assert main(["gauge", "--input", str(dump), "--body", "d0", "--dims", "2,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected a non-empty square matrix, got shape (0, 0)\n"
 
 
 def test_cli_gauge_d0_reads_only_the_matrix(tmp_path, capsys):
@@ -262,8 +273,7 @@ def test_cli_geometry_s0_reads_d(capsys):
     rc = main(["geometry", "--check", "s0", "--d", "3", "--trials", "5"])
     assert rc == 2
     assert capsys.readouterr().err == (
-        "error: exact separability is only decidable for 2x2 and 2x3 systems, "
-        "got (3, 3); use the PPT criterion explicitly\n")
+        "error: exact separability is only decidable for 2x2 and 2x3 systems, got (3, 3)\n")
 
 
 def test_one_sample_has_no_standard_error(capsys):
@@ -346,6 +356,11 @@ def test_cli_estimate_s0(capsys):
     assert payload["kind"] == "ppt"
     assert 15 < payload["threshold"]["mean"] < 55  # ~ 4 d^2 = 36
 
+    # without --ppt, the S0 body's dims rule refuses d = 3
+    assert main(["estimate-s0", "--d", "3", "--trials", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: exact separability is only decidable for 2x2 and 2x3 systems, got (3, 3)\n")
+
 
 def test_cli_spectral_and_monotonicity(tmp_path):
     rc = main(["spectral", "--ensemble", "gue0", "--n", "16", "--trials", "4",
@@ -379,9 +394,10 @@ def test_cli_error_handling(tmp_path, capsys):
     assert "n must be a perfect square d^2 for the ppt0 body, got n = 32" in err
     assert main([*argv, "--n", "36", "--out", str(tmp_path / "r36")]) == 0
     capsys.readouterr()
-    # the GUE kernel refuses n = 0 before it sizes its buffers
-    assert main(["geometry", "--check", "urysohn", "--n", "0", "--trials", "3"]) == 2
-    assert capsys.readouterr().err == "error: n must be >= 1\n"
+    # the Urysohn check's volume radius refuses n < 2 before any direction is drawn
+    for n in ("0", "1"):
+        assert main(["geometry", "--check", "urysohn", "--n", n, "--trials", "3"]) == 2
+        assert capsys.readouterr().err == "error: n must be >= 2\n"
 
 
 # -- experiment subcommands are the configs whose keys are their flags ----------------
@@ -499,6 +515,8 @@ BAD_VALUE_CASES = [
      "'body' must be one of d0, ppt0, hs, s0"),
     (["concentration", "--d", "2", "--s", "4", "--body", "hs"], {"d": 2, "s": 4, "body": "hs"},
      "'body' must be one of s0, d0, ppt0"),
+    (["concentration", "--d", "3", "--s", "4", "--body", "s0"], {"d": 3, "s": 4, "body": "s0"},
+     "exact separability is only decidable for 2x2 and 2x3 systems, got (3, 3)"),
     (["monotonicity", "--mode", "trace", "--s", "4"], {"mode": "trace", "s": 4},
      "'mode' must be 'projection' or 'partial-trace'"),
 ]

@@ -178,6 +178,22 @@ def test_traceless_part():
         hermitize(np.full((2, 2), np.nan))
 
 
+@pytest.mark.parametrize("f, shape", [
+    (hermitize, (0, 0)),
+    (traceless_part, (0, 0)),
+    (traceless_part, (3, 0, 0)),
+    (top_eigenpair, (0, 0)),
+    (hermitian_eigenvalues, (0, 0)),
+    (lambda H: partial_trace(H, ProductDims((2, 2)), [0]), (0, 0)),
+    (lambda H: partial_transpose(H, ProductDims((2, 2)), 1), (3, 0, 0)),
+])
+def test_square_check_refuses_empty_matrices(f, shape):
+    # one rule for every square input: n = 0 is refused before any arithmetic
+    with pytest.raises(ValueError) as err:
+        f(np.zeros(shape))
+    assert str(err.value) == f"expected a non-empty square matrix, got shape {shape}"
+
+
 def test_single_matrix_functions_reject_stacks():
     # the batched engine works on stacks; the public single-matrix functions
     # keep rejecting (k, n, n) input

@@ -181,7 +181,7 @@ def test_support_separable_below_operator_norm(dims, seed):
 
 @PROPERTY_SETTINGS
 @given(
-    st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]).map(ProductDims),
+    st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2)]).map(ProductDims),
     seed_st,
     st.integers(1, 6),
     st.sampled_from([1, 2, 3, 500]),
@@ -203,7 +203,7 @@ def test_support_separable_stack_matches_restart_loop(dims, seed, restarts, max_
 
 @PROPERTY_SETTINGS
 @given(
-    st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]).map(ProductDims),
+    st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2)]).map(ProductDims),
     seed_st,
     st.integers(1, 4),
     st.integers(1, 6),

@@ -322,6 +322,38 @@ def test_support_sweep_monotone():
     assert np.all(diffs >= -1e-12)
 
 
+def test_support_sweep_contracts_only_the_live_pairs(monkeypatch):
+    # each half-step contracts one matrix per live (direction, restart) pair,
+    # with no restart axis; a restart leaves once it converges, so the batch
+    # at sweep t holds the restarts that, run alone, sweep more than t times
+    dims, restarts = ProductDims((3, 3)), 6
+    A = random_traceless(np.random.default_rng(35), dims.n)
+    T = A.reshape((1,) + dims.factors * 2)
+    starts = separability._product_starts(dims, restarts, SeededStream(36))
+    contract, batches = separability._contracted_factor, []
+
+    def recording(T, psis, j):
+        batches.append((T.shape, [p.shape for p in psis]))
+        return contract(T, psis, j)
+
+    monkeypatch.setattr(separability, "_contracted_factor", recording)
+
+    def half_steps(run, *args):
+        batches.clear()
+        run(*args)
+        return batches[:-1]  # k per sweep; the last call scores the best restart
+
+    alone = [len(half_steps(separability._support_stack, T, [s[r:r + 1] for s in starts],
+                            1e-12, 500)) // dims.k for r in range(restarts)]
+    calls = half_steps(support_separable, A, dims, restarts, 1e-12, 500, SeededStream(36))
+    assert len(set(alone)) > 2 and len(calls) == dims.k * max(alone)
+    sizes = [shape[0] for shape, _ in calls]
+    assert sizes == [sum(n > t // dims.k for n in alone) for t in range(len(calls))]
+    assert all(shape == (size,) + dims.factors * 2 and psis == [(size, d) for d in dims.factors]
+               for (shape, psis), size in zip(calls, sizes))
+    assert sizes == sorted(sizes, reverse=True)
+
+
 def bloch_grid_max(A, steps=50):
     """Global grid oracle over product states of two qubits."""
     theta = np.linspace(0, math.pi, steps)
