@@ -59,29 +59,32 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
 
 
 def _parse_dims(text: str) -> list[int]:
     try:
-        dims = [int(p) for p in text.split(",")]
+        return [int(p) for p in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad dims {text!r}; expected e.g. 2,2")
-    return dims
+        raise argparse.ArgumentTypeError(f"bad dims {text!r}; expected e.g. 2,2") from None
 
 
 def _parse_s_values(text: str):
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (2, 3):
-            raise argparse.ArgumentTypeError("range must be start:stop[:step]")
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-        return {"start": start, "stop": stop, "step": step}
-    return [int(p) for p in text.split(",")]
+    parts = text.split(":")
+    if len(parts) > 3:
+        raise argparse.ArgumentTypeError("range must be start:stop[:step]")
+    try:
+        values = [int(p) for p in (parts if len(parts) > 1 else text.split(","))]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad s values {text!r}; expected e.g. 2,4,8 or 16:64:4") from None
+    return values if len(parts) == 1 else dict(zip(("start", "stop", "step"), values + [1]))
 
 
 # an experiment flag only converts its text, to int unless listed; the config rules check it
@@ -222,8 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("sample", help="draw from an ensemble and serialize")
-    p.add_argument("--ensemble", required=True,
-                   choices=["gue", "gue0", "ginibre", "induced", "uniform"])
+    p.add_argument("--ensemble", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--format", choices=["csv", "bin"], default="csv")
@@ -232,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gauge", help="gauge of a direction read from a matrix dump")
     p.add_argument("--input", required=True)
-    p.add_argument("--body", required=True, choices=["s0", "ssym", "d0", "ppt0"])
+    p.add_argument("--body", required=True)
     p.add_argument("--dims", type=_parse_dims, required=True)
     p.add_argument("--tol", type=float, default=1e-8,
                    help="accepted and ignored: every gauge here is exact")

@@ -10,7 +10,7 @@ trials by `_trial_seed_words`, a vectorized copy of SeedSequence's mixing:
 the words a block shares are mixed once, and only the trial index is mixed
 as an array. Each generator's state is bit-identical to that of
 `stream.substream(t).generator()`, and its `spawn` and pickling go through
-numpy's own SeedSequence. `chunk_map`, the only chunk loop, hands them to
+numpy's own SeedSequence. `_chunks`, the only chunk loop, hands them to
 an experiment a chunk at a time. Bit-exact reproducibility is promised for a
 fixed numpy/entanglab installation, not across library versions; the property
 test comparing the two derivations fails loudly if numpy's SeedSequence changes.
@@ -236,13 +236,17 @@ def _trial_bytes(n: int) -> int:
     return 16 * n * n + _GENERATOR_BYTES
 
 
-def chunk_map(f, stream, trials: int, n: int) -> np.ndarray:
+def _chunks(f, stream, trials: int, n: int):
     """f(gens) over chunks of the trials' generators (from `trial_generators`)
     of as many trials as fit, each with its n x n complex matrix and its
-    generator, into _CHUNK_BYTES, at least one; the results are concatenated,
-    one value per trial."""
+    generator, into _CHUNK_BYTES, at least one: an iterator of the results."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     size = _batch_size(_trial_bytes(n))
     gens = trial_generators(stream, trials)
-    return np.concatenate([f(list(islice(gens, size))) for _ in range(0, trials, size)])
+    return (f(list(islice(gens, size))) for _ in range(0, trials, size))
+
+
+def chunk_map(f, stream, trials: int, n: int) -> np.ndarray:
+    """The results of `_chunks` concatenated, one value per trial."""
+    return np.concatenate(list(_chunks(f, stream, trials, n)))

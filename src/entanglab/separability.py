@@ -154,12 +154,17 @@ _CRITERIA = {
 }
 
 
-def _criterion(name: str, dims: ProductDims) -> Callable[[np.ndarray], np.ndarray]:
-    """Whether each state of a stack on `dims` meets criterion `name`;
-    raises if the criterion's dims rule refuses `dims`."""
-    entry = _CRITERIA[name]
-    entry.dims_rule(dims)
-    return partial(entry.kernel, dims=dims)
+def _bound(table: dict, key: str, name, dims: ProductDims) -> Callable[[np.ndarray], np.ndarray]:
+    """Entry `name`'s kernel bound to `dims`; the one check of a name, bound to a table as
+    `_criterion` and `_body_gauge`. Raises, naming config key `key` and the table's
+    names, unless `name` is one of them, or if the entry's dims rule refuses `dims`."""
+    if not isinstance(name, str) or name not in table:
+        raise ValueError(f"{key!r} must be {' or '.join(map(repr, sorted(table)))}")
+    table[name].dims_rule(dims)
+    return partial(table[name].kernel, dims=dims)
+
+
+_criterion = partial(_bound, _CRITERIA, "criterion")
 
 
 def _pt_spectra(A: np.ndarray, dims: ProductDims) -> tuple[np.ndarray, np.ndarray]:
@@ -212,14 +217,7 @@ _BODIES = {
 }
 
 
-def _body_gauge(body: str, dims: ProductDims) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched gauge ||A||_K of a stack of traceless self-adjoint matrices
-    on `dims`; raises if the body's dims rule refuses `dims`."""
-    if body not in _BODIES:
-        raise ValueError(f"unknown body {body!r}")
-    entry = _BODIES[body]
-    entry.dims_rule(dims)
-    return partial(entry.kernel, dims=dims)
+_body_gauge = partial(_bound, _BODIES, "body")
 
 
 def _gauge(body: str, A: np.ndarray, dims: ProductDims) -> GaugeResult:

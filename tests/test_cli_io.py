@@ -18,7 +18,7 @@ import entanglab.rng
 from entanglab.cli import _build_parser, main
 from entanglab.config import ConfigError, ExperimentConfig
 from entanglab.ensembles import sample_gue0
-from entanglab.experiments import EXPERIMENTS
+from entanglab.experiments import EXPERIMENTS, concentration_experiment, gue_approx_experiment
 from entanglab.geometry import gamma_m, vrad_states
 from entanglab.io import (
     format_value,
@@ -27,7 +27,9 @@ from entanglab.io import (
     write_csv,
     write_matrix_records,
 )
+from entanglab.linalg import ProductDims, traceless_part
 from entanglab.rng import SeededStream, trial_generators
+from entanglab.separability import _BODIES, _CRITERIA, _gauge
 from entanglab.stats import from_samples
 from entanglab.widths import ppt_threshold_estimate
 
@@ -512,9 +514,9 @@ BAD_VALUE_CASES = [
      {"dims": [2], "criterion": "ppt", "s_values": [2, 4]},
      "bipartite dims d1 x d2 required, got (2,)"),
     (["gue-approx", "--n", "4", "--s", "8"], {"n": 4, "s": 8},
-     "'body' must be one of d0, ppt0, hs, s0"),
-    (["concentration", "--d", "2", "--s", "4", "--body", "hs"], {"d": 2, "s": 4, "body": "hs"},
-     "'body' must be one of s0, d0, ppt0"),
+     "'body' must be 'd0' or 'hs' or 'ppt0' or 's0' or 'ssym'"),
+    (["concentration", "--d", "2", "--s", "4", "--body", "sep"], {"d": 2, "s": 4, "body": "sep"},
+     "'body' must be 'd0' or 'hs' or 'ppt0' or 's0' or 'ssym'"),
     (["concentration", "--d", "3", "--s", "4", "--body", "s0"], {"d": 3, "s": 4, "body": "s0"},
      "exact separability is only decidable for 2x2 and 2x3 systems, got (3, 3)"),
     (["monotonicity", "--mode", "trace", "--s", "4"], {"mode": "trace", "s": 4},
@@ -534,6 +536,122 @@ def test_cli_and_config_refuse_a_bad_value_with_the_same_rule(tmp_path, capsys, 
     assert main(["run", str(cfg), "--out", str(tmp_path / "file")]) == 2
     assert capsys.readouterr().err == f"config error: {cfg}: {rule}\n"
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+# -- a name is checked once, by the table that defines it -----------------------------
+
+
+def _table_text(key: str, table: dict) -> str:
+    return f"'{key}' must be {' or '.join(map(repr, sorted(table)))}"
+
+
+def _admitted_bodies(dims: ProductDims) -> list[str]:
+    """The _BODIES names whose dims rule accepts `dims`."""
+    names = []
+    for name, body in _BODIES.items():
+        try:
+            body.dims_rule(dims)
+        except ValueError:
+            continue
+        names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("body", _admitted_bodies(ProductDims((2, 2))))
+def test_every_admitted_body_runs_in_gauge_concentration_and_gue_approx(tmp_path, capsys, body):
+    dump = tmp_path / "rho.bin"
+    assert main(["sample", "--ensemble", "induced", "--n", "4", "--s", "6",
+                 "--format", "bin", "--out", str(dump)]) == 0
+    assert main(["gauge", "--input", str(dump), "--body", body, "--dims", "2,2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    res = _gauge(body, traceless_part(read_matrix_records(dump)[0]), ProductDims((2, 2)))
+    assert (payload["value"], payload["evals"]) == (res.value, res.membership_evals)
+
+    summary = concentration_experiment(2, 4, 5, SeededStream(3), body=body)
+    ratio = gue_approx_experiment(4, 8, body, 5, SeededStream(3))
+    for flags, rows in (
+        (["concentration", "--d", "2", "--s", "4"],
+         [dataclasses.astuple(p) for p in (summary.at_s, summary.at_4s)]),
+        (["gue-approx", "--n", "4", "--s", "8"], [dataclasses.astuple(ratio)]),
+    ):
+        experiment = next(e for e in EXPERIMENTS.values() if e.command == flags[0])
+        assert main([*flags, "--body", body, "--trials", "5", "--seed", "3",
+                     "--out", str(tmp_path / "cli")]) == 0
+        write_csv(tmp_path / "lib.csv", experiment.header(None), rows)
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes(), flags
+
+
+# (experiment, its keys but the name, the name's key, its table)
+NAMED_CONFIGS = [
+    ("threshold-scan", {"dims": [2, 2], "s_values": [2, 4]}, "criterion", _CRITERIA),
+    ("concentration", {"d": 2, "s": 4}, "body", _BODIES),
+    ("gue-approx", {"n": 4, "s": 8}, "body", _BODIES),
+    # not a square: the perfect-square rule reads the table only for the table's names
+    ("gue-approx", {"n": 5, "s": 8}, "body", _BODIES),
+]
+
+
+@pytest.mark.parametrize("name", ["sep", ["s0"], {"a": 1}, None], ids=json.dumps)
+@pytest.mark.parametrize("experiment, keys, key, table", NAMED_CONFIGS,
+                         ids=[f"{e}-{json.dumps(k)}" for e, k, _, _ in NAMED_CONFIGS])
+def test_run_refuses_a_name_outside_the_table_with_the_table_text(tmp_path, capsys, experiment,
+                                                                   keys, key, table, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "trials": 2, "master_seed": 1,
+                               **keys, key: name}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: {_table_text(key, table)}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_gauge_and_sample_refuse_an_unknown_name_with_the_library_text(tmp_path, capsys):
+    dump = tmp_path / "rho.bin"
+    write_matrix_records(dump, [np.eye(4)])
+    assert main(["gauge", "--input", str(dump), "--body", "sep", "--dims", "2,2",
+                 "--out", str(tmp_path / "gauge.json")]) == 2
+    assert capsys.readouterr().err == f"error: {_table_text('body', _BODIES)}\n"
+    assert main(["sample", "--ensemble", "sep", "--n", "4",
+                 "--out", str(tmp_path / "draws.csv")]) == 2
+    assert capsys.readouterr().err == "error: unknown ensemble kind 'sep'\n"
+    assert list(tmp_path.iterdir()) == [dump]
+
+
+def test_name_flags_carry_no_choices_of_their_own():
+    # the library's tables refuse a name; argparse restates none of them
+    named = [(command, a) for command, p in _subcommands().items() for a in p._actions
+             if a.dest in ("body", "criterion", "ensemble")]
+    assert {(command, a.dest) for command, a in named} >= {("gauge", "body"),
+                                                          ("sample", "ensemble")}
+    assert [(command, a.dest) for command, a in named if a.choices is not None] == []
+
+
+# (flags after the scan's dims and criterion, the last line argparse prints)
+PARSE_ERROR_CASES = [
+    (["--s-values", "4:x"], "argument --s-values: bad s values '4:x'; expected e.g. 2,4,8 or 16:64:4"),
+    (["--s-values", "x"], "argument --s-values: bad s values 'x'; expected e.g. 2,4,8 or 16:64:4"),
+    (["--s-values", "4,,8"],
+     "argument --s-values: bad s values '4,,8'; expected e.g. 2,4,8 or 16:64:4"),
+    (["--s-values", "1:2:3:4"], "argument --s-values: range must be start:stop[:step]"),
+    (["--s-values", "4", "--trials", "x"], "argument --trials: must be an integer >= 1, got 'x'"),
+    (["--s-values", "4", "--trials", "0"], "argument --trials: must be an integer >= 1, got '0'"),
+]
+
+
+@pytest.mark.parametrize("flags, text", PARSE_ERROR_CASES,
+                         ids=[" ".join(flags) for flags, _ in PARSE_ERROR_CASES])
+def test_cli_parse_errors_say_what_is_wrong_in_plain_text(tmp_path, capsys, flags, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan-threshold", "--dims", "2,2", "--criterion", "ppt", *flags,
+              "--out", str(tmp_path / "scan")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"entanglab scan-threshold: error: {text}"
+    with pytest.raises(SystemExit) as exc:
+        main(["geometry", "--check", "rogers-shephard", "--points", "x",
+              "--out", str(tmp_path / "geometry.json")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "entanglab geometry: error: argument --points: must be an integer >= 1, got 'x'")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _readme_commands() -> list[list[str]]:

@@ -413,6 +413,19 @@ def test_spectral_rows_schema_and_invariants():
         spectral_rows("induced", 16, None, 5, SeededStream(21))
 
 
+def test_spectral_run_holds_a_chunk_of_rows_not_every_trial():
+    # the rows reach the CSV a chunk at a time, so ten times the trials add
+    # no stack of rows to the peak
+    def peak(trials):
+        config = ExperimentConfig.from_dict({"experiment": "spectral", "trials": trials,
+                                             "master_seed": 4, "ensemble": "gue0", "n": 4})
+        return traced_peak(lambda: sum(1 for _ in exps.EXPERIMENTS["spectral"].run(config, {})))
+
+    (rows_small, small), (rows_large, large) = peak(2_000), peak(20_000)
+    assert (rows_small, rows_large) == (2_000, 20_000)
+    assert large <= 1.5 * small, (small, large)
+
+
 ZERO_TRIAL_RUNS = {
     "chunk_map": lambda: chunk_map(len, 3, 0, 4),
     "spectral_rows": lambda: spectral_rows("induced", 4, 8, 0, SeededStream(3)),

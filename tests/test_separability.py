@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,3 +445,34 @@ def test_mean_gauge_sandwich_per_draw():
         G = sample_gue0(4, rng)
         g = gauge_separable(G, DIMS22).value
         assert gauge_states(G) - 1e-9 <= g <= math.sqrt(12) * hs_norm(G) + 1e-9
+
+
+def _literal_name_lists(tree: ast.AST, names: set) -> list[tuple[ast.AST, list[str]]]:
+    """Each tuple, list, set or dict literal of `tree` with two or more of
+    `names` among its items (a dict's keys), and those names."""
+    found = []
+    for node in ast.walk(tree):
+        items = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", None)
+        hits = [i.value for i in items or () if isinstance(i, ast.Constant) and i.value in names]
+        if len(hits) >= 2:
+            found.append((node, hits))
+    return found
+
+
+def test_no_source_file_restates_a_list_of_body_names():
+    # _BODIES is the one list of body names: a literal that lists two or more
+    # of them anywhere else in the package would be a second, and could drift
+    names = set(separability._BODIES)
+    offenders, exempt = [], []
+    for path in sorted(Path(separability.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        table = [node.value for node in ast.walk(tree) if path.name == "separability.py"
+                 and isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["_BODIES"]]
+        for node, hits in _literal_name_lists(tree, names):
+            if node in table:
+                exempt.append(node)
+            else:
+                offenders.append(f"{path.name}:{node.lineno}: {hits}")
+    assert offenders == []
+    assert len(exempt) == 1  # the _BODIES definition, the one list
