@@ -18,11 +18,12 @@ import dataclasses
 import gc
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .ensembles import EnsembleSpec, draw_ensemble
+from .ensembles import _ENSEMBLES, EnsembleSpec
 from .experiments import EXPERIMENTS, execute_config, run_config
 from .geometry import (
     density_comparison_ratio,
@@ -31,9 +32,9 @@ from .geometry import (
     separable_volume_bounds,
     vrad_states,
 )
-from .io import _write_through, read_matrix_records, write_csv, write_matrix_records
-from .linalg import ProductDims, hermitian_eigenvalues, traceless_part
-from .rng import SeededStream, trial_generators
+from .io import _matrix_records, _write_through, write_csv, write_matrix_records
+from .linalg import ProductDims, traceless_part
+from .rng import SeededStream, _chunks
 from .separability import _gauge
 from .widths import (
     _gue0_width,
@@ -108,29 +109,29 @@ def _cmd_sample(args) -> int:
         print("sample requires --out", file=sys.stderr)
         return 2
     spec = EnsembleSpec(args.ensemble, args.n, args.s)
-    if spec.kind == "ginibre" and args.format == "csv":
+    square = spec.kind != "ginibre"  # a ginibre draw is n x s
+    if not square and args.format == "csv":
         print("ginibre draws are not self-adjoint; use --format bin", file=sys.stderr)
         return 2
-    # written a draw at a time; induced and uniform draws are DensityMatrix objects
-    gens = trial_generators(SeededStream(args.seed), args.trials)
-    draws = (draw_ensemble(spec, rng) for rng in gens)
-    mats = (getattr(d, "matrix", d) for d in draws)
+    # drawn and written a chunk of trials at a time
+    chunks = _chunks(partial(_ENSEMBLES[spec.kind].kernel, spec.n, spec.s),
+                     SeededStream(args.seed), args.trials, spec.n, spec.n if square else spec.s)
     if args.format == "bin":
-        write_matrix_records(args.out, mats)
+        write_matrix_records(args.out, (mat for chunk in chunks for mat in chunk))
         return 0
-    rows = ((t, i, lam) for t, mat in enumerate(mats)
-            for i, lam in enumerate(hermitian_eigenvalues(mat)))
+    spectra = (lams for chunk in chunks for lams in np.linalg.eigvalsh(chunk)[:, ::-1])
+    rows = ((t, i, lam) for t, lams in enumerate(spectra) for i, lam in enumerate(lams))
     write_csv(args.out, ["trial", "index", "value"], rows)
     return 0
 
 
 def _cmd_gauge(args) -> int:
-    mats = read_matrix_records(args.input)
-    if not mats:
+    A = next(_matrix_records(args.input), None)  # the first record; no other is read
+    if A is None:
         print("no matrix records in input", file=sys.stderr)
         return 2
     dims = ProductDims(args.dims)
-    res = _gauge(args.body, traceless_part(mats[0]), dims)
+    res = _gauge(args.body, traceless_part(A), dims)
     _emit(
         {
             "body": args.body,
@@ -138,7 +139,7 @@ def _cmd_gauge(args) -> int:
             "value": res.value,
             "bracket_width": res.bracket_width,
             "evals": res.membership_evals,
-            "trace_removed": float(np.trace(mats[0]).real),
+            "trace_removed": float(np.trace(A).real),
         },
         args.out,
     )
@@ -232,8 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, trials_default=1)
     p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("gauge", help="gauge of a direction read from a matrix dump")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("gauge", help="gauge of the first direction of a matrix dump")
+    p.add_argument("--input", required=True,
+                   help="a matrix dump; its first record is gauged, and no other is read")
     p.add_argument("--body", required=True)
     p.add_argument("--dims", type=_parse_dims, required=True)
     p.add_argument("--tol", type=float, default=1e-8,

@@ -22,7 +22,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _require_int(raw: dict, key: str, minimum: int, default: int | None = None) -> int:
+def _require_int(raw: dict, key: str, minimum: int | None = None, default: int | None = None) -> int:
     if key not in raw:
         if default is not None:
             return default
@@ -30,7 +30,7 @@ def _require_int(raw: dict, key: str, minimum: int, default: int | None = None) 
     v = raw[key]
     if not _is_int(v):
         raise ConfigError(f"'{key}' must be an integer, got {v!r}")
-    if v < minimum:
+    if minimum is not None and v < minimum:
         raise ConfigError(f"'{key}' must be >= {minimum}, got {v}")
     return v
 

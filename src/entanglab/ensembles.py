@@ -37,11 +37,20 @@ from the stack's diagonals in place. The stacked kernels refuse n or s < 1
 and, for the projection coupling, anything but 2 <= d1 <= d2 before they
 allocate; the public samplers and couplings run them on a chunk of one and
 add no checks of their own.
+
+`_ENSEMBLES` is the one place an ensemble is named: it maps each name (gue,
+gue0, ginibre, induced, uniform) to its stacked kernel and whether it reads
+s, and the two with a semicircle limit (gue0, induced) to the rescaled
+spectra of their centered draws. `EnsembleSpec`, `draw_ensemble`, the
+`sample` command and the spectral experiment read it through `_ensemble`,
+which refuses any other name with the table's text and applies the s rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -103,21 +112,17 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Which ensemble to draw from: gue, gue0, ginibre, induced or uniform."""
+    """Which ensemble to draw from: a name of the ensemble table (gue, gue0,
+    ginibre, induced or uniform), checked with s by `_ensemble`."""
 
     kind: str
     n: int
     s: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gue", "gue0", "ginibre", "induced", "uniform"):
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        _ensemble(self.kind, self.s)
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.kind in ("ginibre", "induced") and (self.s is None or self.s < 1):
-            raise ValueError(f"{self.kind} requires s >= 1")
-        if self.kind not in ("ginibre", "induced") and self.s is not None:
-            raise ValueError("'s' applies only to the ginibre and induced ensembles")
         if self.kind == "uniform":
             object.__setattr__(self, "s", self.n)
 
@@ -175,13 +180,21 @@ def sample_ginibre(n: int, s: int, stream) -> np.ndarray:
     real parts first, each times the rounded reciprocal 1/sqrt(2). That
     product is what numpy computes for a complex array divided by
     np.sqrt(2), so the result holds the bytes of (re + 1j*im) / np.sqrt(2)."""
+    return _ginibre_stack(n, s, [as_generator(stream)])[0]
+
+
+def _ginibre_stack(n: int, s: int, gens) -> np.ndarray:
+    """Stack of n x s Ginibre matrices, one per generator, each drawn through
+    one trial's buffer of normals."""
     if n < 1 or s < 1:
         raise ValueError("n and s must be >= 1")
     _batch_size(32 * n * s)  # the normals and A: refuses a draw over the trial byte limit
-    z = as_generator(stream).standard_normal((2, n, s))
-    A = np.empty((n, s), dtype=complex)
-    np.multiply(z[0], _INV_SQRT2, out=A.real)
-    np.multiply(z[1], _INV_SQRT2, out=A.imag)
+    gens = list(gens)
+    A, z = np.empty((len(gens), n, s), dtype=complex), np.empty((2, n, s))
+    for a, rng in zip(A, gens):
+        rng.standard_normal(out=z)
+        np.multiply(z[0], _INV_SQRT2, out=a.real)
+        np.multiply(z[1], _INV_SQRT2, out=a.imag)
     return A
 
 
@@ -336,12 +349,54 @@ def coupled_partial_trace(d: int, s: int, stream) -> CoupledPair:
                        DensityMatrix(ProductDims((d, d)), small[0]))
 
 
+def _gue0_spectra(n: int, s: None, gens) -> np.ndarray:
+    """Spectra of a chunk's trace-zero GUE draws over sqrt(n)."""
+    return np.linalg.eigvalsh(_gue0_states(n, gens)) / math.sqrt(n)
+
+
+def _induced_spectra(n: int, s: int, gens) -> np.ndarray:
+    """Spectra of a chunk's centered induced states times sqrt(ns)."""
+    return np.linalg.eigvalsh(_centered_induced_states(n, s, gens)) * math.sqrt(n * s)
+
+
+@dataclass(frozen=True)
+class _Ensemble:
+    kernel: Callable[..., np.ndarray]  # (n, s, gens) -> a stack of one draw per generator
+    reads_s: bool
+    states: bool = False  # an induced state: `draw_ensemble` returns a DensityMatrix
+    # (n, s, gens) -> rescaled spectra of centered draws, for a semicircle limit
+    spectra: Callable[..., np.ndarray] | None = None
+
+
+_ENSEMBLES = {
+    "gue": _Ensemble(lambda n, s, gens: _gue_states(n, gens), reads_s=False),
+    "gue0": _Ensemble(lambda n, s, gens: _gue0_states(n, gens), reads_s=False,
+                      spectra=_gue0_spectra),
+    "ginibre": _Ensemble(_ginibre_stack, reads_s=True),
+    "induced": _Ensemble(_induced_states, reads_s=True, states=True, spectra=_induced_spectra),
+    "uniform": _Ensemble(lambda n, s, gens: _induced_states(n, n, gens), reads_s=False,
+                         states=True),
+}
+
+
+def _ensemble(name, s: int | None, table: dict = _ENSEMBLES) -> _Ensemble:
+    """Entry `name` of `table`; the one check of an ensemble name. Raises, naming the
+    table's names, unless `name` is one of them, or if `s` breaks the entry's s rule:
+    s >= 1 for an entry that reads it, None for any other."""
+    if not isinstance(name, str) or name not in table:
+        raise ValueError(f"'ensemble' must be {' or '.join(map(repr, sorted(table)))}")
+    if table[name].reads_s and (s is None or s < 1):
+        raise ValueError(f"{name} requires s >= 1")
+    if not table[name].reads_s and s is not None:
+        readers = sorted(k for k, entry in table.items() if entry.reads_s)
+        raise ValueError(f"'s' applies only to the {' and '.join(readers)} ensemble"
+                         + "s" * (len(readers) > 1))
+    return table[name]
+
+
 def draw_ensemble(spec: EnsembleSpec, stream):
-    """Draw one sample described by an EnsembleSpec."""
-    if spec.kind == "gue":
-        return sample_gue(spec.n, stream)
-    if spec.kind == "gue0":
-        return sample_gue0(spec.n, stream)
-    if spec.kind == "ginibre":
-        return sample_ginibre(spec.n, spec.s, stream)
-    return sample_induced_state(spec.n, spec.s, stream)
+    """Draw one sample described by an EnsembleSpec: its ensemble's kernel on a
+    chunk of one, or a state as `sample_induced_state` draws it."""
+    if _ENSEMBLES[spec.kind].states:
+        return sample_induced_state(spec.n, spec.s, stream)  # uniform's spec.s is n
+    return _ENSEMBLES[spec.kind].kernel(spec.n, spec.s, [as_generator(stream)])[0]

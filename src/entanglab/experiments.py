@@ -23,7 +23,9 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, _is_int, _require_int
 from .ensembles import (
+    _ENSEMBLES,
     _centered_induced_states,
+    _ensemble,
     _gue0_states,
     _induced_states,
     _partial_trace_pairs,
@@ -427,23 +429,28 @@ def spectral_rows(ensemble: str, n: int, s: int | None, trials: int, stream) -> 
     return list(_spectral_rows(ensemble, n, s, trials, stream))
 
 
+# the ensembles spectral draws: those with a semicircle limit
+_SEMICIRCLE = {name: entry for name, entry in _ENSEMBLES.items() if entry.spectra is not None}
+
+
+def _spectral_ensemble(ensemble, n: int, s: int | None):
+    """Spectral's binding, checked before any draw: a name of `_SEMICIRCLE` with
+    its s rule, at n >= 2 (the alpha and beta factors need two eigenvalues)."""
+    entry = _ensemble(ensemble, s, _SEMICIRCLE)
+    if n < 2:
+        raise ValueError(f"'n' must be >= 2, got {n}")
+    return entry
+
+
 def _spectral_rows(ensemble: str, n: int, s: int | None, trials: int, stream) -> Iterator[tuple]:
     """The rows of `spectral_rows`, computed a chunk of trials at a time."""
-    if ensemble not in ("gue0", "induced"):
-        raise ValueError("ensemble must be 'gue0' or 'induced'")
-    if ensemble == "induced" and s is None:
-        raise ValueError("induced ensemble requires s >= 1")
-
-    gue0 = ensemble == "gue0"
-    draw = partial(_gue0_states, n) if gue0 else partial(_centered_induced_states, n, s)
+    spectra = _spectral_ensemble(ensemble, n, s).spectra
 
     def summarize(gens):  # five numbers per trial leave the chunk, not its spectrum
-        lams = np.linalg.eigvalsh(draw(gens))
-        lams = lams / math.sqrt(n) if gue0 else lams * math.sqrt(n * s)
         return np.array([(dinf_semicircle(lam), *alpha_beta(lam), lam[-1], lam[0])
-                         for lam in lams])
+                         for lam in spectra(n, s, gens)])
 
-    s_col = "" if gue0 else s
+    s_col = "" if s is None else s
     rows = (row for chunk in _chunks(summarize, stream, trials, n) for row in chunk)
     return ((t, n, s_col, ensemble, *row.tolist()) for t, row in enumerate(rows))
 
@@ -461,15 +468,11 @@ def _run_spectral(config: ExperimentConfig, extra: dict):
 
 
 def _check_spectral(raw: dict, kw: dict) -> None:
-    ensemble = raw.get("ensemble")
-    if ensemble not in ("gue0", "induced"):
-        raise ConfigError("'ensemble' must be 'gue0' or 'induced'")
-    kw["ensemble"] = ensemble
-    kw["n"] = _require_int(raw, "n", 2)
-    if ensemble == "induced":
-        kw["s"] = _require_int(raw, "s", 1)
-    elif "s" in raw:
-        raise ConfigError("'s' applies only to the induced ensemble")
+    kw["ensemble"] = raw.get("ensemble")
+    kw["n"] = _require_int(raw, "n")
+    if "s" in raw:
+        kw["s"] = _require_int(raw, "s")
+    _spectral_ensemble(kw["ensemble"], kw["n"], kw.get("s"))
 
 
 # ---------------------------------------------------------------------------

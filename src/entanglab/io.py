@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
+from collections.abc import Iterator
 from itertools import chain, islice
 from pathlib import Path
 
@@ -90,20 +92,21 @@ def write_matrix_records(path, matrices) -> None:
 
 
 def read_matrix_records(path) -> list[np.ndarray]:
-    out = []
-    blob = Path(path).read_bytes()
-    pos = 0
-    while pos < len(blob):
-        if pos + 16 > len(blob):
-            raise ValueError("truncated matrix record header")
-        rows, cols = struct.unpack_from("<QQ", blob, pos)
-        pos += 16
-        count = rows * cols
-        end = pos + count * 16
-        if end > len(blob):
-            raise ValueError("truncated matrix record payload")
-        # read the (real, imaginary) pairs as complex entries, bit for bit
-        flat = np.frombuffer(blob, dtype="<c16", count=count, offset=pos)
-        pos = end
-        out.append(flat.reshape(rows, cols).astype(complex))
-    return out
+    return list(_matrix_records(path))
+
+
+def _matrix_records(path) -> Iterator[np.ndarray]:
+    """The records of a matrix dump, each read from the file as it is pulled: a
+    damaged record raises when it is reached, and no record after it is read."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        while header := fh.read(16):
+            if len(header) < 16:
+                raise ValueError("truncated matrix record header")
+            rows, cols = struct.unpack("<QQ", header)
+            count = rows * cols
+            if fh.tell() + count * 16 > size:
+                raise ValueError("truncated matrix record payload")
+            # read the (real, imaginary) pairs as complex entries, bit for bit
+            flat = np.frombuffer(fh.read(count * 16), dtype="<c16")
+            yield flat.reshape(rows, cols).astype(complex)

@@ -231,18 +231,20 @@ def _batch_size(nbytes: int) -> int:
     return max(1, _CHUNK_BYTES // nbytes)
 
 
-def _trial_bytes(n: int) -> int:
-    """Bytes a chunk holds per trial: its n x n complex matrix and its generator."""
-    return 16 * n * n + _GENERATOR_BYTES
+def _trial_bytes(n: int, cols: int | None = None) -> int:
+    """Bytes a chunk holds per trial: its n x cols complex matrix (cols = n
+    unless given) and its generator."""
+    return 16 * n * (n if cols is None else cols) + _GENERATOR_BYTES
 
 
-def _chunks(f, stream, trials: int, n: int):
+def _chunks(f, stream, trials: int, n: int, cols: int | None = None):
     """f(gens) over chunks of the trials' generators (from `trial_generators`)
-    of as many trials as fit, each with its n x n complex matrix and its
-    generator, into _CHUNK_BYTES, at least one: an iterator of the results."""
+    of as many trials as fit, each with its n x cols complex matrix (n x n
+    unless cols is given) and its generator, into _CHUNK_BYTES, at least one:
+    an iterator of the results."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    size = _batch_size(_trial_bytes(n))
+    size = _batch_size(_trial_bytes(n, cols))
     gens = trial_generators(stream, trials)
     return (f(list(islice(gens, size))) for _ in range(0, trials, size))
 

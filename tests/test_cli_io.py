@@ -14,10 +14,11 @@ from conftest import child_env, chunk_trials, traced_peak
 
 import entanglab
 import entanglab.cli
+import entanglab.ensembles
 import entanglab.rng
 from entanglab.cli import _build_parser, main
 from entanglab.config import ConfigError, ExperimentConfig
-from entanglab.ensembles import sample_gue0
+from entanglab.ensembles import _ENSEMBLES, EnsembleSpec, draw_ensemble, sample_gue0
 from entanglab.experiments import EXPERIMENTS, concentration_experiment, gue_approx_experiment
 from entanglab.geometry import gamma_m, vrad_states
 from entanglab.io import (
@@ -27,7 +28,7 @@ from entanglab.io import (
     write_csv,
     write_matrix_records,
 )
-from entanglab.linalg import ProductDims, traceless_part
+from entanglab.linalg import ProductDims, hermitian_eigenvalues, traceless_part
 from entanglab.rng import SeededStream, trial_generators
 from entanglab.separability import _BODIES, _CRITERIA, _gauge
 from entanglab.stats import from_samples
@@ -108,7 +109,9 @@ def test_cli_sample_csv_and_bin(tmp_path, monkeypatch):
     def no_draws(*args):
         raise AssertionError("sample drew before refusing the format")
 
-    monkeypatch.setattr(entanglab.cli, "draw_ensemble", no_draws)
+    ginibre = entanglab.ensembles._ENSEMBLES["ginibre"]
+    monkeypatch.setitem(entanglab.ensembles._ENSEMBLES, "ginibre",
+                        dataclasses.replace(ginibre, kernel=no_draws))
     rc = main(["sample", "--ensemble", "ginibre", "--n", "3", "--s", "4",
                "--trials", "1", "--seed", "0", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
@@ -117,13 +120,76 @@ def test_cli_sample_csv_and_bin(tmp_path, monkeypatch):
 
 def test_cli_sample_writes_each_draw_as_it_is_made(tmp_path):
     # holding all 1000 draws of n = 16 before writing peaked at about 4.6 MB
-    # (bin) and 6 MB (csv); written one at a time, the peak does not grow with --trials
+    # (bin) and 6 MB (csv); drawn and written a chunk at a time, the peak does
+    # not grow with --trials
     for fmt in ("csv", "bin"):
         argv = ["sample", "--ensemble", "gue", "--n", "16", "--format", fmt,
                 "--seed", "0", "--out", str(tmp_path / f"draws.{fmt}")]
         assert main([*argv, "--trials", "2"]) == 0  # first-use allocations
         rc, peak = traced_peak(lambda: main([*argv, "--trials", "1000"]))
         assert rc == 0 and peak < 1 << 20, (fmt, peak)
+
+
+def _sample_oracle(path, spec: EnsembleSpec, seed: int, trials: int, fmt: str) -> None:
+    """What `sample` writes, made a trial at a time through `draw_ensemble`."""
+    draws = (draw_ensemble(spec, SeededStream(seed).substream(t)) for t in range(trials))
+    mats = [getattr(d, "matrix", d) for d in draws]
+    if fmt == "bin":
+        write_matrix_records(path, mats)
+    else:
+        write_csv(path, ["trial", "index", "value"],
+                  [(t, i, lam) for t, m in enumerate(mats)
+                   for i, lam in enumerate(hermitian_eigenvalues(m))])
+
+
+@pytest.mark.parametrize("ensemble", sorted(_ENSEMBLES))
+def test_cli_sample_writes_the_bytes_of_per_trial_draws(tmp_path, monkeypatch, ensemble):
+    # three trials a chunk, so eight trials span three chunks; ginibre draws are
+    # n x s and not self-adjoint, so they are written as bin only
+    n, s = 3, 5 if _ENSEMBLES[ensemble].reads_s else None
+    cols = s if ensemble == "ginibre" else n
+    monkeypatch.setattr(entanglab.rng, "_CHUNK_BYTES", 3 * entanglab.rng._trial_bytes(n, cols))
+    spec = EnsembleSpec(ensemble, n, s)
+    for seed in (1, 2):
+        for fmt in ("bin",) if ensemble == "ginibre" else ("csv", "bin"):
+            out, ref = tmp_path / f"cli.{fmt}", tmp_path / f"ref.{fmt}"
+            flags = ["--s", str(s)] if s is not None else []
+            assert main(["sample", "--ensemble", ensemble, "--n", str(n), *flags, "--trials", "8",
+                         "--seed", str(seed), "--format", fmt, "--out", str(out)]) == 0
+            _sample_oracle(ref, spec, seed, 8, fmt)
+            assert out.read_bytes() == ref.read_bytes(), (seed, fmt)
+
+
+def test_cli_gauge_reads_only_the_first_record(tmp_path, capsys):
+    dump = tmp_path / "rho.bin"
+    assert main(["sample", "--ensemble", "induced", "--n", "4", "--s", "6", "--trials", "3",
+                 "--seed", "1", "--format", "bin", "--out", str(dump)]) == 0
+    first = read_matrix_records(dump)[0]
+    expected = _gauge("ppt0", traceless_part(first), ProductDims((2, 2)))
+    # a damaged later record is never reached
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(dump.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="truncated matrix record payload"):
+        read_matrix_records(cut)
+    for path in (dump, cut):
+        assert main(["gauge", "--input", str(path), "--body", "ppt0", "--dims", "2,2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == expected.value, path
+        assert payload["trace_removed"] == float(np.trace(first).real), path
+    # a damaged first record still is
+    cut.write_bytes(dump.read_bytes()[:16 + 8])
+    assert main(["gauge", "--input", str(cut), "--body", "ppt0", "--dims", "2,2"]) == 2
+    assert capsys.readouterr().err == "error: truncated matrix record payload\n"
+
+
+def test_cli_sample_sizes_a_ginibre_chunk_by_its_n_x_s_draws(tmp_path):
+    # a 4 x 4096 draw takes 256 KiB, so a chunk holds one; sized as a 4 x 4
+    # matrix, it would hold all 50 draws, 12.8 MB
+    argv = ["sample", "--ensemble", "ginibre", "--n", "4", "--s", "4096", "--format", "bin",
+            "--seed", "0", "--out", str(tmp_path / "draws.bin")]
+    assert main([*argv, "--trials", "2"]) == 0  # first-use allocations
+    rc, peak = traced_peak(lambda: main([*argv, "--trials", "50"]))
+    assert rc == 0 and peak < 4 << 20, peak
 
 
 def test_cli_refuses_trials_over_the_byte_limit(tmp_path, monkeypatch, capsys):
@@ -504,6 +570,10 @@ BAD_VALUE_CASES = [
     (["spectral", "--ensemble", "gue", "--n", "4"], {"ensemble": "gue", "n": 4},
      "'ensemble' must be 'gue0' or 'induced'"),
     (["spectral", "--ensemble", "gue0"], {"ensemble": "gue0"}, "missing required key 'n'"),
+    (["spectral", "--ensemble", "gue0", "--n", "1"], {"ensemble": "gue0", "n": 1},
+     "'n' must be >= 2, got 1"),
+    (["spectral", "--ensemble", "induced", "--n", "1", "--s", "5"],
+     {"ensemble": "induced", "n": 1, "s": 5}, "'n' must be >= 2, got 1"),
     (["scan-threshold", "--dims", "2,2", "--criterion", "sep", "--s-values", "2,4"],
      {"dims": [2, 2], "criterion": "sep", "s_values": [2, 4]},
      "'criterion' must be 'exact' or 'ppt'"),
@@ -612,7 +682,7 @@ def test_gauge_and_sample_refuse_an_unknown_name_with_the_library_text(tmp_path,
     assert capsys.readouterr().err == f"error: {_table_text('body', _BODIES)}\n"
     assert main(["sample", "--ensemble", "sep", "--n", "4",
                  "--out", str(tmp_path / "draws.csv")]) == 2
-    assert capsys.readouterr().err == "error: unknown ensemble kind 'sep'\n"
+    assert capsys.readouterr().err == f"error: {_table_text('ensemble', _ENSEMBLES)}\n"
     assert list(tmp_path.iterdir()) == [dump]
 
 

@@ -458,6 +458,7 @@ N_S = "n and s must be >= 1"
 
 # every public draw path, at a size its stacked kernel refuses, and the
 # kernel's message: no path checks sizes before it reaches the kernel
+# (but spectral, whose binding refuses n < 2 first; see the test below)
 ZERO_SIZE_RUNS = {
     "sample_gue": (lambda: sample_gue(0, 1), "n must be >= 1"),
     "sample_induced_state": (lambda: sample_induced_state(3, 0, 1), N_S),
@@ -465,9 +466,6 @@ ZERO_SIZE_RUNS = {
     "coupled_local_projection_d1_over_d2": (lambda: coupled_local_projection(3, 2, 5, 1),
                                             "need 2 <= d1 <= d2"),
     "coupled_partial_trace": (lambda: coupled_partial_trace(2, 0, 1), N_S),
-    "spectral_rows_gue0": (lambda: spectral_rows("gue0", 0, None, 3, SeededStream(3)),
-                           "n must be >= 1"),
-    "spectral_rows_induced": (lambda: spectral_rows("induced", 0, 8, 3, SeededStream(3)), N_S),
     "concentration": (lambda: concentration_experiment(2, 0, 3, SeededStream(3)), N_S),
     "gue_approx": (lambda: gue_approx_experiment(4, 0, "d0", 3, SeededStream(3)), N_S),
     "partial_trace_monotonicity": (lambda: partial_trace_monotonicity(2, 0, 3, SeededStream(3)),
@@ -487,6 +485,20 @@ def test_sizes_refused_by_the_stacked_kernels(run):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("ensemble, s", [("gue0", None), ("induced", 8)])
+@pytest.mark.parametrize("n", [0, 1])
+def test_spectral_refuses_n_below_two_before_drawing(monkeypatch, ensemble, s, n):
+    # a one-eigenvalue spectrum has no alpha and beta factors: spectral's
+    # binding refuses it with the config rule's text, and no chunk is drawn
+    def no_chunks(*args):
+        raise AssertionError("spectral drew before refusing n")
+
+    monkeypatch.setattr(exps, "_chunks", no_chunks)
+    with pytest.raises(ValueError) as info:
+        spectral_rows(ensemble, n, s, 3, SeededStream(3))
+    assert str(info.value) == f"'n' must be >= 2, got {n}"
 
 
 # -- chunk memory ------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import separable_bisection_gauge_oracle
 
-from entanglab import separability
+from entanglab import ensembles, separability
 from entanglab.ensembles import DensityMatrix, _induced_states, sample_gue0
 from entanglab.linalg import ProductDims, hermitize, hs_norm, kron, partial_transpose, traceless_part
 from entanglab.rng import SeededStream, trial_generators
@@ -447,32 +447,35 @@ def test_mean_gauge_sandwich_per_draw():
         assert gauge_states(G) - 1e-9 <= g <= math.sqrt(12) * hs_norm(G) + 1e-9
 
 
-def _literal_name_lists(tree: ast.AST, names: set) -> list[tuple[ast.AST, list[str]]]:
-    """Each tuple, list, set or dict literal of `tree` with two or more of
-    `names` among its items (a dict's keys), and those names."""
+def _literal_name_lists(tree: ast.AST, *name_sets: set) -> list[tuple[ast.AST, list[str]]]:
+    """Each tuple, list, set or dict literal of `tree` with two or more names
+    of one of `name_sets` among its items (a dict's keys), and those names."""
     found = []
     for node in ast.walk(tree):
         items = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", None)
-        hits = [i.value for i in items or () if isinstance(i, ast.Constant) and i.value in names]
-        if len(hits) >= 2:
-            found.append((node, hits))
+        values = [i.value for i in items or () if isinstance(i, ast.Constant)]
+        for names in name_sets:
+            hits = [v for v in values if v in names]
+            if len(hits) >= 2:
+                found.append((node, hits))
     return found
 
 
 def test_no_source_file_restates_a_list_of_body_names():
-    # _BODIES is the one list of body names: a literal that lists two or more
-    # of them anywhere else in the package would be a second, and could drift
-    names = set(separability._BODIES)
+    # _BODIES is the one list of body names, and _ENSEMBLES the one list of
+    # ensemble names: a literal that lists two or more names of one table
+    # anywhere else in the package would be a second, and could drift
+    tables = {(Path(module.__file__).name, var): set(getattr(module, var))
+              for module, var in ((separability, "_BODIES"), (ensembles, "_ENSEMBLES"))}
     offenders, exempt = [], []
     for path in sorted(Path(separability.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        table = [node.value for node in ast.walk(tree) if path.name == "separability.py"
-                 and isinstance(node, ast.Assign)
-                 and [getattr(t, "id", None) for t in node.targets] == ["_BODIES"]]
-        for node, hits in _literal_name_lists(tree, names):
-            if node in table:
+        defs = [node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and (path.name, getattr(node.targets[0], "id", None)) in tables]
+        for node, hits in _literal_name_lists(tree, *tables.values()):
+            if node in defs:
                 exempt.append(node)
             else:
                 offenders.append(f"{path.name}:{node.lineno}: {hits}")
     assert offenders == []
-    assert len(exempt) == 1  # the _BODIES definition, the one list
+    assert len(exempt) == len(tables)  # each table's definition, its one list
