@@ -59,16 +59,6 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
-
-
 def _parse_dims(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",")]
@@ -221,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, trials_default=1000):
-        p.add_argument("--trials", type=_positive_int, default=trials_default)
+        p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
 
@@ -252,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--points", type=_positive_int, default=20000)
+    p.add_argument("--points", type=int, default=20000)
     add_common(p)
     p.set_defaults(fn=_cmd_geometry)
 

@@ -567,15 +567,13 @@ def run_config(path: str, output_override: str | None = None) -> int:
 
 def execute_config(config: ExperimentConfig, output_override: str | None = None) -> int:
     """Execute an already-validated config; see run_config."""
+    out = config.output if output_override is None else output_override
     try:
         seed, overridden = _effective_seed(config)
+        if not os.path.basename(out or ""):  # no path, "" or a directory such as "sub/"
+            raise ConfigError(f"'output' must name a file, got {out!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    out = output_override or config.output
-    if out is None:
-        print("config error: no 'output' path (set it in the config or pass one)", file=sys.stderr)
         return 2
     csv_path = out if str(out).endswith(".csv") else str(out) + ".csv"
 

@@ -270,6 +270,14 @@ def _contracted_factor(T: np.ndarray, psis: list[np.ndarray], j: int) -> np.ndar
     return np.einsum(*operands, [..., j, k + j])
 
 
+def _require_support(dims: ProductDims, restarts: int, max_sweeps: int) -> None:
+    """The support maximization's rule, run before its starts are drawn."""
+    if dims.k < 2:
+        raise ValueError("need at least two tensor factors")
+    if restarts < 1 or max_sweeps < 1:
+        raise ValueError("restarts and max_sweeps must be >= 1")
+
+
 def _product_starts(dims: ProductDims, restarts: int, stream) -> list[np.ndarray]:
     """Uniform product unit vectors, a stack (restarts, d_i) per factor: drawn restart
     by restart, factor by factor, real parts first, each v / |v|; None is seed 0."""
@@ -287,10 +295,6 @@ def _support_stack(T: np.ndarray, starts: list[np.ndarray], tol: float,
     for every live pair, and a half-step contracts and diagonalizes only those
     pairs. Each direction reports its first best restart: the witness's own
     <psi|A|psi>, a certified lower bound, and its factors (D, d_i)."""
-    if len(starts) < 2:
-        raise ValueError("need at least two tensor factors")
-    if len(starts[0]) < 1 or max_sweeps < 1:
-        raise ValueError("restarts and max_sweeps must be >= 1")
     psis = [np.repeat(s[None], len(T), axis=0) for s in starts]  # (D, R, d_i)
     val = np.full(psis[0].shape[:2], -np.inf)
     live = np.ones(val.shape, dtype=bool)
@@ -326,6 +330,7 @@ def support_separable(
     bound (the maximization can stop at a local maximum)."""
     A = _require_traceless(A)
     _require_size(A, dims)
+    _require_support(dims, restarts, max_sweeps)
     starts = _product_starts(dims, restarts, stream)
     vals, best = _support_stack(A.reshape((1,) + dims.factors * 2), starts, tol, max_sweeps)
     return SupportResult(float(vals[0]), [p[0] for p in best], restarts)

@@ -32,6 +32,7 @@ from .separability import (
     _body_gauge,
     _product_starts,
     _require_exact_dims,
+    _require_support,
     _support_stack,
 )
 from .stats import Estimate, from_samples
@@ -103,6 +104,7 @@ def separable_width(
     """Certified lower bound on the Gaussian mean width of the centered
     separable body: the product-state support of each direction, from the
     starts of `support_separable(..., stream=0)`, a sub-batch at a time."""
+    _require_support(dims, restarts, _MAX_SWEEPS)
     starts = _product_starts(dims, restarts, 0)
     # per restart: a copy of its direction's A, three of its factors and of its contracted factor
     d = dims.factors
@@ -246,6 +248,8 @@ def symmetrization_volume_ratio(m: int, points: int, stream) -> SymmetrizationRe
     of mass, estimated by hit-or-miss sampling."""
     if not 2 <= m <= 4:
         raise ValueError("simplex dimension m must be in {2, 3, 4}")
+    if points < 1:
+        raise ValueError("points must be >= 1")
     base = _as_stream(stream)
     seeded = isinstance(base, SeededStream)
     resamples = 0

@@ -7,6 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import entanglab
 import entanglab.rng
@@ -20,6 +21,26 @@ def child_env() -> dict:
     src = str(Path(entanglab.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+@pytest.fixture
+def generators_built(monkeypatch):
+    """The names of the generator builders called while a test runs:
+    `rng.trial_generators` and `SeededStream.generator`, each still run."""
+    built = []
+
+    def spy(owner, name):
+        f = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            built.append(name)
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    spy(entanglab.rng, "trial_generators")
+    spy(entanglab.rng.SeededStream, "generator")
+    return built
 
 
 def chunk_trials(monkeypatch, n, trials):

@@ -516,22 +516,63 @@ def test_cli_subcommand_equals_config_file(tmp_path, experiment):
     assert cli_meta["extra"] == file_meta["extra"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["geometry", "--check", "urysohn", "--n", "3", "--trials", "0"],
-        ["geometry", "--check", "rogers-shephard", "--m", "2", "--points", "0"],
-        ["scan-threshold", "--dims", "2,2", "--criterion", "exact", "--s-values", "1:2:3:4"],
-        ["scan-threshold", "--dims", "2,2", "--criterion", "exact", "--s-values", "2,x"],
-    ],
-)
-def test_cli_rejects_bad_counts_and_s_values_at_parse(tmp_path, capsys, argv):
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--seed", "1", "--out", str(out)])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
-    assert list(tmp_path.iterdir()) == []
+SCAN = ["scan-threshold", "--dims", "2,2", "--criterion", "exact", "--s-values", "4"]
+NAMES_NO_FILE = "config error: 'output' must name a file, got {!r}"
+
+# (argv, the last line on stderr): a flag only converts its text, and each
+# count is refused by the code that reads it: an experiment's by its config
+# rule, a query's trials by `rng._chunks` and rogers-shephard's points by its
+# own rule; an output path is refused where the config and --out meet
+REFUSAL_CASES = [
+    ([*SCAN, "--trials", "0", "--out", "out"], "error: 'trials' must be >= 1, got 0"),
+    (["spectral", "--ensemble", "gue0", "--n", "4", "--trials", "-1", "--out", "out"],
+     "error: 'trials' must be >= 1, got -1"),
+    (["sample", "--ensemble", "gue0", "--n", "4", "--trials", "0", "--out", "out.csv"],
+     "error: trials must be >= 1"),
+    (["sample", "--ensemble", "ginibre", "--n", "2", "--s", "3", "--format", "bin",
+      "--trials", "0", "--out", "out.bin"], "error: trials must be >= 1"),
+    (["estimate-s0", "--trials", "0", "--out", "out.json"], "error: trials must be >= 1"),
+    (["estimate-s0", "--ppt", "--d", "3", "--trials", "0", "--out", "out.json"],
+     "error: trials must be >= 1"),
+    *((["geometry", "--check", check, "--n", "3", "--trials", "0", "--out", "out.json"],
+       "error: trials must be >= 1") for check in ("duality", "urysohn", "s0", "s0-ppt")),
+    (["geometry", "--check", "rogers-shephard", "--m", "2", "--points", "0", "--out", "out.json"],
+     "error: points must be >= 1"),
+    ([*SCAN, "--trials", "5", "--out", "sub/"], NAMES_NO_FILE.format("sub/")),
+    ([*SCAN, "--trials", "5"], NAMES_NO_FILE.format(None)),
+    ([*SCAN, "--trials", "5", "--out", ""], NAMES_NO_FILE.format("")),
+    (["run", "cfg/empty.json"], NAMES_NO_FILE.format("")),
+    (["run", "cfg/dir.json"], NAMES_NO_FILE.format("sub/")),
+    (["run", "cfg/empty.json", "--out", "sub/"], NAMES_NO_FILE.format("sub/")),
+    (["run", "cfg/dir.json", "--out", ""], NAMES_NO_FILE.format("")),
+    ([*SCAN, "--s-values", "1:2:3:4", "--out", "out"],
+     "entanglab scan-threshold: error: argument --s-values: range must be start:stop[:step]"),
+    ([*SCAN, "--s-values", "2,x", "--out", "out"], "entanglab scan-threshold: error: argument "
+     "--s-values: bad s values '2,x'; expected e.g. 2,4,8 or 16:64:4"),
+]
+
+
+@pytest.mark.parametrize("argv, text", REFUSAL_CASES,
+                         ids=[" ".join(argv) for argv, _ in REFUSAL_CASES])
+def test_cli_rejects_bad_counts_s_values_and_outputs(tmp_path, monkeypatch, capsys,
+                                                     generators_built, argv, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "cfg").mkdir()
+    for name, output in (("empty", ""), ("dir", "sub/")):
+        (tmp_path / "cfg" / f"{name}.json").write_text(json.dumps(
+            {"experiment": "threshold-scan", "dims": [2, 2], "s_values": [4],
+             "criterion": "exact", "trials": 5, "master_seed": 1, "output": output}))
+    before = sorted(tmp_path.rglob("*"))
+    try:
+        code = main([*argv, "--seed", "1"] if argv[0] != "run" else argv)
+    except SystemExit as exc:  # a text that does not convert, refused at parse
+        code = exc.code
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == text
+    assert sorted(tmp_path.rglob("*")) == before
+    assert generators_built == []
 
 
 def test_cli_experiment_flags_follow_config_rules(tmp_path, capsys):
@@ -702,8 +743,7 @@ PARSE_ERROR_CASES = [
     (["--s-values", "4,,8"],
      "argument --s-values: bad s values '4,,8'; expected e.g. 2,4,8 or 16:64:4"),
     (["--s-values", "1:2:3:4"], "argument --s-values: range must be start:stop[:step]"),
-    (["--s-values", "4", "--trials", "x"], "argument --trials: must be an integer >= 1, got 'x'"),
-    (["--s-values", "4", "--trials", "0"], "argument --trials: must be an integer >= 1, got '0'"),
+    (["--s-values", "4", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
 ]
 
 
@@ -720,7 +760,7 @@ def test_cli_parse_errors_say_what_is_wrong_in_plain_text(tmp_path, capsys, flag
               "--out", str(tmp_path / "geometry.json")])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
-        "entanglab geometry: error: argument --points: must be an integer >= 1, got 'x'")
+        "entanglab geometry: error: argument --points: invalid int value: 'x'")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -199,6 +199,17 @@ def test_scan_same_successes_at_any_chunk_size(monkeypatch):
         assert [p.successes for p in res1.points] == [p.successes for p in res2.points]
 
 
+def test_two_qubit_hilbert_schmidt_separability_probability():
+    # at (2,2) with s = 4 the induced measure is the Hilbert-Schmidt measure,
+    # whose separability probability is 8/33 (Slater, J. Phys. A 45, 095305,
+    # 2012); 4 standard errors at 10^6 trials are 0.0017, so this catches a
+    # bias that small in the sampler, the partial transpose or the criterion
+    trials, p = 10 ** 6, 8 / 33
+    p_hat = exps._scan_point(ProductDims((2, 2)), 4, trials, "exact", SeededStream(1)).p_hat
+    z = (p_hat - p) / math.sqrt(p * (1 - p) / trials)
+    assert abs(z) <= 4, (p_hat, z)
+
+
 # -- concentration ------------------------------------------------------------------
 
 
@@ -436,9 +447,10 @@ ZERO_TRIAL_RUNS = {
 
 
 @pytest.mark.parametrize("run", sorted(ZERO_TRIAL_RUNS))
-def test_zero_trials_rejected(run):
+def test_zero_trials_rejected(run, generators_built):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         ZERO_TRIAL_RUNS[run]()
+    assert generators_built == []
 
 
 def _in_child(call: str):

@@ -24,6 +24,7 @@ from entanglab.separability import (
     min_pt_eigenvalue,
     support_separable,
 )
+from entanglab.widths import separable_width
 
 DIMS22 = ProductDims((2, 2))
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -285,7 +286,7 @@ def test_support_simple_directions():
     assert res2.value >= direct - 1e-12
 
 
-def test_support_requires_traceless_and_factors():
+def test_support_requires_traceless_and_factors(generators_built):
     with pytest.raises(ValueError):
         support_separable(np.eye(4), DIMS22)
     with pytest.raises(ValueError):
@@ -297,6 +298,10 @@ def test_support_requires_traceless_and_factors():
         support_separable(A, DIMS22, restarts=0)
     with pytest.raises(ValueError, match=r"^restarts and max_sweeps must be >= 1$"):
         support_separable(A, DIMS22, max_sweeps=0)
+    # the width's restarts too, by the same rule, before its sub-batches are sized
+    with pytest.raises(ValueError, match=r"^restarts and max_sweeps must be >= 1$"):
+        separable_width(DIMS22, 10, SeededStream(1), restarts=0)
+    assert generators_built == []  # every refusal comes before the starts are drawn
 
 
 def test_support_sweep_monotone():

@@ -159,7 +159,11 @@ def test_cross_polytope_ratio_is_one():
     assert ratio == 1.0
 
 
-def test_simplex_symmetrization_bound():
+def test_simplex_symmetrization_bound(generators_built):
+    # a point count below 1 is refused before the simplex is drawn
+    with pytest.raises(ValueError, match=r"^points must be >= 1$"):
+        symmetrization_volume_ratio(2, 0, SeededStream(1))
+    assert generators_built == []
     for m in (2, 3, 4):
         res = symmetrization_volume_ratio(m, 4000, SeededStream(13 + m))
         assert res.threshold == 0.5 ** m
