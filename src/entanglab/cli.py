@@ -3,8 +3,8 @@
 Experiment subcommands (scan-threshold, spectral, concentration, gue-approx,
 monotonicity, run) write an RFC-4180 CSV plus a JSON metadata sidecar that
 records the seed, config digest and versions needed to reproduce the file.
-Query subcommands (sample, gauge, geometry, estimate-s0) print JSON unless
-directed to a file. ENTANGLAB_SEED overrides configured seeds.
+`sample` writes its draws to --out; gauge, geometry and estimate-s0 print JSON
+or write it to --out. ENTANGLAB_SEED overrides configured seeds.
 
 A process that imports this module freezes its heap at exit, so it skips the
 interpreter's shutdown collection; `import entanglab` alone leaves GC as it is.
@@ -32,7 +32,7 @@ from .geometry import (
     separable_volume_bounds,
     vrad_states,
 )
-from .io import _matrix_records, _write_through, write_csv, write_matrix_records
+from .io import _matrix_records, _writable, _write_through, write_csv, write_matrix_records
 from .linalg import ProductDims, traceless_part
 from .rng import SeededStream, _chunks
 from .separability import _gauge
@@ -53,10 +53,17 @@ atexit.register(gc.freeze)
 
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item)
-    if out:
-        _write_through(out, [text + "\n"])
-    else:
+    if out is None:
         print(text)
+    else:
+        _write_through(out, [text + "\n"])
+
+
+def _query(handler, args) -> int:
+    """Run `handler` as a query whose --out, if given, is checked before it runs."""
+    out = args.out if args.out is None else _writable(args.out)
+    _emit(handler(args), out)
+    return 0
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -95,14 +102,11 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if not args.out:
-        print("sample requires --out", file=sys.stderr)
-        return 2
+    _writable(args.out)  # before any draw
     spec = EnsembleSpec(args.ensemble, args.n, args.s)
     square = spec.kind != "ginibre"  # a ginibre draw is n x s
     if not square and args.format == "csv":
-        print("ginibre draws are not self-adjoint; use --format bin", file=sys.stderr)
-        return 2
+        raise ValueError("ginibre draws are not self-adjoint; use --format bin")
     # drawn and written a chunk of trials at a time
     chunks = _chunks(partial(_ENSEMBLES[spec.kind].kernel, spec.n, spec.s),
                      SeededStream(args.seed), args.trials, spec.n, spec.n if square else spec.s)
@@ -115,28 +119,23 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_gauge(args) -> int:
+def _cmd_gauge(args) -> dict:
     A = next(_matrix_records(args.input), None)  # the first record; no other is read
     if A is None:
-        print("no matrix records in input", file=sys.stderr)
-        return 2
+        raise ValueError("no matrix records in input")
     dims = ProductDims(args.dims)
     res = _gauge(args.body, traceless_part(A), dims)
-    _emit(
-        {
-            "body": args.body,
-            "dims": list(dims.factors),
-            "value": res.value,
-            "bracket_width": res.bracket_width,
-            "evals": res.membership_evals,
-            "trace_removed": float(np.trace(A).real),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "body": args.body,
+        "dims": list(dims.factors),
+        "value": res.value,
+        "bracket_width": res.bracket_width,
+        "evals": res.membership_evals,
+        "trace_removed": float(np.trace(A).real),
+    }
 
 
-def _cmd_geometry(args) -> int:
+def _cmd_geometry(args) -> dict:
     check = args.check
     seed = args.seed
     payload: dict = {"check": check, "seed": seed}
@@ -177,8 +176,7 @@ def _cmd_geometry(args) -> int:
         payload.update(k=args.k, d=args.d, bound_i=b1, bound_ii=b2, beta_d=beta)
     else:  # s0 or s0-ppt
         payload.update(_s0_estimate(args.d, check == "s0-ppt", args.trials, seed))
-    _emit(payload, args.out)
-    return 0
+    return payload
 
 
 def _s0_estimate(d: int, ppt: bool, trials: int, seed: int) -> dict:
@@ -189,11 +187,10 @@ def _s0_estimate(d: int, ppt: bool, trials: int, seed: int) -> dict:
     return {"d": d, "trials": trials, "value": est.mean, "stderr": est.stderr}
 
 
-def _cmd_estimate_s0(args) -> int:
+def _cmd_estimate_s0(args) -> dict:
     payload = _s0_estimate(args.d, args.ppt, args.trials, args.seed)
     payload.update(kind="ppt" if args.ppt else "separable", trials=args.trials, seed=args.seed)
-    _emit(payload, args.out)
-    return 0
+    return payload
 
 
 def _cmd_run(args) -> int:
@@ -231,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8,
                    help="accepted and ignored: every gauge here is exact")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_gauge)
+    p.set_defaults(fn=partial(_query, _cmd_gauge))
 
     p = sub.add_parser("geometry", help="exact and Monte-Carlo geometry checks")
     p.add_argument("--check", required=True,
@@ -244,13 +241,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--points", type=int, default=20000)
     add_common(p)
-    p.set_defaults(fn=_cmd_geometry)
+    p.set_defaults(fn=partial(_query, _cmd_geometry))
 
     p = sub.add_parser("estimate-s0", help="threshold estimate from the Gaussian mean gauge")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--ppt", action="store_true", help="use the PPT body (any d)")
     add_common(p, trials_default=2000)
-    p.set_defaults(fn=_cmd_estimate_s0)
+    p.set_defaults(fn=partial(_query, _cmd_estimate_s0))
 
     for name, experiment in EXPERIMENTS.items():  # its flags are its config keys
         p = sub.add_parser(experiment.command, help=experiment.help)

@@ -260,9 +260,7 @@ def induced_log_density(rho: DensityMatrix, s: float) -> float:
     Real s >= n is allowed. Returns -inf for singular rho when s > n.
     """
     n = rho.n
-    if s < n:
-        raise ValueError(f"density form requires s >= n, got s={s}, n={n}")
-    log_z = log_znorm(n, s)
+    log_z = log_znorm(n, s)  # refuses s < n
     if s == n:
         return -log_z
     lam = np.linalg.eigvalsh(rho.matrix)
@@ -315,6 +313,8 @@ def _projection_grams(d1: int, d2: int, s: int, gens: list) -> tuple[np.ndarray,
 def _partial_trace_pairs(d: int, s: int, gens) -> tuple[np.ndarray, np.ndarray]:
     """Stacks of the small and the large states of `coupled_partial_trace`,
     one pair per generator."""
+    if d < 2:  # before the draw
+        raise ValueError("d must be >= 2")
     large = _induced_states(4 * d * d, s, gens)
     return partial_trace(large, ProductDims((2, d, 2, d)), keep=(1, 3)), large
 
@@ -342,8 +342,6 @@ def coupled_partial_trace(d: int, s: int, stream) -> CoupledPair:
     large one over the two qubit factors; the partial trace turns the
     environment dimension s into 4s and preserves PPT.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
     small, large = _partial_trace_pairs(d, s, [as_generator(stream)])
     return CoupledPair(DensityMatrix(ProductDims((2 * d, 2 * d)), large[0]),
                        DensityMatrix(ProductDims((d, d)), small[0]))

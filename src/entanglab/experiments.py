@@ -31,7 +31,7 @@ from .ensembles import (
     _partial_trace_pairs,
     _projection_pairs,
 )
-from .io import write_csv, write_sidecar
+from .io import _writable, sidecar_path, write_csv, write_sidecar
 from .linalg import ProductDims
 from .rng import SeededStream, _chunks, chunk_map, split_stream
 from .separability import _BODIES, _CRITERIA, EXACT_DIMS, _any_dims, _body_gauge, _criterion
@@ -568,14 +568,14 @@ def run_config(path: str, output_override: str | None = None) -> int:
 def execute_config(config: ExperimentConfig, output_override: str | None = None) -> int:
     """Execute an already-validated config; see run_config."""
     out = config.output if output_override is None else output_override
+    csv_path = out if str(out).endswith(".csv") else f"{out}.csv"
     try:
         seed, overridden = _effective_seed(config)
-        if not os.path.basename(out or ""):  # no path, "" or a directory such as "sub/"
-            raise ConfigError(f"'output' must name a file, got {out!r}")
-    except ConfigError as exc:
+        for path in (out, csv_path, sidecar_path(csv_path)):  # every target, before any draw
+            _writable(path)
+    except ValueError as exc:  # a ConfigError or the output rule
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    csv_path = out if str(out).endswith(".csv") else str(out) + ".csv"
 
     started = time.time()
     experiment = EXPERIMENTS[config.experiment]

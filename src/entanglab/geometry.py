@@ -84,8 +84,6 @@ def density_comparison_ratio(n: int, s: float) -> float:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if s < n:
-        raise ValueError("requires s >= n")
     m = n * n - 1
     log_base = (-n * (s - n) * math.log(n) + log_znorm(n, n) - log_znorm(n, s)) / m
     return math.exp(log_base - 0.5 * math.log(s / n))

@@ -44,10 +44,19 @@ def format_value(v) -> str:
     return str(v)
 
 
+def _writable(path) -> Path:
+    """`path`, if it names a file (not None, "", "sub/" or an existing directory):
+    the one output rule, run by each writer and, before any work, by the CLI."""
+    text = path if path is None else os.fspath(path)
+    if not (text and os.path.basename(text)) or os.path.isdir(text):
+        raise ValueError(f"'output' must name a file, got {text!r}")
+    return Path(text)
+
+
 def _write_through(path, records, start=lambda fh: fh.write, binary: bool = False) -> int:
     """Write `records` to `path` as the module docstring says and count them;
     `start(fh)` begins the file and returns the function writing one record."""
-    path, records = Path(path), iter(records)
+    path, records = _writable(path), iter(records)
     first = list(islice(records, 1))  # a source that fails here opens nothing
     path.parent.mkdir(parents=True, exist_ok=True)
     part = path.with_name(path.name + ".partial")
@@ -74,7 +83,7 @@ def sidecar_path(csv_path) -> Path:
 
 
 def write_sidecar(csv_path, payload: dict) -> Path:
-    out = sidecar_path(csv_path)
+    out = sidecar_path(_writable(csv_path))
     _write_through(out, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     return out
 

@@ -307,8 +307,6 @@ def ppt_threshold_estimate(d: int, trials: int, stream) -> PPTThresholdResult:
     """PPT analogue of the threshold, available for every d via the
     closed-form PPT gauge. The polar width comes out ~ 2d, hence the
     threshold ~ 4 d^2."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
     dims = ProductDims((d, d))
     mean_est, gm = _gue0_width(dims.n, _body_gauge("ppt0", dims), trials, stream)
     d2 = float(d * d)

@@ -27,6 +27,7 @@ from entanglab.io import (
     sidecar_path,
     write_csv,
     write_matrix_records,
+    write_sidecar,
 )
 from entanglab.linalg import ProductDims, hermitian_eigenvalues, traceless_part
 from entanglab.rng import SeededStream, trial_generators
@@ -83,6 +84,27 @@ def test_non_2d_first_record_opens_no_file(tmp_path):
 def test_sidecar_path():
     assert str(sidecar_path("out/run.csv")).endswith("run.meta.json")
     assert str(sidecar_path("out/run")).endswith("run.meta.json")
+
+
+def _unpulled():
+    """A record source that fails the test if a record is pulled from it."""
+    raise AssertionError("a record was pulled before the path was checked")
+    yield
+
+
+@pytest.mark.parametrize("name", ["", "sub/", "sub"])
+def test_writers_refuse_a_path_that_names_no_file_before_pulling(tmp_path, monkeypatch, name):
+    # "" and "sub/" name no file, and "sub" is an existing directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    writes = [lambda: write_csv(name, ["a"], _unpulled()),
+              lambda: write_matrix_records(name, _unpulled()),
+              lambda: write_sidecar(name, {"rows": 0})]
+    for write in writes:
+        with pytest.raises(ValueError) as info:
+            write()
+        assert str(info.value) == f"'output' must name a file, got {name!r}"
+    assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -518,11 +540,14 @@ def test_cli_subcommand_equals_config_file(tmp_path, experiment):
 
 SCAN = ["scan-threshold", "--dims", "2,2", "--criterion", "exact", "--s-values", "4"]
 NAMES_NO_FILE = "config error: 'output' must name a file, got {!r}"
+QUERY_NO_FILE = "error: 'output' must name a file, got {!r}"
+GAUGE = ["gauge", "--input", "missing.bin", "--body", "s0", "--dims", "2,2"]
 
 # (argv, the last line on stderr): a flag only converts its text, and each
 # count is refused by the code that reads it: an experiment's by its config
 # rule, a query's trials by `rng._chunks` and rogers-shephard's points by its
-# own rule; an output path is refused where the config and --out meet
+# own rule; every output path (an experiment's, its CSV's and its sidecar's,
+# and a query's --out) by the one output rule, before any draw or read
 REFUSAL_CASES = [
     ([*SCAN, "--trials", "0", "--out", "out"], "error: 'trials' must be >= 1, got 0"),
     (["spectral", "--ensemble", "gue0", "--n", "4", "--trials", "-1", "--out", "out"],
@@ -545,6 +570,21 @@ REFUSAL_CASES = [
     (["run", "cfg/dir.json"], NAMES_NO_FILE.format("sub/")),
     (["run", "cfg/empty.json", "--out", "sub/"], NAMES_NO_FILE.format("sub/")),
     (["run", "cfg/dir.json", "--out", ""], NAMES_NO_FILE.format("")),
+    ([*SCAN, "--trials", "5", "--out", "x"], NAMES_NO_FILE.format("x.csv")),
+    ([*SCAN, "--trials", "5", "--out", "y"], NAMES_NO_FILE.format("y.meta.json")),
+    (["sample", "--ensemble", "gue0", "--n", "4", "--out", "sub/"], QUERY_NO_FILE.format("sub/")),
+    (["sample", "--ensemble", "gue0", "--n", "4", "--out", "sub"], QUERY_NO_FILE.format("sub")),
+    (["sample", "--ensemble", "gue0", "--n", "4"], QUERY_NO_FILE.format(None)),
+    (["estimate-s0", "--trials", "5", "--out", "sub/"], QUERY_NO_FILE.format("sub/")),
+    (["estimate-s0", "--trials", "5", "--out", ""], QUERY_NO_FILE.format("")),
+    (["geometry", "--check", "duality", "--trials", "5", "--out", "sub"],
+     QUERY_NO_FILE.format("sub")),
+    ([*GAUGE, "--out", "sub/"], QUERY_NO_FILE.format("sub/")),
+    # a size, by the one library rule that reads it
+    (["estimate-s0", "--ppt", "--d", "1", "--trials", "5", "--out", "out.json"],
+     "error: factor dimensions must be >= 2, got (1, 1)"),
+    (["geometry", "--check", "comparison", "--n", "4", "--s", "2", "--out", "out.json"],
+     "error: normalization requires s >= n, got s=2, n=4"),
     ([*SCAN, "--s-values", "1:2:3:4", "--out", "out"],
      "entanglab scan-threshold: error: argument --s-values: range must be start:stop[:step]"),
     ([*SCAN, "--s-values", "2,x", "--out", "out"], "entanglab scan-threshold: error: argument "
@@ -557,15 +597,15 @@ REFUSAL_CASES = [
 def test_cli_rejects_bad_counts_s_values_and_outputs(tmp_path, monkeypatch, capsys,
                                                      generators_built, argv, text):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "sub").mkdir()
-    (tmp_path / "cfg").mkdir()
+    for directory in ("sub", "cfg", "x.csv", "y.meta.json"):
+        (tmp_path / directory).mkdir()
     for name, output in (("empty", ""), ("dir", "sub/")):
         (tmp_path / "cfg" / f"{name}.json").write_text(json.dumps(
             {"experiment": "threshold-scan", "dims": [2, 2], "s_values": [4],
              "criterion": "exact", "trials": 5, "master_seed": 1, "output": output}))
     before = sorted(tmp_path.rglob("*"))
     try:
-        code = main([*argv, "--seed", "1"] if argv[0] != "run" else argv)
+        code = main([*argv, "--seed", "1"] if argv[0] not in ("run", "gauge") else argv)
     except SystemExit as exc:  # a text that does not convert, refused at parse
         code = exc.code
     assert code == 2
@@ -764,24 +804,38 @@ def test_cli_parse_errors_say_what_is_wrong_in_plain_text(tmp_path, capsys, flag
     assert list(tmp_path.iterdir()) == []
 
 
+def _readme_block(heading: str, fence: str) -> str:
+    """The first code block opened by `fence` after README's `heading`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(heading, 1)[1].split(fence, 1)[1].split("```", 1)[0]
+
+
 def _readme_commands() -> list[list[str]]:
     """The argv of each `entanglab` line of README's command-line block."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    block = _readme_block("## Command line", "```\n")
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("entanglab ")]
 
 
-def test_readme_commands_parse_and_experiments_run(tmp_path):
-    # the experiment flags are generated from the registry; the docs must follow
+def test_readme_commands_parse_and_experiments_run(tmp_path, monkeypatch, capsys):
+    # the block runs as written, line by line, in an empty directory: `gauge`
+    # reads the dump a `sample` line writes, `run` README's example config
+    monkeypatch.chdir(tmp_path)
+    config = _readme_block("### Config files", "```json\n")
+    (tmp_path / "config.json").write_text(config)
     argvs = _readme_commands()
-    commands = {e.command for e in EXPERIMENTS.values()}
+    commands = {e.command for e in EXPERIMENTS.values()} | {"run"}
     assert len(argvs) == 12 and {argv[0] for argv in argvs} >= commands
     for argv in argvs:
-        _build_parser().parse_args(argv)
-        if argv[0] in commands:
-            assert main([*argv, "--trials", "2", "--out", str(tmp_path / argv[0])]) == 0, argv
-            assert (tmp_path / f"{argv[0]}.csv").stat().st_size > 0
-            assert sidecar_path(tmp_path / f"{argv[0]}.csv").is_file()
+        assert main(argv) == 0, argv
+        out = argv[argv.index("--out") + 1] if "--out" in argv else None
+        if argv[0] in commands:  # a CSV at the output path, ".csv" added unless there
+            out = json.loads(config)["output"] if argv[0] == "run" else out
+            csv_path = tmp_path / (out if out.endswith(".csv") else out + ".csv")
+            assert csv_path.stat().st_size > 0 and sidecar_path(csv_path).is_file(), argv
+        elif out is None:  # a query without --out prints its JSON
+            assert json.loads(capsys.readouterr().out), argv
+        else:
+            assert (tmp_path / out).stat().st_size > 0, argv
 
 
 def test_cli_sample_refuses_s_for_ensembles_that_do_not_read_it(tmp_path, capsys):

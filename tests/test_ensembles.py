@@ -671,6 +671,22 @@ def test_coupled_partial_trace_basics():
     assert np.linalg.eigvalsh(pair.small.matrix)[0] >= -1e-12 * 4
 
 
+class _NoDraw:
+    """A generator stand-in that fails the test if it is drawn from."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew ({name}) before refusing the size")
+
+
+def test_partial_trace_kernel_refuses_d_below_two_before_drawing():
+    # the kernel owns the rule; coupled_partial_trace adds no check of its own
+    for call in (lambda: _partial_trace_pairs(1, 5, [_NoDraw()]),
+                 lambda: coupled_partial_trace(1, 5, SeededStream(1))):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "d must be >= 2"
+
+
 def test_coupled_partial_trace_marginal_distribution():
     # the reduced state of mu_{16,5} over the qubit pair is mu_{4,20}
     trials = 2000

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import separable_bisection_gauge_oracle
 
-from entanglab import ensembles, separability
+from entanglab import ensembles, experiments, separability
 from entanglab.ensembles import DensityMatrix, _induced_states, sample_gue0
 from entanglab.linalg import ProductDims, hermitize, hs_norm, kron, partial_transpose, traceless_part
 from entanglab.rng import SeededStream, trial_generators
@@ -467,11 +467,12 @@ def _literal_name_lists(tree: ast.AST, *name_sets: set) -> list[tuple[ast.AST, l
 
 
 def test_no_source_file_restates_a_list_of_body_names():
-    # _BODIES is the one list of body names, and _ENSEMBLES the one list of
-    # ensemble names: a literal that lists two or more names of one table
+    # _BODIES, _CRITERIA, _ENSEMBLES and EXPERIMENTS are each the one list of
+    # their names: a literal that lists two or more names of one table
     # anywhere else in the package would be a second, and could drift
     tables = {(Path(module.__file__).name, var): set(getattr(module, var))
-              for module, var in ((separability, "_BODIES"), (ensembles, "_ENSEMBLES"))}
+              for module, var in ((separability, "_BODIES"), (separability, "_CRITERIA"),
+                                  (ensembles, "_ENSEMBLES"), (experiments, "EXPERIMENTS"))}
     offenders, exempt = [], []
     for path in sorted(Path(separability.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
