@@ -92,8 +92,8 @@ def _scan_point(dims: ProductDims, s: int, trials: int, criterion: str, stream) 
     """Successes among `trials` induced states on `dims`, with their Wilson
     interval."""
     meets = _criterion(criterion, dims)
-    met = chunk_map(lambda gens: meets(_induced_states(dims.n, s, gens)), stream, trials, dims.n)
-    successes = int(np.count_nonzero(met))
+    successes = int(sum(_chunks(lambda g: np.count_nonzero(meets(_induced_states(dims.n, s, g))),
+                                stream, trials, dims.n)))
     lo, hi = wilson_interval(successes, trials)
     return ScanPoint(s, trials, successes, successes / trials, lo, hi)
 
@@ -357,9 +357,9 @@ def _monotonicity(mode: str, pairs, small: tuple, large: tuple,
     chunk's stacks of small and of large states."""
     sub_coupled, sub_ds, sub_dl = split_stream(stream, 3)
     meets = [_criterion(crit, ProductDims(dims)) for dims, _, crit in (small, large)]
-    both = chunk_map(lambda gens: np.stack([m(x) for m, x in zip(meets, pairs(gens))], axis=1),
-                     sub_coupled, trials, math.prod(large[0]))
-    cs, cl = map(int, np.count_nonzero(both, axis=0))
+    cs, cl = map(int, sum(_chunks(
+        lambda gens: np.array([np.count_nonzero(m(x)) for m, x in zip(meets, pairs(gens))]),
+        sub_coupled, trials, math.prod(large[0]))))
     ds, dl = [_scan_point(ProductDims(dims), s, trials, crit, sub).successes
               for (dims, s, crit), sub in ((small, sub_ds), (large, sub_dl))]
     return MonotonicityResult(

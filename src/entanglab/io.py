@@ -45,10 +45,11 @@ def format_value(v) -> str:
 
 
 def _writable(path) -> Path:
-    """`path`, if it names a file (not None, "", "sub/" or an existing directory):
-    the one output rule, run by each writer and, before any work, by the CLI."""
+    """`path`, if it names a file (not None, "", "sub/", a directory or a path under a
+    file): the one output rule, run by each writer and, before any work, by the CLI."""
     text = path if path is None else os.fspath(path)
-    if not (text and os.path.basename(text)) or os.path.isdir(text):
+    if not (text and os.path.basename(text)) or os.path.isdir(text) or not next(
+            p for p in Path(text).absolute().parents if p.exists()).is_dir():
         raise ValueError(f"'output' must name a file, got {text!r}")
     return Path(text)
 

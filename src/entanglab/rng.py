@@ -250,5 +250,5 @@ def _chunks(f, stream, trials: int, n: int, cols: int | None = None):
 
 
 def chunk_map(f, stream, trials: int, n: int) -> np.ndarray:
-    """The results of `_chunks` concatenated, one value per trial."""
+    """The results of `_chunks` concatenated, one value per trial; counts reduce per chunk."""
     return np.concatenate(list(_chunks(f, stream, trials, n)))

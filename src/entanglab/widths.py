@@ -10,8 +10,8 @@ Widths of the separable body are reported as certified lower bounds: the
 product-state maximization that evaluates its support function is a
 heuristic that can stop below the optimum, never above it.
 
-Every estimate runs through `rng.chunk_map`; the width-duality check, too,
-scores one chunk of directions at a time, so its memory is one chunk's.
+Every estimate runs through `rng.chunk_map`, a chunk of directions at a time;
+the hit-or-miss volume check's count reduces per chunk, as each is drawn.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .ensembles import _gue0_states
 from .geometry import gamma_m
 from .linalg import ProductDims, _make_traceless, partial_transpose
-from .rng import SeededStream, _as_stream, _batch_size, chunk_map
+from .rng import SeededStream, _as_stream, _batch_size, _chunks, chunk_map
 from .separability import (
     _MAX_SWEEPS,
     UnsupportedDimensionError,
@@ -235,9 +235,8 @@ def mc_intersection_ratio(sample_points, contains_negated, points: int, stream) 
     membership in K. Both run once per chunk of points.
     """
     # Chunks sized as for 1 x 1 matrices: 252 points, each with its generator.
-    hits = int(np.count_nonzero(
-        chunk_map(lambda gens: contains_negated(-sample_points(gens)), stream, points, 1)
-    ))
+    hits = int(sum(_chunks(lambda gens: np.count_nonzero(contains_negated(-sample_points(gens))),
+                           stream, points, 1)))
     p = hits / points
     se = math.sqrt(max(p * (1 - p), 1.0 / points) / points)
     return p, se

@@ -44,7 +44,7 @@ def generators_built(monkeypatch):
 
 
 def chunk_trials(monkeypatch, n, trials):
-    """Make `rng.chunk_map` run `trials` n x n trials per chunk: the budget of
+    """Make `rng._chunks` run `trials` n x n trials per chunk: the budget of
     that many trials at the per-trial byte count it sizes chunks by."""
     monkeypatch.setattr(entanglab.rng, "_CHUNK_BYTES", trials * entanglab.rng._trial_bytes(n))
 

@@ -92,11 +92,13 @@ def _unpulled():
     yield
 
 
-@pytest.mark.parametrize("name", ["", "sub/", "sub"])
+@pytest.mark.parametrize("name", ["", "sub/", "sub", "f/x"])
 def test_writers_refuse_a_path_that_names_no_file_before_pulling(tmp_path, monkeypatch, name):
-    # "" and "sub/" name no file, and "sub" is an existing directory
+    # "" and "sub/" name no file, "sub" is an existing directory and "f/x"
+    # lies under a regular file
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
+    (tmp_path / "f").write_text("")
     writes = [lambda: write_csv(name, ["a"], _unpulled()),
               lambda: write_matrix_records(name, _unpulled()),
               lambda: write_sidecar(name, {"rows": 0})]
@@ -104,7 +106,7 @@ def test_writers_refuse_a_path_that_names_no_file_before_pulling(tmp_path, monke
         with pytest.raises(ValueError) as info:
             write()
         assert str(info.value) == f"'output' must name a file, got {name!r}"
-    assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["f", "sub"]
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -580,6 +582,12 @@ REFUSAL_CASES = [
     (["geometry", "--check", "duality", "--trials", "5", "--out", "sub"],
      QUERY_NO_FILE.format("sub")),
     ([*GAUGE, "--out", "sub/"], QUERY_NO_FILE.format("sub/")),
+    # a path under the regular file f
+    (["estimate-s0", "--trials", "5", "--out", "f/x"], QUERY_NO_FILE.format("f/x")),
+    (["sample", "--ensemble", "gue0", "--n", "2", "--out", "f/x"], QUERY_NO_FILE.format("f/x")),
+    ([*SCAN, "--trials", "5", "--out", "f/x"], NAMES_NO_FILE.format("f/x")),
+    ([*GAUGE, "--out", "f/x"], QUERY_NO_FILE.format("f/x")),
+    (["run", "cfg/file.json"], NAMES_NO_FILE.format("f/x/y")),
     # a size, by the one library rule that reads it
     (["estimate-s0", "--ppt", "--d", "1", "--trials", "5", "--out", "out.json"],
      "error: factor dimensions must be >= 2, got (1, 1)"),
@@ -599,7 +607,8 @@ def test_cli_rejects_bad_counts_s_values_and_outputs(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     for directory in ("sub", "cfg", "x.csv", "y.meta.json"):
         (tmp_path / directory).mkdir()
-    for name, output in (("empty", ""), ("dir", "sub/")):
+    (tmp_path / "f").write_text("")
+    for name, output in (("empty", ""), ("dir", "sub/"), ("file", "f/x/y")):
         (tmp_path / "cfg" / f"{name}.json").write_text(json.dumps(
             {"experiment": "threshold-scan", "dims": [2, 2], "s_values": [4],
              "criterion": "exact", "trials": 5, "master_seed": 1, "output": output}))
@@ -858,6 +867,8 @@ def test_config_rejects_unhashable_experiment():
 # One tiny invocation of every subcommand (every geometry check too), run in
 # a child process in which `import scipy` raises ImportError; none of them
 # loads importlib.metadata either.
+# the geometry parser's --check choices, so that no run list can miss a check
+GEOMETRY_CHECKS = next(a.choices for a in _subcommands()["geometry"]._actions if a.dest == "check")
 NO_SCIPY_RUNS = {
     "sample": [["sample", "--ensemble", "induced", "--n", "4", "--s", "6", "--trials", "2",
                 "--format", "bin", "--out", "d.bin"]],
@@ -866,8 +877,7 @@ NO_SCIPY_RUNS = {
              + [["gauge", "--input", "d.bin", "--body", b, "--dims", "2,2"]
                 for b in ("ssym", "d0", "ppt0")],
     "geometry": [["geometry", "--check", c, "--trials", "20", "--points", "100"]
-                 for c in ("zvol", "vrad", "comparison", "duality", "urysohn",
-                           "rogers-shephard", "sep-bounds", "s0", "s0-ppt")],
+                 for c in GEOMETRY_CHECKS],
     "spectral": [["spectral", "--ensemble", "induced", "--n", "8", "--s", "16", "--trials", "3",
                   "--out", "spec"]],
     "scan-threshold": [["scan-threshold", "--dims", "2,2", "--criterion", "exact",
@@ -939,8 +949,7 @@ SMALLEST_RUNS = {
     "gauge": [["gauge", "--input", "d.bin", "--body", b, "--dims", "2,2", "--out", "g.json"]
               for b in ("s0", "ssym", "d0", "ppt0")],
     "geometry": [["geometry", "--check", c, "--trials", "1", "--points", "1", "--out", "geo.json"]
-                 for c in ("zvol", "vrad", "comparison", "duality", "urysohn",
-                           "rogers-shephard", "sep-bounds", "s0", "s0-ppt")],
+                 for c in GEOMETRY_CHECKS],
     "estimate-s0": [["estimate-s0", "--d", "2", "--trials", "1", "--out", "s0.json"],
                     ["estimate-s0", "--d", "3", "--ppt", "--trials", "1", "--out", "s0.json"]],
     **{EXPERIMENTS[name].command: [[*flags, "--trials", "1", "--out", "exp"]]

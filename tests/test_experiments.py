@@ -190,13 +190,30 @@ def test_crossing_interpolation():
     assert crossing_estimate(pts[:1]) is None
 
 
-def test_scan_same_successes_at_any_chunk_size(monkeypatch):
-    cfg = make_config(trials=60)
-    res1 = threshold_scan(cfg)
-    for chunk in (1, 2, 7, 59, 60, 61):
-        chunk_trials(monkeypatch, 4, chunk)
-        res2 = threshold_scan(cfg)
-        assert [p.successes for p in res1.points] == [p.successes for p in res2.points]
+def _mono_counts(res):
+    return [side.successes for side in (res.coupled_small, res.coupled_large,
+                                        res.direct_small, res.direct_large)]
+
+
+# each count path: (the n its chunks are sized by, its trial count, its counts)
+CHUNK_COUNTS = {
+    "scan": (4, 60, lambda k: [p.successes for p in threshold_scan(make_config(trials=k)).points]),
+    "projection": (9, 40, lambda k: _mono_counts(
+        projection_monotonicity(2, 3, 16, k, SeededStream(5)))),
+    "partial-trace": (16, 40, lambda k: _mono_counts(
+        partial_trace_monotonicity(2, 40, k, SeededStream(5)))),
+    "rogers-shephard": (1, 300, lambda k: round(
+        symmetrization_volume_ratio(3, k, SeededStream(5)).ratio * k)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_COUNTS))
+def test_same_counts_at_any_chunk_size(monkeypatch, name):
+    n, trials, counts = CHUNK_COUNTS[name]
+    expected = counts(trials)
+    for chunk in (1, 2, 7, trials - 1, trials, trials + 1):
+        chunk_trials(monkeypatch, n, chunk)
+        assert counts(trials) == expected, chunk
 
 
 def test_two_qubit_hilbert_schmidt_separability_probability():
@@ -547,6 +564,27 @@ def test_chunk_pipelines_stay_within_four_chunk_budgets(name):
     run()  # first-use allocations (caches, lazy imports) are not the chunk's
     _, peak = traced_peak(run)
     assert peak <= 4 * entanglab.rng._CHUNK_BYTES, peak
+
+
+# each count path at a small and a large count (in trials or points)
+COUNT_PEAKS = {
+    "scan-2x2": (lambda k: exps._scan_point(ProductDims((2, 2)), 4, k, "exact", SeededStream(3)),
+                 2_000, 100_000),
+    "rogers-shephard-m2": (lambda k: symmetrization_volume_ratio(2, k, SeededStream(3)),
+                           2_000, 100_000),
+    "partial-trace-d2": (lambda k: partial_trace_monotonicity(2, 2, k, SeededStream(3)),
+                         1_000, 40_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_PEAKS))
+def test_counts_keep_no_value_per_trial(name):
+    # a count adds up each chunk's as it is drawn, so fifty times the trials
+    # add no array of per-trial values to the peak
+    run, small, large = COUNT_PEAKS[name]
+    run(small)  # first-use allocations (caches, lazy imports) are not the count's
+    (_, at_small), (_, at_large) = traced_peak(lambda: run(small)), traced_peak(lambda: run(large))
+    assert at_large <= 1.25 * at_small, (at_small, at_large)
 
 
 # -- batched engine against a per-trial reference -------------------------------------

@@ -168,6 +168,13 @@ def test_simplex_symmetrization_bound(generators_built):
         res = symmetrization_volume_ratio(m, 4000, SeededStream(13 + m))
         assert res.threshold == 0.5 ** m
         assert res.passed, (m, res.ratio, res.threshold)
+        # centred at its centroid, a simplex holds -x exactly when every
+        # barycentric coordinate of x is at most 2/(m+1): inclusion-exclusion
+        # over the coordinates above it gives 2/3, 1/2 and 46/125 at m = 2, 3, 4
+        exact = sum((-1) ** j * math.comb(m + 1, j) * max(1 - 2 * j / (m + 1), 0) ** m
+                    for j in range(m + 2))
+        assert exact == pytest.approx({2: 2 / 3, 3: 1 / 2, 4: 46 / 125}[m])
+        assert abs(res.ratio - exact) <= 4 * res.stderr, (m, res.ratio, exact)
 
 
 def test_symmetrization_seed_stability():
