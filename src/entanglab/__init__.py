@@ -4,95 +4,20 @@ Samples random states with tunable environment dimension, decides
 separability where that is exactly possible (and PPT everywhere), measures
 gauges, support functions and mean widths of the state-space convex bodies,
 and reproduces spectral convergence and threshold phenomena at desk scale.
+
+The package re-exports each library module's `__all__`, the one list of that
+module's public names; `io` and `cli` are reached as modules.
 """
 
-from .linalg import (
-    ProductDims,
-    hermitize,
-    traceless_part,
-    hs_inner,
-    hs_norm,
-    hermitian_eigenvalues,
-    top_eigenpair,
-    kron,
-    partial_trace,
-    partial_transpose,
-)
-from .rng import SeededStream, as_generator, trial_generators
-from .geometry import (
-    gamma_m,
-    log_gamma_m,
-    log_znorm,
-    log_ball_volume,
-    vrad_states,
-    density_comparison_ratio,
-    separable_volume_bounds,
-    log_flag_manifold_factor,
-    log_weyl_chamber_znorm,
-)
-from .ensembles import (
-    DensityMatrix,
-    EnsembleSpec,
-    CoupledPair,
-    sample_gue,
-    sample_gue0,
-    sample_ginibre,
-    sample_induced_state,
-    sample_uniform_state,
-    induced_log_density,
-    coupled_local_projection,
-    coupled_partial_trace,
-    draw_ensemble,
-)
-from .spectral import (
-    semicircle_cdf,
-    semicircle_quantile,
-    semicircle_quantile_vector,
-    dinf_empirical_empirical,
-    dinf_empirical_continuous,
-    dinf_semicircle,
-    majorizes,
-    majorization_gauge,
-    alpha_beta,
-)
-from .separability import (
-    UnsupportedDimensionError,
-    GaugeResult,
-    SupportResult,
-    min_pt_eigenvalue,
-    is_separable_exact,
-    gauge_states,
-    gauge_ppt,
-    gauge_separable,
-    gauge_separable_sym,
-    support_separable,
-    mean_gauge_gue,
-)
-from .widths import (
-    SupportOracle,
-    WidthEstimate,
-    DualityCheck,
-    gaussian_mean_width_mc,
-    separable_width,
-    width_duality_check,
-    symmetrization_volume_ratio,
-    separability_threshold_estimate,
-    ppt_threshold_estimate,
-)
-from .stats import Estimate, wilson_interval
-from .config import ConfigError, ExperimentConfig
-from .experiments import (
-    ScanPoint,
-    ScanResult,
-    threshold_scan,
-    crossing_estimate,
-    concentration_experiment,
-    gue_approx_experiment,
-    projection_monotonicity,
-    partial_trace_monotonicity,
-    spectral_rows,
-    spectral_experiment,
-    run_config,
-)
+from .linalg import *
+from .rng import *
+from .geometry import *
+from .ensembles import *
+from .spectral import *
+from .separability import *
+from .widths import *
+from .stats import *
+from .config import *
+from .experiments import *
 
 __version__ = "0.1.0"

@@ -46,11 +46,14 @@ def format_value(v) -> str:
 
 def _writable(path) -> Path:
     """`path`, if it names a file (not None, "", "sub/", a directory or a path under a
-    file): the one output rule, run by each writer and, before any work, by the CLI."""
+    file) whose `.partial` is absent or a regular file (not a symlink or a directory):
+    the one output rule, run by each writer and, before any work, by the CLI."""
     text = path if path is None else os.fspath(path)
     if not (text and os.path.basename(text)) or os.path.isdir(text) or not next(
             p for p in Path(text).absolute().parents if p.exists()).is_dir():
         raise ValueError(f"'output' must name a file, got {text!r}")
+    if (part := Path(text + ".partial")).is_symlink() or part.exists() and not part.is_file():
+        raise ValueError(f"'output' {text!r} is blocked: {str(part)!r} is not a regular file")
     return Path(text)
 
 
@@ -61,7 +64,8 @@ def _write_through(path, records, start=lambda fh: fh.write, binary: bool = Fals
     first = list(islice(records, 1))  # a source that fails here opens nothing
     path.parent.mkdir(parents=True, exist_ok=True)
     part = path.with_name(path.name + ".partial")
-    with open(part, "wb") if binary else open(part, "w", newline="", encoding="utf-8") as fh:
+    fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, 0o666)
+    with open(fd, "wb") if binary else open(fd, "w", newline="", encoding="utf-8") as fh:
         count = sum(1 for _ in map(start(fh), chain(first, records)))
     part.replace(path)
     return count

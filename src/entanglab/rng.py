@@ -26,7 +26,7 @@ import numpy as np
 import numpy.random  # numpy 2 imports it lazily, which would charge the first draw
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
-__all__ = ["SeededStream", "as_generator"]
+__all__ = ["SeededStream", "as_generator", "trial_generators"]
 
 # Byte budget of one chunk: its stack of n x n complex matrices and its
 # trials' generators (252 trials at n = 1, 204 at n = 4, 112 at n = 9, 3 at

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import gc
 import json
 import math
@@ -107,6 +108,24 @@ def test_writers_refuse_a_path_that_names_no_file_before_pulling(tmp_path, monke
             write()
         assert str(info.value) == f"'output' must name a file, got {name!r}"
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["f", "sub"]
+
+
+def test_writers_never_follow_a_symlink_at_partial(tmp_path):
+    victim, part = tmp_path / "victim.txt", tmp_path / "e.json.partial"
+    victim.write_text("victim\n")
+    part.symlink_to(victim)
+    with pytest.raises(ValueError, match="is not a regular file"):
+        write_csv(tmp_path / "e.json", ["a"], _unpulled())
+    part.unlink()
+
+    def planting():  # the symlink appears after the output rule ran
+        part.symlink_to(victim)
+        yield ("x",)
+
+    with pytest.raises(OSError) as info:
+        write_csv(tmp_path / "e.json", ["a"], planting())
+    assert info.value.errno == errno.ELOOP
+    assert victim.read_text() == "victim\n" and not (tmp_path / "e.json").exists()
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -544,6 +563,7 @@ SCAN = ["scan-threshold", "--dims", "2,2", "--criterion", "exact", "--s-values",
 NAMES_NO_FILE = "config error: 'output' must name a file, got {!r}"
 QUERY_NO_FILE = "error: 'output' must name a file, got {!r}"
 GAUGE = ["gauge", "--input", "missing.bin", "--body", "s0", "--dims", "2,2"]
+BLOCKED = "'output' {0!r} is blocked: '{0}.partial' is not a regular file"
 
 # (argv, the last line on stderr): a flag only converts its text, and each
 # count is refused by the code that reads it: an experiment's by its config
@@ -588,6 +608,15 @@ REFUSAL_CASES = [
     ([*SCAN, "--trials", "5", "--out", "f/x"], NAMES_NO_FILE.format("f/x")),
     ([*GAUGE, "--out", "f/x"], QUERY_NO_FILE.format("f/x")),
     (["run", "cfg/file.json"], NAMES_NO_FILE.format("f/x/y")),
+    # a .partial that is a symlink (e.json.partial -> victim.txt) or a directory
+    (["estimate-s0", "--trials", "5", "--out", "e.json"], "error: " + BLOCKED.format("e.json")),
+    (["sample", "--ensemble", "gue0", "--n", "2", "--out", "e.json"],
+     "error: " + BLOCKED.format("e.json")),
+    ([*GAUGE, "--out", "e.json"], "error: " + BLOCKED.format("e.json")),
+    (["estimate-s0", "--trials", "5", "--out", "d.json"], "error: " + BLOCKED.format("d.json")),
+    ([*SCAN, "--trials", "5", "--out", "p"], "config error: " + BLOCKED.format("p.csv")),
+    ([*SCAN, "--trials", "5", "--out", "q"], "config error: " + BLOCKED.format("q.meta.json")),
+    (["run", "cfg/empty.json", "--out", "p"], "config error: " + BLOCKED.format("p.csv")),
     # a size, by the one library rule that reads it
     (["estimate-s0", "--ppt", "--d", "1", "--trials", "5", "--out", "out.json"],
      "error: factor dimensions must be >= 2, got (1, 1)"),
@@ -605,9 +634,12 @@ REFUSAL_CASES = [
 def test_cli_rejects_bad_counts_s_values_and_outputs(tmp_path, monkeypatch, capsys,
                                                      generators_built, argv, text):
     monkeypatch.chdir(tmp_path)
-    for directory in ("sub", "cfg", "x.csv", "y.meta.json"):
+    for directory in ("sub", "cfg", "x.csv", "y.meta.json",
+                      "d.json.partial", "p.csv.partial", "q.meta.json.partial"):
         (tmp_path / directory).mkdir()
     (tmp_path / "f").write_text("")
+    (tmp_path / "victim.txt").write_text("victim\n")
+    (tmp_path / "e.json.partial").symlink_to("victim.txt")
     for name, output in (("empty", ""), ("dir", "sub/"), ("file", "f/x/y")):
         (tmp_path / "cfg" / f"{name}.json").write_text(json.dumps(
             {"experiment": "threshold-scan", "dims": [2, 2], "s_values": [4],
@@ -621,6 +653,7 @@ def test_cli_rejects_bad_counts_s_values_and_outputs(tmp_path, monkeypatch, caps
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines()[-1] == text
     assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "victim.txt").read_text() == "victim\n"
     assert generators_built == []
 
 
