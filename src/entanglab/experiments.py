@@ -33,10 +33,10 @@ from .ensembles import (
 )
 from .io import _writable, sidecar_path, write_csv, write_sidecar
 from .linalg import ProductDims
-from .rng import SeededStream, _chunks, chunk_map, split_stream
+from .rng import SeededStream, _chunks, split_stream
 from .separability import _BODIES, _CRITERIA, EXACT_DIMS, _any_dims, _body_gauge, _criterion
 from .spectral import alpha_beta, dinf_semicircle
-from .stats import from_samples, wilson_interval
+from .stats import _Sums, from_samples, wilson_interval
 
 __all__ = [
     "ScanPoint",
@@ -223,14 +223,16 @@ class ConcentrationSummary:
 
 def concentration_experiment(d: int, s: int, trials: int, stream,
                              body: str = "s0") -> ConcentrationSummary:
-    """Location and spread of ||rho - Id/n||_K at environment sizes s and 4s."""
+    """Location and spread of ||rho - Id/n||_K at environment sizes s and 4s.
+    Its median needs every value, so each size keeps its trials' gauges in
+    one array."""
     dims = ProductDims((d, d))
     gauge = _body_gauge(body, dims)
     subs = split_stream(stream, 2)
     pts = []
     for sub, s_val in zip(subs, (s, 4 * s)):
-        vals = chunk_map(lambda gens: gauge(_centered_induced_states(dims.n, s_val, gens)),
-                         sub, trials, dims.n)
+        vals = np.concatenate(list(_chunks(
+            lambda gens: gauge(_centered_induced_states(dims.n, s_val, gens)), sub, trials, dims.n)))
         est = from_samples(vals)
         # one sample has no spread: NaN, as its stderr, without numpy's warnings
         std = float(vals.std(ddof=1)) if trials > 1 else math.nan
@@ -289,9 +291,9 @@ def gue_approx_experiment(n: int, s: int, body: str, trials: int, stream) -> Rat
     """
     gauge = _gue_approx_gauge(body, n)
     sub_state, sub_gue = split_stream(stream, 2)
-    num = from_samples(chunk_map(lambda gens: gauge(_centered_induced_states(n, s, gens)),
-                                 sub_state, trials, n))
-    den = from_samples(chunk_map(lambda gens: gauge(_gue0_states(n, gens)), sub_gue, trials, n))
+    num = _Sums(_chunks(lambda gens: gauge(_centered_induced_states(n, s, gens)),
+                        sub_state, trials, n)).estimate()
+    den = _Sums(_chunks(lambda gens: gauge(_gue0_states(n, gens)), sub_gue, trials, n)).estimate()
     ratio = n * math.sqrt(s) * num.mean / den.mean
     rel = math.hypot(num.stderr / num.mean, den.stderr / den.mean)
     return RatioResult(

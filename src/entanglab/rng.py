@@ -193,21 +193,23 @@ def as_generator(stream) -> np.random.Generator:
     return stream if isinstance(stream, np.random.Generator) else stream.generator()
 
 
-def trial_generators(stream, trials: int):
+def trial_generators(stream, trials: int, block: int | None = None):
     """One generator per Monte-Carlo trial.
 
     SeededStream (or int seed) inputs get an independent substream per trial,
     so trials can be computed in any order or concurrently; trial t's
     generator equals `stream.substream(t).generator()`. A raw Generator is
-    reused sequentially.
+    reused sequentially. Seed words are derived `block` trials at a time,
+    `_BLOCK` unless given.
     """
     stream = _as_stream(stream)
     if isinstance(stream, np.random.Generator):
         for _ in range(trials):
             yield stream
         return
-    for start in range(0, trials, _BLOCK):
-        words = _trial_seed_words(stream, start, min(start + _BLOCK, trials))
+    block = block or _BLOCK
+    for start in range(0, trials, block):
+        words = _trial_seed_words(stream, start, min(start + block, trials))
         words.flags.writeable = False  # rows are handed out as views
         for t, row in enumerate(words, start):
             yield np.random.Generator(np.random.PCG64(_TrialSeed(row, stream, t)))
@@ -245,10 +247,6 @@ def _chunks(f, stream, trials: int, n: int, cols: int | None = None):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     size = _batch_size(_trial_bytes(n, cols))
-    gens = trial_generators(stream, trials)
+    # whole chunks per block: a block's words are derived while no chunk is held
+    gens = trial_generators(stream, trials, size * max(1, _BLOCK // size))
     return (f(list(islice(gens, size))) for _ in range(0, trials, size))
-
-
-def chunk_map(f, stream, trials: int, n: int) -> np.ndarray:
-    """The results of `_chunks` concatenated, one value per trial; counts reduce per chunk."""
-    return np.concatenate(list(_chunks(f, stream, trials, n)))

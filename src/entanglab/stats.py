@@ -16,9 +16,9 @@ Z95 = 1.959963984540054
 @dataclass(frozen=True)
 class Estimate:
     """Sample mean with its standard error and provenance. `from_samples`
-    gives fewer than two samples, whose standard error is undefined, a NaN
-    one: JSON carries it as the token NaN (Python's json writes and reads it)
-    and CSV as `nan`."""
+    refuses no samples and gives one, whose standard error is undefined, a
+    NaN one: JSON carries it as the token NaN (Python's json writes and reads
+    it) and CSV as `nan`."""
 
     mean: float
     stderr: float
@@ -38,11 +38,43 @@ class Estimate:
         return gap <= z * math.hypot(self.stderr, other.stderr)
 
 
+class _Sums:
+    """Exact sums of float64 values, merged a chunk at a time: the count, and
+    sum x and sum x**2 as Python ints in units of 2**-1136 and 2**-2272 (each
+    value's np.frexp mantissa, summed per block of 8 exponents), so estimates
+    depend on the values alone, never on their chunks. Infinities and NaN add
+    to a float sum, which is then the mean, as np.mean's would be."""
+
+    def __init__(self, chunks=()):
+        self.n, self.s1, self.s2, self.odd = 0, 0, 0, 0.0
+        for values in chunks:
+            self.add(values)
+
+    def add(self, values) -> None:
+        x = np.asarray(values, dtype=float).ravel()
+        finite = np.isfinite(x)
+        self.n += x.size
+        self.odd = sum(x[~finite].tolist(), self.odd)
+        f, e = np.frexp(x[finite])
+        m, k = (f * 2.0 ** 53).astype(np.int64) << (e & 7), e >> 3  # x = m 2**(8k - 53)
+        for j in set(k.tolist()):
+            mj = m[k == j].tolist()
+            self.s1 += sum(mj) << 8 * j + 1083
+            self.s2 += sum(v * v for v in mj) << 2 * (8 * j + 1083)
+
+    def estimate(self, seed: str = "") -> Estimate:
+        """The mean, rounded once, and its standard error from the exact
+        n sum x**2 - (sum x)**2: NaN for one value or a non-finite one."""
+        n = self.n
+        if n < 1:
+            raise ValueError("an estimate needs at least one sample")
+        var = (n * self.s2 - self.s1 ** 2 << 128) // max(n * n * (n - 1), 1)
+        stderr = math.nan if self.odd or n == 1 else math.isqrt(var) / (1 << 1200)
+        return Estimate(self.odd or self.s1 / (n << 1136), stderr, n, seed)
+
+
 def from_samples(samples, seed: str = "") -> Estimate:
-    x = np.asarray(samples, dtype=float)
-    n = x.size
-    stderr = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-    return Estimate(float(x.mean()), stderr, n, seed)
+    return _Sums([samples]).estimate(seed)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:

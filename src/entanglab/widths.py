@@ -10,8 +10,9 @@ Widths of the separable body are reported as certified lower bounds: the
 product-state maximization that evaluates its support function is a
 heuristic that can stop below the optimum, never above it.
 
-Every estimate runs through `rng.chunk_map`, a chunk of directions at a time;
-the hit-or-miss volume check's count reduces per chunk, as each is drawn.
+Every estimate reduces a chunk of directions at a time, as each is drawn:
+the means into `stats`' exact sums, the hit-or-miss volume check's count
+into an int.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .ensembles import _gue0_states
 from .geometry import gamma_m
 from .linalg import ProductDims, _make_traceless, partial_transpose
-from .rng import SeededStream, _as_stream, _batch_size, _chunks, chunk_map
+from .rng import SeededStream, _as_stream, _batch_size, _chunks
 from .separability import (
     _MAX_SWEEPS,
     UnsupportedDimensionError,
@@ -35,7 +36,7 @@ from .separability import (
     _require_support,
     _support_stack,
 )
-from .stats import Estimate, from_samples
+from .stats import Estimate, _Sums
 
 __all__ = [
     "SupportOracle",
@@ -78,24 +79,24 @@ class WidthEstimate:
 def gaussian_mean_width_mc(oracle: SupportOracle, trials: int, stream) -> WidthEstimate:
     """Sample mean of h_K over standard Gaussian directions; a NaN support
     value counts as a failed evaluation."""
-    # one direction at a time: a chunk holds only generators and values, as at n = 1
-    vals = chunk_map(lambda gens: np.array([oracle.support(rng.standard_normal(oracle.dim))
-                                            for rng in gens], float), stream, trials, 1)
-    failed = np.isnan(vals)
-    if failed.all():
-        raise RuntimeError("all support evaluations failed")
-    est = from_samples(vals[~failed])
     gm = gamma_m(oracle.dim)
-    return WidthEstimate(est.mean, est.mean / gm, est.stderr, trials,
-                         int(np.count_nonzero(failed)), seed=str(stream))
+    # one direction at a time: a chunk holds only generators and values, as at n = 1
+    sums = _Sums(vals[~np.isnan(vals)] for vals in _chunks(
+        lambda gens: np.array([oracle.support(rng.standard_normal(oracle.dim)) for rng in gens],
+                              float), stream, trials, 1))
+    if sums.n == 0:
+        raise RuntimeError("all support evaluations failed")
+    est = sums.estimate()
+    return WidthEstimate(est.mean, est.mean / gm, est.stderr, trials, trials - sums.n,
+                         seed=str(stream))
 
 
 def _gue0_width(n: int, support, trials: int, stream) -> tuple[Estimate, float]:
     """E h_K(G) over trace-zero GUE directions G on C^n, with `support`
     mapping each chunk's stack of directions to one value each, and the
     Gaussian norm constant gamma_m of their n^2 - 1 dimensions."""
-    vals = chunk_map(lambda gens: support(_gue0_states(n, gens)), stream, trials, n)
-    return from_samples(vals, seed=str(stream)), gamma_m(n * n - 1)
+    sums = _Sums(_chunks(lambda gens: support(_gue0_states(n, gens)), stream, trials, n))
+    return sums.estimate(str(stream)), gamma_m(n * n - 1)
 
 
 def separable_width(
@@ -195,11 +196,13 @@ def width_duality_check(dims: ProductDims, trials: int, stream) -> DualityCheck:
         """Each direction's Ssym gauge, certified Ssym support and S0 gauge."""
         G = _gue0_states(4, gens)
         gauges = _gauge_sym_qubit_pair(G)
-        return np.stack([gauges, _certified_sym_support(G, gauges), s0_gauge(G)], 1)
+        return gauges, _certified_sym_support(G, gauges), s0_gauge(G)
 
-    gauge_est, support_est, one_sided = (
-        from_samples(v, seed=str(stream)) for v in chunk_map(per_direction, stream, trials, 4).T
-    )
+    sums = [_Sums(), _Sums(), _Sums()]
+    for columns in _chunks(per_direction, stream, trials, 4):
+        for acc, values in zip(sums, columns):
+            acc.add(values)
+    gauge_est, support_est, one_sided = (acc.estimate(str(stream)) for acc in sums)
 
     rel = math.hypot(support_est.stderr / support_est.mean, gauge_est.stderr / gauge_est.mean)
     return DualityCheck(support_side=support_est, gauge_side=gauge_est, one_sided_gauge=one_sided,

@@ -938,10 +938,12 @@ sys.exit(max(statuses))
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # nor importlib.metadata, which would bring email, socket and more
+    # nor importlib.metadata, which would bring email, socket and more, nor
+    # the exact-arithmetic modules: the estimates' exact sums are Python ints
     code = ("import sys, entanglab.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-            "             or m in ('importlib.metadata', 'email')))")
+            "             or m in ('importlib.metadata', 'email', 'fractions', 'decimal',\n"
+            "                      'statistics')))")
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

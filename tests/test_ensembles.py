@@ -34,10 +34,10 @@ from entanglab.geometry import log_znorm
 from entanglab.linalg import ProductDims, hs_norm
 from entanglab.rng import (
     SeededStream,
+    _chunks,
     _trial_seed_words,
     _TrialSeed,
     as_generator,
-    chunk_map,
     split_stream,
     trial_generators,
 )
@@ -349,7 +349,7 @@ def test_draw_buffers_stay_within_the_chunk_budget(d1, d2, s, trials):
     # beyond its outputs, a chunk's draw holds at most the larger of the chunk
     # budget and one trial's two n x s buffers: several trials per sub-batch
     # at 9 x 40 and 9 x 64, one at 64 x 200; the last three inputs are full
-    # chunks (`rng.chunk_map`), and the three before them hold more trials
+    # chunks (`rng._chunks`), and the three before them hold more trials
     # than a chunk. The traceless draws project the drawn stack in place.
     n = d2 * d2
     bound = max(entanglab.rng._CHUNK_BYTES, 32 * n * s) + (16 << 10)
@@ -369,7 +369,7 @@ def test_trials_over_the_byte_limit_are_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(entanglab.rng, "_TRIAL_BYTES_MAX", 1 << 20)
     gens = list(trial_generators(SeededStream(38), 1))
     for call in (lambda: ensembles._wishart_stack(64, 4096, gens),
-                 lambda: chunk_map(lambda g: np.zeros(len(g)), SeededStream(38), 1, 512),
+                 lambda: next(_chunks(lambda g: np.zeros(len(g)), SeededStream(38), 1, 512)),
                  lambda: sample_ginibre(64, 4096, 1)):
 
         def refused():

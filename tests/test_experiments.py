@@ -38,7 +38,7 @@ from entanglab.experiments import (
     threshold_scan,
 )
 from entanglab.linalg import ProductDims, hs_norm
-from entanglab.rng import SeededStream, chunk_map, split_stream, trial_generators
+from entanglab.rng import SeededStream, _chunks, split_stream, trial_generators
 from entanglab.separability import (
     EXACT_DIMS,
     PPT_EIGENVALUE_TOL,
@@ -52,6 +52,8 @@ from entanglab.separability import (
 from entanglab.spectral import alpha_beta, dinf_semicircle
 from entanglab.stats import from_samples, wilson_interval
 from entanglab.widths import (
+    SupportOracle,
+    gaussian_mean_width_mc,
     ppt_threshold_estimate,
     separable_width,
     symmetrization_volume_ratio,
@@ -214,6 +216,36 @@ def test_same_counts_at_any_chunk_size(monkeypatch, name):
     for chunk in (1, 2, 7, trials - 1, trials, trials + 1):
         chunk_trials(monkeypatch, n, chunk)
         assert counts(trials) == expected, chunk
+
+
+# l1 norm of a direction in R^3, or NaN (a failed evaluation) when its first
+# coordinate exceeds 1
+L1_OR_NAN = SupportOracle(3, lambda u: math.nan if u[0] > 1 else float(np.abs(u).sum()))
+
+# each mean estimate: (the n its chunks are sized by, its trial count, its result)
+CHUNK_MEANS = {
+    "ppt-threshold": (4, 40, lambda k: ppt_threshold_estimate(2, k, SeededStream(5))),
+    "separable-width": (4, 12, lambda k: separable_width(ProductDims((2, 2)), k, SeededStream(5),
+                                                         restarts=3)),
+    "mean-width": (1, 40, lambda k: gaussian_mean_width_mc(L1_OR_NAN, k, SeededStream(5))),
+    "duality": (4, 20, lambda k: width_duality_check(ProductDims((2, 2)), k, SeededStream(5))),
+    "gue-approx": (4, 40, lambda k: [gue_approx_experiment(4, 16, body, k, SeededStream(5))
+                                     for body in ("hs", "ppt0")]),
+    "concentration": (4, 40, lambda k: concentration_experiment(2, 4, k, SeededStream(5),
+                                                                body="ppt0")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_MEANS))
+def test_same_estimates_at_any_chunk_size(monkeypatch, name):
+    # a mean is rounded once from exact sums of its values, so every estimate
+    # is the same at the default chunk size and at 1, 3 and 7 trials per
+    # chunk, bit for bit (repr compares floats exactly and NaN as equal)
+    n, trials, estimate = CHUNK_MEANS[name]
+    expected = repr(estimate(trials))
+    for chunk in (1, 3, 7):
+        chunk_trials(monkeypatch, n, chunk)
+        assert repr(estimate(trials)) == expected, chunk
 
 
 def test_two_qubit_hilbert_schmidt_separability_probability():
@@ -455,7 +487,7 @@ def test_spectral_run_holds_a_chunk_of_rows_not_every_trial():
 
 
 ZERO_TRIAL_RUNS = {
-    "chunk_map": lambda: chunk_map(len, 3, 0, 4),
+    "chunks": lambda: next(_chunks(len, 3, 0, 4)),
     "spectral_rows": lambda: spectral_rows("induced", 4, 8, 0, SeededStream(3)),
     "concentration": lambda: concentration_experiment(2, 50, 0, SeededStream(3), body="s0"),
     "gue_approx": lambda: gue_approx_experiment(8, 64, "d0", 0, SeededStream(3)),
@@ -537,7 +569,7 @@ def test_chunk_sizes_count_each_trials_generator(monkeypatch):
     # a chunk holds as many trials as fit their n x n matrices and generators
     # into the budget; `chunk_trials` forces the chunk size it names
     def first_chunk(n):
-        return int(chunk_map(lambda gens: np.full(len(gens), len(gens)), 3, 1000, n)[0])
+        return next(_chunks(len, 3, 1000, n))
 
     assert [first_chunk(n) for n in (1, 4, 9, 64)] == [252, 204, 112, 3]
     for k in (1, 3, 60):
@@ -545,7 +577,7 @@ def test_chunk_sizes_count_each_trials_generator(monkeypatch):
         assert first_chunk(4) == k
 
 
-CHUNK_PIPELINES = {  # whole chunk_map runs at n = 1, 4, 9, 16 and 64
+CHUNK_PIPELINES = {  # whole `_chunks` runs at n = 1, 4, 9, 16 and 64
     "symmetrization-n1": lambda: symmetrization_volume_ratio(3, 20000, SeededStream(3)),
     "ppt-threshold-n4": lambda: ppt_threshold_estimate(2, 1200, SeededStream(3)),
     "scan-3x3": lambda: exps._scan_point(ProductDims((3, 3)), 64, 400, "ppt", SeededStream(3)),
@@ -577,14 +609,37 @@ COUNT_PEAKS = {
 }
 
 
+def assert_peak_flat(run, small, large):
+    run(small)  # first-use allocations (caches, lazy imports) are not the run's
+    (_, at_small), (_, at_large) = traced_peak(lambda: run(small)), traced_peak(lambda: run(large))
+    assert at_large <= 1.25 * at_small, (at_small, at_large)
+
+
 @pytest.mark.parametrize("name", sorted(COUNT_PEAKS))
 def test_counts_keep_no_value_per_trial(name):
     # a count adds up each chunk's as it is drawn, so fifty times the trials
     # add no array of per-trial values to the peak
-    run, small, large = COUNT_PEAKS[name]
-    run(small)  # first-use allocations (caches, lazy imports) are not the count's
-    (_, at_small), (_, at_large) = traced_peak(lambda: run(small)), traced_peak(lambda: run(large))
-    assert at_large <= 1.25 * at_small, (at_small, at_large)
+    assert_peak_flat(*COUNT_PEAKS[name])
+
+
+# each mean-only estimate at a small and a large trial count; the duality
+# check, at about 0.3 ms a trial, at ten times its small count
+MEAN_PEAKS = {
+    "ppt-threshold-d2": (lambda k: ppt_threshold_estimate(2, k, SeededStream(3)), 2_000, 100_000),
+    "gue-approx-n4-hs": (lambda k: gue_approx_experiment(4, 16, "hs", k, SeededStream(3)),
+                         2_000, 100_000),
+    "mean-width-dim3": (lambda k: gaussian_mean_width_mc(L1_OR_NAN, k, SeededStream(3)),
+                        2_000, 100_000),
+    "duality-2x2": (lambda k: width_duality_check(ProductDims((2, 2)), k, SeededStream(3)),
+                    2_000, 20_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEAN_PEAKS))
+def test_means_keep_no_value_per_trial(name):
+    # a mean folds each chunk's values into exact sums as they are drawn, so
+    # more trials add no array of per-trial values to the peak
+    assert_peak_flat(*MEAN_PEAKS[name])
 
 
 # -- batched engine against a per-trial reference -------------------------------------
@@ -688,8 +743,8 @@ def test_engine_scan_and_gauges_match_per_trial_reference(monkeypatch, dims, tri
 
     for body, gauge in public_gauges(pd).items():
         gauge_of = exps._body_gauge(body, pd)
-        got = chunk_map(lambda gens: gauge_of(_centered_induced_states(pd.n, s, gens)),
-                        new(), trials, pd.n)
+        got = np.concatenate(list(_chunks(
+            lambda gens: gauge_of(_centered_induced_states(pd.n, s, gens)), new(), trials, pd.n)))
         assert got.tobytes() == reference_gauges(pd.n, s, trials, new(), gauge).tobytes(), body
 
 

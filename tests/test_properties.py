@@ -3,8 +3,10 @@ Cholesky PPT test and the closed-form gauges of the state, PPT and separable
 bodies, the partial trace, the separable support function over one direction
 and over stacks of directions, d_inf and the
 semicircle quantile, the output path of every written file, binary matrix
-records, config digests and block-derived trial streams."""
+records, config digests, block-derived trial streams and the exact sums
+behind every mean estimate."""
 
+import math
 import pickle
 import tempfile
 import warnings
@@ -43,6 +45,7 @@ from entanglab.separability import (
 )
 from entanglab.rng import SeededStream, trial_generators
 from entanglab.spectral import dinf_empirical_empirical, semicircle_quantile
+from entanglab.stats import _Sums, from_samples
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -358,3 +361,50 @@ def test_trial_generators_match_seed_sequence(master_seed, stream_index, subpath
                 _same_generators(a, b)
         raw = np.random.default_rng(master_seed)
         assert all(g is raw for g in trial_generators(raw, trials))
+
+
+# finite values of every scale: normal ones up to 1e300, subnormals and both zeros
+finite_st = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300),
+                      st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(finite_st, min_size=1, max_size=40), st.integers(1, 8))
+def test_exact_sums_match_fsum_at_any_split(values, parts):
+    # sum x rounds to math.fsum's correctly rounded sum; both sums equal an
+    # integer oracle built from each value's exact ratio; and any split into
+    # chunks leaves them as they are
+    whole = _Sums([values])
+    assert whole.s1 / (1 << 1136) == math.fsum(values)
+    units = [p * (1 << 1136) // q for p, q in (x.as_integer_ratio() for x in values)]
+    assert (whole.n, whole.s1, whole.s2) == (len(values), sum(units), sum(u * u for u in units))
+    split = _Sums(np.array_split(np.array(values), parts))
+    assert (split.n, split.s1, split.s2, split.odd) == (whole.n, whole.s1, whole.s2, whole.odd)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(finite_st, max_size=20),
+       st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), min_size=1, max_size=3), st.data())
+def test_non_finite_values_give_the_np_mean_and_no_stderr(finite, odd, data):
+    values = data.draw(st.permutations(finite + odd))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = float(np.mean(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = from_samples(values)
+    assert repr(est.mean) == repr(expected) and math.isnan(est.stderr)
+    assert est.trials == len(values)
+
+
+def test_estimates_agree_with_numpy_and_need_a_sample():
+    x = np.random.default_rng(7).standard_normal(1000) * 3 + 10
+    est = from_samples(x)
+    assert est.mean == pytest.approx(x.mean(), rel=1e-15, abs=0)
+    assert est.stderr == pytest.approx(x.std(ddof=1) / math.sqrt(x.size), rel=1e-13, abs=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = from_samples([1.5])
+        with pytest.raises(ValueError, match="at least one sample"):
+            from_samples([])
+    assert one.mean == 1.5 and math.isnan(one.stderr)

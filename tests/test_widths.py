@@ -64,6 +64,15 @@ def test_width_counts_nan_failures():
     assert est.trials == 99
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_width_refuses_a_bad_dimension_before_any_draw(generators_built, dim):
+    calls = []
+    oracle = SupportOracle(dim, support=lambda u: calls.append(u) or 0.0)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        gaussian_mean_width_mc(oracle, 5000, SeededStream(1))
+    assert (generators_built, calls) == ([], [])
+
+
 # -- separable width ----------------------------------------------------------------
 
 
