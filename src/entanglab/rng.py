@@ -6,9 +6,9 @@ of any sweep can be reproduced in isolation and trials can run concurrently
 without sharing generator state.
 
 Trial streams (`trial_generators`) are derived in blocks of up to 1024
-trials by `_trial_seed_words`, a vectorized copy of SeedSequence's mixing:
-the words a block shares are mixed once, and only the trial index is mixed
-as an array. Each generator's state is bit-identical to that of
+trials by `_trial_seed_words`: numpy's SeedSequence mixes the words a block
+shares once per block, and only the trial index is mixed by hand, as an
+array, into its pool. Each generator's state is bit-identical to that of
 `stream.substream(t).generator()`, and its `spawn` and pickling go through
 numpy's own SeedSequence. `_chunks`, the only chunk loop, hands them to
 an experiment a chunk at a time. Bit-exact reproducibility is promised for a
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-import numpy.random  # numpy 2 imports it lazily, which would charge the first draw
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
 __all__ = ["SeededStream", "as_generator", "trial_generators"]
@@ -94,13 +93,9 @@ class SeededStream:
         return SeededStream(self.master_seed, self.stream_index, self.subpath + (index,))
 
 
-def _words(n: int) -> list[int]:
-    """SeedSequence's split of a non-negative int into 32-bit words, least
-    significant first."""
-    words = [n & _M32]
-    while n := n >> 32:
-        words.append(n & _M32)
-    return words
+def _words(n: int) -> int:
+    """How many 32-bit words SeedSequence splits a non-negative int into."""
+    return max(1, -(-n.bit_length() // 32))
 
 
 def _hasher(const: int, mult: int):
@@ -127,31 +122,23 @@ def _trial_seed_words(stream: SeededStream, start: int, stop: int) -> np.ndarray
     """PCG64 seed words of trials start..stop-1 under `stream`: row i is
     `stream.substream(start + i)`'s SeedSequence `.generate_state(4, uint64)`.
 
-    This is SeedSequence's mix_entropy and generate_state over the entropy
-    words [master seed padded to the pool size, stream index, subpath, t]. The
-    words are Python ints except t, a uint32 array that the arithmetic
-    broadcasts over; the shared words mix in Python ints once per block."""
+    numpy's SeedSequence for `stream` mixes the L words a block shares (the
+    master seed padded to the pool size, the stream index and the subpath)
+    into its pool, once per block. Trial t's entropy is those words and t, so
+    this mixes only t, a uint32 array, into that pool, starting the hash
+    constant where mix_entropy's 4L hashes leave it, and hashes the state out
+    as generate_state does."""
     if stop > 1 << 32:
         raise ValueError("trial indices must be < 2**32")
-    seed = _words(stream.master_seed)
-    entropy = seed + [0] * (_POOL - len(seed))
-    for k in (stream.stream_index,) + stream.subpath:
-        entropy += _words(k)
-    entropy.append(np.arange(start, stop, dtype=np.uint32))
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(w))
+    seq = stream._seed_sequence()
+    shared = max(_POOL, _words(stream.master_seed)) + sum(map(_words, seq.spawn_key))
+    hashmix = _hasher(_INIT_A * pow(_MULT_A, 4 * shared, 1 << 32) & _M32, _MULT_A)
+    t = np.arange(start, stop, dtype=np.uint32)
+    pool = [_mix(w, hashmix(t)) for w in seq.pool.tolist()]
 
     hash_state = _hasher(_INIT_B, _MULT_B)
     state = [hash_state(pool[i % _POOL]) for i in range(2 * _POOL)]
-    return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+    return np.stack(state, axis=-1).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 class _TrialSeed(ISpawnableSeedSequence):

@@ -142,6 +142,15 @@ def test_trial_generators_fit_their_byte_count():
     assert len(gens) == trials and held <= trials * entanglab.rng._GENERATOR_BYTES, held / trials
 
 
+def test_trial_seed_words_peak_near_their_own_bytes():
+    # a full block's derivation holds its uint32 state columns, their stack
+    # and the words it returns, which are that stack reinterpreted, not copied
+    s = SeededStream(7, 3, (1, 2))
+    _trial_seed_words(s, 0, entanglab.rng._BLOCK)  # first-use allocations
+    words, peak = traced_peak(lambda: _trial_seed_words(s, 0, entanglab.rng._BLOCK))
+    assert words.nbytes == 32 << 10 and peak <= 3.25 * words.nbytes, peak / words.nbytes
+
+
 def test_trial_seed_words_refuse_indices_past_32_bits():
     s = SeededStream(11, 2, (3,))
     last = _trial_seed_words(s, 2**32 - 1, 2**32)[0]

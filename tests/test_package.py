@@ -49,8 +49,10 @@ def test_all_thirteen_modules_are_collected():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_alone(module):
     # a fresh interpreter: the star-import order and the function-local
-    # imports (config -> experiments, separability -> widths) hold alone
+    # imports (config -> experiments, separability -> widths) hold alone, and
+    # numpy.random, which numpy 2 imports lazily, is loaded before any draw
     name = "entanglab" if module == "__init__" else f"entanglab.{module}"
-    proc = subprocess.run([sys.executable, "-c", f"import {name}"], env=child_env(),
+    code = f"import sys, {name}; assert 'numpy.random' in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from conftest import support_separable_loop
@@ -342,6 +342,11 @@ def _same_generators(a, b):
     st.lists(st.integers(0, 2**40), max_size=3),
     st.integers(1, 8),
 )
+# master seeds of 3, 4 and 5 words (padded, full and past the pool), 2-word
+# stream index and subpath entry, and an empty subpath
+@example(2**96 - 1, 2**32, [], 4)
+@example(2**96, 0, [2**32], 7)
+@example(2**128, 2**32, [2**32, 0], 8)
 def test_trial_generators_match_seed_sequence(master_seed, stream_index, subpath, trials):
     # Trial streams come from a vectorized copy of numpy's SeedSequence mixing,
     # here in blocks of 3 trials; numpy's own derivation is the oracle, so this
