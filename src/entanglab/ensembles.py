@@ -14,29 +14,23 @@ Conventions:
     the uniform (Hilbert-Schmidt) distribution on states.
 
 Draws: each trial makes only its own generator calls, and everything else
-runs in buffers of the chunk of trials it belongs to. Induced states are
-drawn in sub-batches of as many trials as fit their normals (2n x s floats),
-their real Gram products (2n x 2n floats) and the buffers of the combine
-below into the chunk budget (`rng._CHUNK_BYTES`), at least one. Each
-generator fills its row of the normals buffer with all 2ns normals in one
-call: z = [re; im], real parts first. One stacked matmul gives G = z z^T
-per trial, and with
-A = (re + i im)/sqrt(2) the Gram product 2 A A^dagger is
+runs in buffers of the chunk of trials it belongs to. Every stacked kernel,
+Ginibre, GUE and induced alike, takes its trials' normals from
+`rng._normal_rows`, which says how a sub-batch is sized and filled, and
+keeps only its transform. An induced trial's row holds its 2ns normals, real
+parts first: z = [re; im]. One stacked matmul gives G = z z^T per trial, and
+with A = (re + i im)/sqrt(2) the Gram product 2 A A^dagger is
 (G11 + G22) + i (G21 - G12), written straight into the real and imaginary
 views of the chunk's stack. The factor 2 cancels when the state is
 normalized: its real and imaginary parts are divided by the real trace.
 numpy runs the product of an array with its own transpose as a syrk, so G is
 exactly symmetric and the Gram products exactly Hermitian; the stacked
 matmul runs the same kernel on each slice as on a single matrix, so no byte
-depends on the sub-batch size. The projection coupling takes the small
-state's Gram product as the principal submatrix of the large one at the kept
-rows. A GUE chunk draws its generators' normals into rows of a sub-batch
-buffer, sized the same way, and assembles each sub-batch's triangle,
-Hermitian completion and diagonal at once; traceless draws subtract tr/n
-from the stack's diagonals in place. The stacked kernels refuse n or s < 1
-and, for the projection coupling, anything but 2 <= d1 <= d2 before they
-allocate; the public samplers and couplings run them on a chunk of one and
-add no checks of their own.
+depends on the sub-batch size. Traceless draws subtract tr/n from the
+stack's diagonals in place. The stacked kernels refuse n or s < 1 and, for
+the projection coupling, anything but 2 <= d1 <= d2 before they allocate;
+the public samplers and couplings run them on a chunk of one and add no
+checks of their own.
 
 `_ENSEMBLES` is the one place an ensemble is named: it maps each name (gue,
 gue0, ginibre, induced, uniform) to its stacked kernel and whether it reads
@@ -56,7 +50,7 @@ import numpy as np
 
 from .geometry import log_znorm
 from .linalg import ProductDims, _make_traceless, _require_size, hermitize, partial_trace, traceless_part
-from .rng import _batch_size, as_generator
+from .rng import _normal_rows, as_generator
 
 __all__ = [
     "DensityMatrix",
@@ -127,12 +121,6 @@ class EnsembleSpec:
             object.__setattr__(self, "s", self.n)
 
 
-def _normals_into(z: np.ndarray, gens: list) -> None:
-    """Each generator fills its row of the stack z with one call."""
-    for row, rng in zip(z, gens):
-        rng.standard_normal(out=row)
-
-
 def sample_gue(n: int, stream) -> np.ndarray:
     """Standard Gaussian self-adjoint n x n matrix (E ||A||_HS^2 = n^2)."""
     return _gue_states(n, [as_generator(stream)])[0]
@@ -143,29 +131,23 @@ def sample_gue0(n: int, stream) -> np.ndarray:
     return _make_traceless(sample_gue(n, stream))
 
 
-def _gue_states(n: int, gens) -> np.ndarray:
-    """Stack of GUE matrices, one per generator. Each generator draws its
-    diagonal and then the real and imaginary parts of a full n x n
-    off-diagonal block, in one call into its row of a sub-batch; the strict
-    upper triangle, its conjugate below it and the diagonal are then
-    assembled once for the sub-batch."""
+def _gue_states(n: int, gens: list) -> np.ndarray:
+    """Stack of GUE matrices, one per generator. A trial's row of normals is
+    its diagonal and then the real and imaginary parts of a full n x n block,
+    whose strict upper triangle, its conjugate below it and the diagonal are
+    assembled once per sub-batch."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    gens = list(gens)
-    # a trial's normals, and its lower triangle gathered and conjugated
-    k = _batch_size(8 * (n + 2 * n * n) + 16 * n * n)
+    fill = _normal_rows(gens, (n + 2 * n * n,), 16 * n * n)  # and the gathered triangle
     G = np.empty((len(gens), n, n), dtype=complex)
-    raw = np.empty((min(k, len(gens)), n + 2 * n * n))
     lower, i = np.tri(n, k=-1, dtype=bool), np.arange(n)
-    for b in range(0, len(gens), k):
-        batch = gens[b:b + k]
-        rb, Gb = raw[:len(batch)], G[b:b + len(batch)]
-        _normals_into(rb, batch)
-        Gb.real, Gb.imag = np.moveaxis(rb[:, n:].reshape(-1, 2, n, n), 1, 0)
+    for b, z in fill:
+        Gb = G[b:b + len(z)]
+        Gb.real, Gb.imag = np.moveaxis(z[:, n:].reshape(-1, 2, n, n), 1, 0)
         scaled = Gb.view(np.float64)
         scaled *= _INV_SQRT2
         Gb[:, lower] = np.swapaxes(Gb, -1, -2)[:, lower].conj()
-        Gb[:, i, i] = rb[:, :n]
+        Gb[:, i, i] = z[:, :n]
     return G
 
 
@@ -183,18 +165,16 @@ def sample_ginibre(n: int, s: int, stream) -> np.ndarray:
     return _ginibre_stack(n, s, [as_generator(stream)])[0]
 
 
-def _ginibre_stack(n: int, s: int, gens) -> np.ndarray:
-    """Stack of n x s Ginibre matrices, one per generator, each drawn through
-    one trial's buffer of normals."""
+def _ginibre_stack(n: int, s: int, gens: list) -> np.ndarray:
+    """Stack of n x s Ginibre matrices, one per generator: their normals times 1/sqrt(2)."""
     if n < 1 or s < 1:
         raise ValueError("n and s must be >= 1")
-    _batch_size(32 * n * s)  # the normals and A: refuses a draw over the trial byte limit
-    gens = list(gens)
-    A, z = np.empty((len(gens), n, s), dtype=complex), np.empty((2, n, s))
-    for a, rng in zip(A, gens):
-        rng.standard_normal(out=z)
-        np.multiply(z[0], _INV_SQRT2, out=a.real)
-        np.multiply(z[1], _INV_SQRT2, out=a.imag)
+    fill = _normal_rows(gens, (2, n, s), 16 * n * s)  # and the trial's A
+    A = np.empty((len(gens), n, s), dtype=complex)
+    for b, z in fill:
+        Ab = A[b:b + len(z)]
+        np.multiply(z[:, 0], _INV_SQRT2, out=Ab.real)
+        np.multiply(z[:, 1], _INV_SQRT2, out=Ab.imag)
     return A
 
 
@@ -214,17 +194,14 @@ def _wishart_stack(n: int, s: int, gens: list) -> np.ndarray:
     (see the module docstring). The buffers are freed on return."""
     if n < 1 or s < 1:
         raise ValueError("n and s must be >= 1")
-    # a trial's normals, its real Gram product, and the buffers numpy's ufunc
-    # loop takes for the two strided n x n blocks the combine reads
-    k = _batch_size(16 * n * s + 32 * n * n + 16 * n * n)
+    # and a trial's real Gram product and the ufunc buffers of the combine's two n x n reads
+    fill = _normal_rows(gens, (2 * n, s), 32 * n * n + 16 * n * n)
     W = np.empty((len(gens), n, n), dtype=complex)
-    z = np.empty((min(k, len(gens)), 2 * n, s))
-    G = np.empty((len(z), 2 * n, 2 * n))
-    for i in range(0, len(gens), k):
-        batch = gens[i:i + k]
-        zb, Gb, Wb = z[:len(batch)], G[:len(batch)], W[i:i + len(batch)]
-        _normals_into(zb, batch)
-        np.matmul(zb, np.swapaxes(zb, -1, -2), out=Gb)
+    for b, z in fill:
+        if b == 0:  # the first sub-batch is the largest
+            G = np.empty((len(z), 2 * n, 2 * n))
+        Gb, Wb = G[:len(z)], W[b:b + len(z)]
+        np.matmul(z, np.swapaxes(z, -1, -2), out=Gb)
         np.add(Gb[:, :n, :n], Gb[:, n:, n:], out=Wb.real)
         np.subtract(Gb[:, n:, :n], Gb[:, :n, n:], out=Wb.imag)
     return W

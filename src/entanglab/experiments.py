@@ -57,6 +57,7 @@ __all__ = [
     "EXPERIMENTS",
 ]
 
+_S_POINTS_MAX = 10_000  # most s values a scan may run
 SPECTRAL_HEADER = ["trial", "n", "s", "ensemble", "dinf", "alpha", "beta", "lambda_max", "lambda_min"]
 
 
@@ -153,16 +154,19 @@ def _check_scan(raw: dict, kw: dict) -> None:
         step = sv.get("step", 1)
         if not all(map(_is_int, (start, stop, step))) or step < 1:
             raise ConfigError("'s_values' range needs integer start/stop and step >= 1")
-        values = tuple(range(start, stop + 1, step))
-        if not values:
+        values = range(start, stop + 1, step)  # counted unbuilt: len() overflows past 2**63
+        points = max(0, (stop - start) // step + 1)
+        if not points:
             raise ConfigError(f"'s_values' range {start}:{stop}:{step} is empty")
     elif isinstance(sv, list) and sv and all(map(_is_int, sv)):
-        values = tuple(sv)
+        values, points = sv, len(sv)
     else:
         raise ConfigError("'s_values' must be a non-empty integer list or a start/stop/step object")
+    if points > _S_POINTS_MAX:
+        raise ConfigError(f"'s_values' has {points} points, over the limit of {_S_POINTS_MAX}")
     if any(v < 1 for v in values):
         raise ConfigError("'s_values' must be positive")
-    kw["s_values"] = values
+    kw["s_values"] = tuple(values)
 
     kw["criterion"] = raw.get("criterion")
     _criterion(kw["criterion"], ProductDims(kw["dims"]))

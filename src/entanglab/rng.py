@@ -11,13 +11,15 @@ shares once per block, and only the trial index is mixed by hand, as an
 array, into its pool. Each generator's state is bit-identical to that of
 `stream.substream(t).generator()`, and its `spawn` and pickling go through
 numpy's own SeedSequence. `_chunks`, the only chunk loop, hands them to
-an experiment a chunk at a time. Bit-exact reproducibility is promised for a
+an experiment a chunk at a time, and `_normal_rows` their normals to a
+sampler a sub-batch at a time. Bit-exact reproducibility is promised for a
 fixed numpy/entanglab installation, not across library versions; the property
 test comparing the two derivations fails loudly if numpy's SeedSequence changes.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from itertools import islice
@@ -29,12 +31,11 @@ __all__ = ["SeededStream", "as_generator", "trial_generators"]
 
 # Byte budget of one chunk: its stack of n x n complex matrices and its
 # trials' generators (252 trials at n = 1, 204 at n = 4, 112 at n = 9, 3 at
-# n = 64), and of each sub-batch that an induced chunk draws in: its 2n x s
-# normals, their 2n x 2n real Gram products and the combine's ufunc buffers
-# (20 trials at 9 x 64, 1 at 64 x 192). It bounds a chunk's memory at any
-# trial count: the stack's temporaries are a small multiple of it (the
-# tracemalloc peak of `separability._is_ppt`, which factors the shifted
-# partial transpose in place, is about one stack beyond its input).
+# n = 64), and of each sub-batch `_normal_rows` fills, with its caller's
+# buffers (20 induced trials at 9 x 64, 1 at 64 x 192). It bounds a chunk's
+# memory at any trial count: the stack's temporaries are a small multiple of
+# it (the tracemalloc peak of `separability._is_ppt`, which factors the
+# shifted partial transpose in place, is about one stack beyond its input).
 _CHUNK_BYTES = 1 << 18
 
 # Most bytes one trial's buffers may take: `_batch_size`, which sizes every
@@ -237,3 +238,20 @@ def _chunks(f, stream, trials: int, n: int, cols: int | None = None):
     # whole chunks per block: a block's words are derived while no chunk is held
     gens = trial_generators(stream, trials, size * max(1, _BLOCK // size))
     return (f(list(islice(gens, size))) for _ in range(0, trials, size))
+
+
+def _normal_rows(gens: list, shape: tuple, extra: int):
+    """The trials' normals a sub-batch at a time: (b, rows) in order, rows[i]
+    filled by gens[b + i] with one call into one reused buffer. A sub-batch is
+    as many trials as fit their normals (8 prod(shape) bytes each) and `extra`
+    bytes each of the caller's buffers into _CHUNK_BYTES, at least one; this
+    call refuses a trial over _TRIAL_BYTES_MAX before the caller allocates."""
+    size = _batch_size(8 * math.prod(shape) + extra)
+    z = np.empty((min(size, len(gens)), *shape))
+
+    def fill(b):
+        for row, rng in zip(z, gens[b:b + size]):
+            rng.standard_normal(out=row)
+        return b, z[:len(gens) - b]
+
+    return map(fill, range(0, len(gens), size))

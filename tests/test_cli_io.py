@@ -622,6 +622,10 @@ REFUSAL_CASES = [
      "error: factor dimensions must be >= 2, got (1, 1)"),
     (["geometry", "--check", "comparison", "--n", "4", "--s", "2", "--out", "out.json"],
      "error: normalization requires s >= n, got s=2, n=4"),
+    # an s grid over 10,000 points, counted before it is built or any other
+    # scan key is read
+    ([*SCAN, "--criterion", "bogus", "--s-values", "1:10001", "--out", "out"],
+     "error: 's_values' has 10001 points, over the limit of 10000"),
     ([*SCAN, "--s-values", "1:2:3:4", "--out", "out"],
      "entanglab scan-threshold: error: argument --s-values: range must be start:stop[:step]"),
     ([*SCAN, "--s-values", "2,x", "--out", "out"], "entanglab scan-threshold: error: argument "

@@ -258,6 +258,7 @@ STACKED_DRAWS = {
     "partial_trace_pairs": (
         lambda n, s, gens: _pair_rows(*_partial_trace_pairs(2 + n % 2, s, gens)),
         lambda n, s, rng: _partial_trace_oracle(2 + n % 2, s, rng)),
+    "ginibre": (ensembles._ginibre_stack, _ginibre_oracle),
 }
 
 
@@ -287,13 +288,34 @@ def test_draws_match_documented_formulas(shapes, trials, seed):
                 assert [x.tobytes() for x in got] == ref, (name, n, s, size)
 
 
-# rows of the Gram product behind each stacked induced sampler at size n
-DRAW_ROWS = {
-    "induced": lambda n: n,
-    "centered_induced": lambda n: n,
-    "projection_pairs": lambda n: _projection_dims(n)[1] ** 2,
-    "partial_trace_pairs": lambda n: 4 * (2 + n % 2) ** 2,
+def _gram_trial(rows):
+    """Bytes of an induced trial's sub-batch buffers at n x s, whose Gram
+    product has rows(n) rows: its normals (2 rows(n) x s), real Gram product
+    (2 rows(n) square) and the ufunc buffers of the combine (two rows(n)
+    square)."""
+    return lambda n, s: 16 * rows(n) * s + 48 * rows(n) ** 2
+
+
+# bytes of one trial's sub-batch buffers behind each stacked sampler at n x s
+TRIAL_BYTES = {
+    "induced": _gram_trial(lambda n: n),
+    "centered_induced": _gram_trial(lambda n: n),
+    "projection_pairs": _gram_trial(lambda n: _projection_dims(n)[1] ** 2),
+    "partial_trace_pairs": _gram_trial(lambda n: 4 * (2 + n % 2) ** 2),
+    "ginibre": lambda n, s: 32 * n * s,  # its 2ns normals and its n x s matrix
+    "gue0": lambda n, s: 8 * (n + 2 * n * n) + 16 * n * n,  # its normals and gathered triangle
 }
+
+
+def _hooked(hook):
+    """The normals fill, calling hook(rows, batch) with each sub-batch's rows
+    and generators once they are drawn."""
+    def fill(gens, shape, extra):
+        for b, rows in entanglab.rng._normal_rows(gens, shape, extra):
+            hook(rows, gens[b:b + len(rows)])
+            yield b, rows
+
+    return fill
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -305,15 +327,13 @@ def test_sub_batches_keep_every_byte(n, s, trials, seed):
     # chunk budgets that split a chunk's draws into sub-batches of 1 and 2
     # trials, of trials - 1 (a ragged last one) and of the whole chunk
     sub = SeededStream(seed)
-    for name, rows in DRAW_ROWS.items():
+    for name, trial_bytes in TRIAL_BYTES.items():
         stacked, oracle = STACKED_DRAWS[name]
         ref = [oracle(n, s, rng).tobytes() for rng in trial_generators(sub, trials)]
         for k in sorted({1, 2, trials - 1, trials}):
-            # a trial's normals (2 rows(n) x s), real Gram product (2 rows(n)
-            # square) and the ufunc buffers of the combine (two rows(n) square)
-            budget = k * (16 * rows(n) * s + 48 * rows(n) ** 2)
+            budget, draw = k * trial_bytes(n, s), mock.Mock()
             with mock.patch.object(entanglab.rng, "_CHUNK_BYTES", budget), \
-                    mock.patch.object(ensembles, "_normals_into", wraps=ensembles._normals_into) as draw:
+                    mock.patch.object(ensembles, "_normal_rows", _hooked(draw)):
                 got = stacked(n, s, list(trial_generators(sub, trials)))
             assert draw.call_count == -(-trials // k), (name, n, s, k)
             assert [x.tobytes() for x in got] == ref, (name, n, s, k)
@@ -373,11 +393,13 @@ def test_draw_buffers_stay_within_the_chunk_budget(d1, d2, s, trials):
 
 
 def test_trials_over_the_byte_limit_are_refused_before_allocating(monkeypatch):
-    # at a 1 MiB limit, a 64 x 4096 draw (4 MiB of normals) and a chunk trial
-    # at n = 512 (4 MiB of matrix) are refused before their buffers exist
+    # at a 1 MiB limit, a 64 x 4096 draw (4 MiB of normals), a GUE draw at
+    # n = 256 (1 MiB of normals and 1 MiB of gathered triangle) and a chunk
+    # trial at n = 512 (4 MiB of matrix) are refused before their buffers exist
     monkeypatch.setattr(entanglab.rng, "_TRIAL_BYTES_MAX", 1 << 20)
     gens = list(trial_generators(SeededStream(38), 1))
     for call in (lambda: ensembles._wishart_stack(64, 4096, gens),
+                 lambda: ensembles._gue_states(256, gens),
                  lambda: next(_chunks(lambda g: np.zeros(len(g)), SeededStream(38), 1, 512)),
                  lambda: sample_ginibre(64, 4096, 1)):
 
@@ -584,15 +606,13 @@ KEPT_NORMALS = _kept_rows(2, 3) + [9 + r for r in _kept_rows(2, 3)]
 def test_coupled_projection_int_seed_resamples_like_its_stream(monkeypatch):
     # a degenerate compression is redrawn from the same generator, for an
     # int seed exactly as for the SeededStream it stands for
-    real_draw = ensembles._normals_into
     degenerate = []
 
     def draw(z, gens):
-        real_draw(z, gens)
         if degenerate and degenerate.pop():
             z[0, KEPT_NORMALS] = 0
 
-    monkeypatch.setattr(ensembles, "_normals_into", draw)
+    monkeypatch.setattr(ensembles, "_normal_rows", _hooked(draw))
     pairs = []
     for stream in (7, SeededStream(7)):
         degenerate.append(True)
@@ -610,19 +630,17 @@ def test_projection_pairs_redraw_only_a_degenerate_compression(monkeypatch):
         return list(trial_generators(SeededStream(36), 3))
 
     clean = _pair_rows(*_projection_pairs(2, 3, 5, chunk()))
-    real_draw = ensembles._normals_into
     draws = []
 
     def draw(z, gens):
-        # draws counts generators, not calls: the sub-batch draws trials 1-3
-        # in one call and the redraw of trial 2 is a call of its own
-        real_draw(z, gens)
+        # draws counts generators, not sub-batches: one sub-batch draws trials
+        # 1-3 and the redraw of trial 2 is a sub-batch of its own
         for k, rng in enumerate(gens):
             draws.append(rng)
             if len(draws) == 2:
                 z[k, KEPT_NORMALS] = 0
 
-    monkeypatch.setattr(ensembles, "_normals_into", draw)
+    monkeypatch.setattr(ensembles, "_normal_rows", _hooked(draw))
     small, large, resamples = _projection_pairs(2, 3, 5, chunk())
     got = _pair_rows(small, large)
     assert resamples == 1 and len(draws) == 4
@@ -641,17 +659,15 @@ def test_projection_small_gram_is_a_principal_submatrix_of_the_large(d1, d2, s):
         return list(trial_generators(SeededStream(39), 4))
 
     rows = _kept_rows(d1, d2)
-    real_draw = ensembles._normals_into
     calls = []
 
     def draw(z, batch):
-        real_draw(z, batch)
         calls.append(len(batch))
         if len(calls) == 1:  # trial 1's first draw
             n = d2 * d2
             z[1, rows + [n + r for r in rows]] = 0
 
-    with mock.patch.object(ensembles, "_normals_into", draw):
+    with mock.patch.object(ensembles, "_normal_rows", _hooked(draw)):
         small, large, resamples = ensembles._projection_grams(d1, d2, s, gens())
     assert resamples == 1 and calls == [4, 1]
     assert small.tobytes() == large[:, rows][:, :, rows].tobytes()
