@@ -216,9 +216,9 @@ def _unit_trace(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _induced_states(n: int, s: int, gens) -> np.ndarray:
+def _induced_states(n: int, s: int, gens: list) -> np.ndarray:
     """Stack of induced states, one per generator."""
-    return _unit_trace(_wishart_stack(n, s, list(gens)))
+    return _unit_trace(_wishart_stack(n, s, gens))
 
 
 def _centered_induced_states(n: int, s: int, gens) -> np.ndarray:

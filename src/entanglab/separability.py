@@ -41,7 +41,7 @@ from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .ensembles import DensityMatrix
 from .linalg import ProductDims, _require_size, hermitize, hs_norm, partial_transpose
-from .rng import as_generator
+from .rng import _batch_size, as_generator
 from .stats import Estimate
 
 __all__ = [
@@ -270,12 +270,15 @@ def _contracted_factor(T: np.ndarray, psis: list[np.ndarray], j: int) -> np.ndar
     return np.einsum(*operands, [..., j, k + j])
 
 
-def _require_support(dims: ProductDims, restarts: int, max_sweeps: int) -> None:
-    """The support maximization's rule, run before its starts are drawn."""
+def _require_support(dims: ProductDims, restarts: int, max_sweeps: int) -> int:
+    """The support maximization's rule, run before any start is drawn: directions per sub-batch."""
     if dims.k < 2:
         raise ValueError("need at least two tensor factors")
     if restarts < 1 or max_sweeps < 1:
         raise ValueError("restarts and max_sweeps must be >= 1")
+    # per restart: a copy of its direction's A, three of its factors and of its contracted factor
+    d = dims.factors
+    return _batch_size(16 * restarts * (dims.n ** 2 + 3 * (sum(d) + max(d) ** 2)))
 
 
 def _product_starts(dims: ProductDims, restarts: int, stream) -> list[np.ndarray]:
@@ -313,6 +316,16 @@ def _support_stack(T: np.ndarray, starts: list[np.ndarray], tol: float,
     return np.einsum("...a,...ab,...b->...", best[0].conj(), M, best[0]).real, best
 
 
+def _support(A: np.ndarray, dims: ProductDims, restarts: int, tol: float, max_sweeps: int, stream):
+    """`_support_stack`'s values and factors for a stack A (D, n, n), a sub-batch at a time."""
+    size = _require_support(dims, restarts, max_sweeps)
+    starts = _product_starts(dims, restarts, stream)
+    T = A.reshape((len(A),) + dims.factors * 2)
+    vals, best = zip(*(_support_stack(T[b:b + size], starts, tol, max_sweeps)
+                       for b in range(0, len(T), size)))
+    return np.concatenate(vals), [np.concatenate(p) for p in zip(*best)]
+
+
 def support_separable(
     A: np.ndarray,
     dims: ProductDims,
@@ -330,9 +343,7 @@ def support_separable(
     bound (the maximization can stop at a local maximum)."""
     A = _require_traceless(A)
     _require_size(A, dims)
-    _require_support(dims, restarts, max_sweeps)
-    starts = _product_starts(dims, restarts, stream)
-    vals, best = _support_stack(A.reshape((1,) + dims.factors * 2), starts, tol, max_sweeps)
+    vals, best = _support(A[None], dims, restarts, tol, max_sweeps, stream)
     return SupportResult(float(vals[0]), [p[0] for p in best], restarts)
 
 

@@ -92,9 +92,9 @@ def semicircle_quantile(p: float) -> float:
 def semicircle_quantile_vector(n: int) -> np.ndarray:
     """Midpoint-quantile discretization of the semicircle law.
 
-    Entry k (1-based) is the quantile at (2k-1)/(2n); the vector is
-    antisymmetric, hence sums to zero exactly. Memoized per n, so the
-    returned array is read-only.
+    Entry k (1-based) is the quantile at (2k-1)/(2n): antisymmetric quantiles, recentered by
+    their floating-point mean, so they sum to zero up to rounding (2.3e-13 at most for n < 1200)
+    and stay exactly antisymmetric only where that mean was 0. Memoized per n, so read-only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -31,10 +31,9 @@ from .separability import (
     _MAX_SWEEPS,
     UnsupportedDimensionError,
     _body_gauge,
-    _product_starts,
     _require_exact_dims,
     _require_support,
-    _support_stack,
+    _support,
 )
 from .stats import Estimate, _Sums
 
@@ -80,6 +79,7 @@ def gaussian_mean_width_mc(oracle: SupportOracle, trials: int, stream) -> WidthE
     """Sample mean of h_K over standard Gaussian directions; a NaN support
     value counts as a failed evaluation."""
     gm = gamma_m(oracle.dim)
+    _batch_size(8 * oracle.dim)  # refuses a direction over the byte limit before any draw
     # one direction at a time: a chunk holds only generators and values, as at n = 1
     sums = _Sums(vals[~np.isnan(vals)] for vals in _chunks(
         lambda gens: np.array([oracle.support(rng.standard_normal(oracle.dim)) for rng in gens],
@@ -102,21 +102,11 @@ def _gue0_width(n: int, support, trials: int, stream) -> tuple[Estimate, float]:
 def separable_width(
     dims: ProductDims, trials: int, stream, restarts: int = 20, tol: float = 1e-12
 ) -> WidthEstimate:
-    """Certified lower bound on the Gaussian mean width of the centered
-    separable body: the product-state support of each direction, from the
-    starts of `support_separable(..., stream=0)`, a sub-batch at a time."""
-    _require_support(dims, restarts, _MAX_SWEEPS)
-    starts = _product_starts(dims, restarts, 0)
-    # per restart: a copy of its direction's A, three of its factors and of its contracted factor
-    d = dims.factors
-    size = _batch_size(16 * restarts * (dims.n ** 2 + 3 * (sum(d) + max(d) ** 2)))
-
-    def support(G):
-        T = G.reshape((len(G),) + d * 2)
-        return np.concatenate([_support_stack(T[b:b + size], starts, tol, _MAX_SWEEPS)[0]
-                               for b in range(0, len(T), size)])
-
-    est, gm = _gue0_width(dims.n, support, trials, stream)
+    """Certified lower bound on the Gaussian mean width of the centered separable body:
+    each direction's product-state support, from `support_separable(..., stream=0)`'s starts."""
+    _require_support(dims, restarts, _MAX_SWEEPS)  # before any draw
+    est, gm = _gue0_width(dims.n, lambda G: _support(G, dims, restarts, tol, _MAX_SWEEPS, 0)[0],
+                          trials, stream)
     return WidthEstimate(est.mean, est.mean / gm, est.stderr, trials, lower_bound=True,
                          seed=str(stream))
 

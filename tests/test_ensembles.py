@@ -160,6 +160,18 @@ def test_trial_seed_words_refuse_indices_past_32_bits():
         _trial_seed_words(s, 2**32 - 1, 2**32 + 1)
 
 
+def test_trial_seed_hands_any_other_request_to_numpy():
+    # PCG64 asks for its own four uint64 words; any other request is numpy's
+    # SeedSequence at the trial's address, as is `spawn`
+    s = SeededStream(13, 4, (5,))
+    seed = _TrialSeed(_trial_seed_words(s, 6, 7)[0], s, 6)
+    want = s.substream(6)._seed_sequence()
+    got = seed.generate_state(8, np.uint32)
+    assert got.dtype == np.uint32 and np.array_equal(got, want.generate_state(8, np.uint32))
+    assert np.array_equal(seed.generate_state(4, np.uint64), want.generate_state(4, np.uint64))
+    assert [c.spawn_key for c in seed.spawn(2)] == [c.spawn_key for c in want.spawn(2)]
+
+
 # -- draw oracle ------------------------------------------------------------------
 # The documented draws, written out here rather than imported from the package:
 # every sampler, stacked or not, must reproduce them byte for byte.
@@ -386,6 +398,8 @@ def test_draw_buffers_stay_within_the_chunk_budget(d1, d2, s, trials):
     for draw in (ensembles._wishart_stack, _induced_states, _centered_induced_states):
         W, peak = traced_peak(lambda: draw(n, s, gens))
         assert peak - W.nbytes <= bound, draw.__name__
+    A, peak = traced_peak(lambda: ensembles._ginibre_stack(n, s, gens))
+    assert peak - A.nbytes <= bound
     G, peak = traced_peak(lambda: _gue0_states(n, gens))
     assert peak - G.nbytes <= bound
     out, peak = traced_peak(lambda: _projection_pairs(d1, d2, s, gens))

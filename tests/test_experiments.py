@@ -473,6 +473,15 @@ def test_spectral_rows_schema_and_invariants():
         spectral_rows("induced", 16, None, 5, SeededStream(21))
 
 
+def test_spectral_experiment_gives_the_spectral_rows_of_its_config():
+    config = ExperimentConfig.from_dict({"experiment": "spectral", "trials": 7, "master_seed": 12,
+                                         "ensemble": "induced", "n": 6, "s": 30})
+    assert repr(exps.spectral_experiment(config)) == repr(
+        spectral_rows("induced", 6, 30, 7, SeededStream(12)))
+    with pytest.raises(ConfigError, match=r"^expected a spectral config, got 'threshold-scan'$"):
+        exps.spectral_experiment(make_config())
+
+
 def test_spectral_run_holds_a_chunk_of_rows_not_every_trial():
     # the rows reach the CSV a chunk at a time, so ten times the trials add
     # no stack of rows to the peak

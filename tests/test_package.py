@@ -56,3 +56,20 @@ def test_module_imports_alone(module):
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_separability_names_the_support_kernel():
+    # the product-state starts and sweep are reached through `separability._support`
+    kernel = {"_product_starts", "_support_stack"}
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "separability":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & kernel, (path.name, sorted(names & kernel))

@@ -45,7 +45,7 @@ from entanglab.separability import (
 )
 from entanglab.rng import SeededStream, trial_generators
 from entanglab.spectral import dinf_empirical_empirical, semicircle_quantile
-from entanglab.stats import _Sums, from_samples
+from entanglab.stats import Estimate, _Sums, from_samples
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -112,7 +112,7 @@ def test_cholesky_ppt_matches_eigvalsh_outside_rounding(dims, seed, s, offsets):
     # induced states, some shifted by a multiple of Id (which commutes with
     # the partial transpose) to put lambda_min(rho^Gamma) next to the
     # tolerance; the two tests agree on every state outside a 1e-13 band
-    states = _induced_states(dims.n, s, trial_generators(seed, len(offsets)))
+    states = _induced_states(dims.n, s, list(trial_generators(seed, len(offsets))))
     lam = separability._min_pt(states, dims)
     for i, offset in enumerate(offsets):
         if offset is not None:
@@ -413,3 +413,9 @@ def test_estimates_agree_with_numpy_and_need_a_sample():
         with pytest.raises(ValueError, match="at least one sample"):
             from_samples([])
     assert one.mean == 1.5 and math.isnan(one.stderr)
+
+
+def test_estimate_interval_is_the_mean_give_or_take_z_stderrs():
+    est = Estimate(2.5, 0.25, 10)
+    assert est.interval() == (1.75, 3.25)
+    assert est.interval(z=2.0) == (2.0, 3.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import separable_bisection_gauge_oracle
 
+import entanglab.rng
 from entanglab import ensembles, experiments, separability
 from entanglab.ensembles import DensityMatrix, _induced_states, sample_gue0
 from entanglab.linalg import ProductDims, hermitize, hs_norm, kron, partial_transpose, traceless_part
@@ -97,7 +98,7 @@ def test_boundary_states_stay_ppt():
 
 def test_rank_deficient_induced_states_classified_alike():
     # s = 3 < n = 4: each state has a zero eigenvalue; some are PPT, most not
-    states = _induced_states(4, 3, trial_generators(SeededStream(29), 300))
+    states = _induced_states(4, 3, list(trial_generators(SeededStream(29), 300)))
     ppt = separability._is_ppt(states, DIMS22)
     lam = separability._min_pt(states, DIMS22)
     np.testing.assert_array_equal(ppt, lam >= PPT_EIGENVALUE_TOL)
@@ -132,7 +133,7 @@ def test_numpy_cholesky_gufunc_behaves_as_the_ppt_kernel_needs():
 
 
 def test_ppt_kernel_leaves_its_input_alone():
-    states = _induced_states(6, 4, trial_generators(SeededStream(30), 5))
+    states = _induced_states(6, 4, list(trial_generators(SeededStream(30), 5)))
     before = states.copy()
     separability._is_ppt(states, ProductDims((2, 3)))
     assert np.array_equal(states, before)
@@ -302,6 +303,25 @@ def test_support_requires_traceless_and_factors(generators_built):
     with pytest.raises(ValueError, match=r"^restarts and max_sweeps must be >= 1$"):
         separable_width(DIMS22, 10, SeededStream(1), restarts=0)
     assert generators_built == []  # every refusal comes before the starts are drawn
+
+
+def test_support_over_the_byte_limit_is_refused_before_its_starts(monkeypatch, generators_built):
+    # one (4, 4) direction's sweep takes 5,248 B per restart: at a 10,000 B
+    # limit one restart runs and two are refused, by both support paths alike
+    monkeypatch.setattr(entanglab.rng, "_TRIAL_BYTES_MAX", 10_000)
+    starts = []
+    product_starts = separability._product_starts
+    monkeypatch.setattr(separability, "_product_starts",
+                        lambda *args: starts.append(args) or product_starts(*args))
+    dims, A = ProductDims((4, 4)), np.diag(np.arange(16.0) - 7.5)
+    refusal = r"^one trial needs 10496 bytes, over the limit of 10000$"
+    with pytest.raises(ValueError, match=refusal):
+        support_separable(A, dims, restarts=2)
+    with pytest.raises(ValueError, match=refusal):
+        separable_width(dims, 3, SeededStream(1), restarts=2)
+    assert (starts, generators_built) == ([], [])
+    assert support_separable(A, dims, restarts=1).value == pytest.approx(7.5, abs=1e-9)
+    assert len(starts) == 1
 
 
 def test_support_sweep_monotone():

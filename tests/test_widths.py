@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import chunk_trials, separable_bisection_gauge_oracle
 
+import entanglab.rng
 from entanglab.ensembles import sample_gue0
 from entanglab.geometry import gamma_m, vrad_states
 from entanglab.linalg import ProductDims
@@ -71,6 +72,20 @@ def test_width_refuses_a_bad_dimension_before_any_draw(generators_built, dim):
     with pytest.raises(ValueError, match="m must be >= 1"):
         gaussian_mean_width_mc(oracle, 5000, SeededStream(1))
     assert (generators_built, calls) == ([], [])
+
+
+def test_width_refuses_a_direction_over_the_byte_limit_before_any_draw(monkeypatch,
+                                                                       generators_built):
+    # a direction is 8 dim bytes of normals: at a 4 KiB limit dim 512 runs and
+    # dim 513 is refused, though its chunks of generators and values fit
+    monkeypatch.setattr(entanglab.rng, "_TRIAL_BYTES_MAX", 1 << 12)
+    calls = []
+    oracle = SupportOracle(513, support=lambda u: calls.append(u) or 0.0)
+    with pytest.raises(ValueError, match=r"^one trial needs 4104 bytes, over the limit of 4096$"):
+        gaussian_mean_width_mc(oracle, 5, SeededStream(1))
+    assert (generators_built, calls) == ([], [])
+    oracle = SupportOracle(512, support=lambda u: float(np.linalg.norm(u)))
+    assert gaussian_mean_width_mc(oracle, 5, SeededStream(1)).trials == 5
 
 
 # -- separable width ----------------------------------------------------------------
